@@ -24,16 +24,9 @@ from __future__ import annotations
 
 import sys
 
+from .core import Sorter, _default_cmp3
 from .datagen import ParkMillerGen
 from .stats import SortStats
-
-
-def _default_cmp3(x, y) -> int:
-    if x < y:
-        return -1
-    if x > y:
-        return 1
-    return 0
 
 
 def _finish(st: SortStats, nc: int, nwa: int, nws: int, depth: int,
@@ -557,8 +550,6 @@ def dual_pivot_qsort(ar, cmp=None, seed: int = 1) -> SortStats:
 
 
 def _tristate_entry(ar, cmp=None, seed: int = 1, config=None) -> SortStats:
-    from .config import SortConfig
-    from .core import Sorter
     return Sorter(config, seed=seed).sort_with_stats(ar, cmp)
 
 

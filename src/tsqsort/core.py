@@ -79,29 +79,44 @@ class PartitionFrame:
 
 
 class TempStore:
-    """Retained equals buffer; capacity ceil(n/2) of the largest sort."""
+    """Retained equals buffer; capacity ceil(n/2) of the largest sort.
 
-    __slots__ = ("buf", "capacity", "alloc_count", "regrows")
+    The machine never grows the buffer: ceil(n/2) slots are proven to
+    suffice for any stage over a range of n elements [a..b] with
+    mid = (a + b) >> 1.  Only states 3L/3R write to it, a stage runs at
+    most one of them, and its exit drains the buffer back to empty.
+    State 3L starts with the right side closed and its scan cursor m
+    below the block, m < ml <= mid, so the unscanned run [l..m] holds at
+    most mid - a elements.  Each element taken from that run adds at
+    most one entry: itself if it equals the pivot, or the block element
+    it displaces if it is above the pivot and copied into the gap over
+    the block; an element below the pivot adds none.  So the fill stays
+    at most mid - a.  State 3R mirrors this with the run [m..r],
+    m > mr >= mid, of at most b - mid elements.  Both are at most
+    floor(n/2), and every subrange is shorter than the array.
+    """
+
+    __slots__ = ("buf", "alloc_count")
 
     def __init__(self):
         self.buf: list = []
-        self.capacity = 0
         self.alloc_count = 0
-        self.regrows = 0
+
+    @property
+    def capacity(self) -> int:
+        return len(self.buf)
 
     def ensure(self, cap: int) -> None:
-        if cap > self.capacity:
+        if cap > len(self.buf):
             try:
                 self.buf = [None] * cap
             except MemoryError as exc:
                 raise TempAllocationError(
                     f"cannot allocate equals buffer of {cap} slots") from exc
-            self.capacity = cap
             self.alloc_count += 1
 
     def release(self) -> None:
         self.buf = []
-        self.capacity = 0
 
 
 # Machine labels.  The *_2 labels are the post-comparison dispatch
@@ -153,7 +168,6 @@ _LABEL_NAMES = {
     _M3R: "m_scan3R", _M3R_2: "m_scan3R_2", _R3R: "r_scan3R",
     _EXIT2: "exit2", _EXIT3L: "exit3L", _EXIT3R: "exit3R", _DONE: "done",
 }
-_LABELS_BY_NAME = {v: k for k, v in _LABEL_NAMES.items()}
 
 _STATE1_FAMILY = frozenset({_PRESCAN, _COLLAPSED, _L1, _L1_2, _R1, _R1_3,
                             _ML1, _ML1_2, _MR1, _MR1_2})
@@ -163,7 +177,7 @@ CT_CMP = 0
 CT_WA = 1       # array element writes
 CT_WS = 2       # scratch writes: holdover, pivot slot, swap temp, buffer
 CT_TI = 3       # current equals-buffer fill
-CT_TI_HW = 4    # buffer high water
+CT_TI_HW = 4    # buffer high water, updated when a state-3 run exits
 CT_S1 = 5
 CT_S2L = 6
 CT_S2R = 7
@@ -172,13 +186,12 @@ CT_S3R = 9
 CT_EXIT2 = 10
 CT_EXIT3L = 11
 CT_EXIT3R = 12
-CT_REGROW = 13
-CT_HSORT = 14
-CT_HREV = 15
-CT_HFALL = 16
-CT_STAGES = 17
-CT_DEPTH = 18
-CT_LEN = 19
+CT_HSORT = 13
+CT_HREV = 14
+CT_HFALL = 15
+CT_STAGES = 16
+CT_DEPTH = 17
+CT_LEN = 18
 
 
 def choose_next_state(frame: PartitionFrame, closed_side: str) -> str:
@@ -213,8 +226,6 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
     nwa = 0
     nws = 0
     ti = ct[CT_TI]
-    ti_hw = ct[CT_TI_HW]
-    cap = len(tar)
 
     while True:
         if stop is not None and label in stop:
@@ -365,51 +376,29 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
         if label == _MLEFT:
             # Right side closed; absorb equals adjoining the block's
             # left edge, then pick the follow-up state.
-            goto = 0
+            label = _MLEFT_NOSCAN
             while True:
                 ml -= 1
                 if ml == l:
-                    goto = _EXIT2
+                    label = _EXIT2
                     break
                 lc = cmp3(ar[ml], p)
                 ncmp += 1
                 if lc != 0:
                     break
-            if goto:
-                label = goto
-                continue
-            m = ml
-            ml += 1
-            if mr - ml <= (ml - l) // 4:
-                ct[CT_S3L] += 1
-                label = _M3L_2
-            else:
-                ct[CT_S2L] += 1
-                label = _M2L_2
             continue
 
         if label == _MRIGHT:
-            goto = 0
+            label = _MRIGHT_NOSCAN
             while True:
                 mr += 1
                 if mr == r:
-                    goto = _EXIT2
+                    label = _EXIT2
                     break
                 lc = cmp3(ar[mr], p)
                 ncmp += 1
                 if lc != 0:
                     break
-            if goto:
-                label = goto
-                continue
-            m = mr
-            mr -= 1
-            if mr - ml <= (r - mr) // 4:
-                ct[CT_S3R] += 1
-                label = _M3R_2
-            else:
-                ct[CT_S2R] += 1
-                label = _M2R_2
             continue
 
         if label == _MLEFT_CHECKM:
@@ -430,8 +419,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
             continue
 
         if label == _MLEFT_NOSCAN:
-            # Like _MLEFT but the caller already positioned ml on the
-            # first non-equal below the block and left its lc set.
+            # ml sits on the first non-equal below the block with its lc
+            # set, by _MLEFT or by a fast-path handler; pick the state.
             m = ml
             ml += 1
             if mr - ml <= (ml - l) // 4:
@@ -581,15 +570,9 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 ncmp += 1
                 if lc != 0:
                     break
-                if ti == cap:
-                    tar.extend([None] * max(16, cap >> 1))
-                    cap = len(tar)
-                    ct[CT_REGROW] += 1
                 tar[ti] = ar[m]
                 nws += 1
                 ti += 1
-                if ti > ti_hw:
-                    ti_hw = ti
                 m -= 1
                 if m == l:
                     goto = _EXIT3L
@@ -625,15 +608,9 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                         nwa += 1
                         r -= 1
                         if r >= ml:
-                            if ti == cap:
-                                tar.extend([None] * max(16, cap >> 1))
-                                cap = len(tar)
-                                ct[CT_REGROW] += 1
                             tar[ti] = ar[r]
                             nws += 1
                             ti += 1
-                            if ti > ti_hw:
-                                ti_hw = ti
                         k2 += 1
                         if k2 > k:
                             break
@@ -643,15 +620,9 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                         nwa += 1
                         r -= 1
                         if r >= ml:
-                            if ti == cap:
-                                tar.extend([None] * max(16, cap >> 1))
-                                cap = len(tar)
-                                ct[CT_REGROW] += 1
                             tar[ti] = ar[r]
                             nws += 1
                             ti += 1
-                            if ti > ti_hw:
-                                ti_hw = ti
                         elif r <= k:
                             r = k2
                             break
@@ -659,15 +630,9 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 if hit_end:
                     label = _EXIT3L
                 elif lc == 0:
-                    if ti == cap:
-                        tar.extend([None] * max(16, cap >> 1))
-                        cap = len(tar)
-                        ct[CT_REGROW] += 1
                     tar[ti] = ar[m]
                     nws += 1
                     ti += 1
-                    if ti > ti_hw:
-                        ti_hw = ti
                     m -= 1
                     label = _EXIT3L if m == l else _M3L
                 else:
@@ -692,15 +657,9 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 label = goto
                 continue
             if lc == 0:
-                if ti == cap:
-                    tar.extend([None] * max(16, cap >> 1))
-                    cap = len(tar)
-                    ct[CT_REGROW] += 1
                 tar[ti] = ar[l]
                 nws += 1
                 ti += 1
-                if ti > ti_hw:
-                    ti_hw = ti
                 m -= 1
                 label = _EXIT3L if m == l else _M3L
             else:
@@ -708,15 +667,9 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 nwa += 1
                 r -= 1
                 if r >= ml:
-                    if ti == cap:
-                        tar.extend([None] * max(16, cap >> 1))
-                        cap = len(tar)
-                        ct[CT_REGROW] += 1
                     tar[ti] = ar[r]
                     nws += 1
                     ti += 1
-                    if ti > ti_hw:
-                        ti_hw = ti
                 m -= 1
                 label = _EXIT3L if m == l else _M3L
             continue
@@ -729,15 +682,9 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 ncmp += 1
                 if lc != 0:
                     break
-                if ti == cap:
-                    tar.extend([None] * max(16, cap >> 1))
-                    cap = len(tar)
-                    ct[CT_REGROW] += 1
                 tar[ti] = ar[m]
                 nws += 1
                 ti += 1
-                if ti > ti_hw:
-                    ti_hw = ti
                 m += 1
                 if m == r:
                     goto = _EXIT3R
@@ -770,15 +717,9 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                         nwa += 1
                         l += 1
                         if l <= mr:
-                            if ti == cap:
-                                tar.extend([None] * max(16, cap >> 1))
-                                cap = len(tar)
-                                ct[CT_REGROW] += 1
                             tar[ti] = ar[l]
                             nws += 1
                             ti += 1
-                            if ti > ti_hw:
-                                ti_hw = ti
                         k2 -= 1
                         if k2 < k:
                             break
@@ -788,15 +729,9 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                         nwa += 1
                         l += 1
                         if l <= mr:
-                            if ti == cap:
-                                tar.extend([None] * max(16, cap >> 1))
-                                cap = len(tar)
-                                ct[CT_REGROW] += 1
                             tar[ti] = ar[l]
                             nws += 1
                             ti += 1
-                            if ti > ti_hw:
-                                ti_hw = ti
                         elif l >= k:
                             l = k2
                             break
@@ -804,15 +739,9 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 if hit_end:
                     label = _EXIT3R
                 elif lc == 0:
-                    if ti == cap:
-                        tar.extend([None] * max(16, cap >> 1))
-                        cap = len(tar)
-                        ct[CT_REGROW] += 1
                     tar[ti] = ar[m]
                     nws += 1
                     ti += 1
-                    if ti > ti_hw:
-                        ti_hw = ti
                     m += 1
                     label = _EXIT3R if m == r else _M3R
                 else:
@@ -837,15 +766,9 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 label = goto
                 continue
             if lc == 0:
-                if ti == cap:
-                    tar.extend([None] * max(16, cap >> 1))
-                    cap = len(tar)
-                    ct[CT_REGROW] += 1
                 tar[ti] = ar[r]
                 nws += 1
                 ti += 1
-                if ti > ti_hw:
-                    ti_hw = ti
                 m += 1
                 label = _EXIT3R if m == r else _M3R
             else:
@@ -853,15 +776,9 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 nwa += 1
                 l += 1
                 if l <= mr:
-                    if ti == cap:
-                        tar.extend([None] * max(16, cap >> 1))
-                        cap = len(tar)
-                        ct[CT_REGROW] += 1
                     tar[ti] = ar[l]
                     nws += 1
                     ti += 1
-                    if ti > ti_hw:
-                        ti_hw = ti
                 m += 1
                 label = _EXIT3R if m == r else _M3R
             continue
@@ -921,6 +838,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
         # ----- exits -----
         if label == _EXIT3L:
             ct[CT_EXIT3L] += 1
+            if ti > ct[CT_TI_HW]:
+                ct[CT_TI_HW] = ti
             while ti > 0:
                 ti -= 1
                 m += 1
@@ -932,6 +851,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
 
         if label == _EXIT3R:
             ct[CT_EXIT3R] += 1
+            if ti > ct[CT_TI_HW]:
+                ct[CT_TI_HW] = ti
             while ti > 0:
                 ti -= 1
                 m -= 1
@@ -980,7 +901,6 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
     ct[CT_WA] += nwa
     ct[CT_WS] += nws
     ct[CT_TI] = ti
-    ct[CT_TI_HW] = ti_hw
     return label
 
 
@@ -1756,13 +1676,15 @@ default_sorter = Sorter()
 
 def sort(ar, cmp=None, config: SortConfig | None = None,
          element_size: int | None = None) -> SortStats:
-    """Sort in place with the module's default sorter instance."""
-    global default_sorter
-    if config is not None and config != default_sorter.config:
-        fresh = Sorter(config, seed=default_sorter.rng.zgen)
-        fresh.temp = default_sorter.temp  # keep the retained buffer
-        default_sorter = fresh
-    return default_sorter.sort_with_stats(ar, cmp, element_size)
+    """Sort in place with the module's default sorter instance.
+
+    A ``config`` that differs from the default sorter's runs on a
+    one-off sorter, so it never carries over into later calls.
+    """
+    sorter = default_sorter
+    if config is not None and config != sorter.config:
+        sorter = Sorter(config)
+    return sorter.sort_with_stats(ar, cmp, element_size)
 
 
 def sort_with_stats(ar, cmp=None, config: SortConfig | None = None,
@@ -1784,6 +1706,16 @@ _STATE_ENTRY = {S2L: _M2L_2, S2R: _M2R_2, S3L: _M3L_2, S3R: _M3R_2}
 _STATE_FAMILY = {S2L: {_M2L, _M2L_2, _L2L}, S2R: {_M2R, _M2R_2, _R2R},
                  S3L: {_M3L, _M3L_2, _L3L}, S3R: {_M3R, _M3R_2, _R3R}}
 _EXIT_ENTRY = {EXIT2: _EXIT2, EXIT3L: _EXIT3L, EXIT3R: _EXIT3R}
+
+
+def _stage_buffer(frame: PartitionFrame, temp: TempStore | None = None):
+    """An equals buffer of ceil(n/2) slots for the frame's n-element
+    range: ``temp``'s, grown to that size if smaller, or a fresh one."""
+    cap = (frame.b - frame.a + 2) // 2
+    if temp is None:
+        return [None] * cap
+    temp.ensure(cap)
+    return temp.buf
 
 
 def init_stage(ar, frame: PartitionFrame, decision: PivotDecision,
@@ -1808,8 +1740,9 @@ def init_stage(ar, frame: PartitionFrame, decision: PivotDecision,
     frame.ml = frame.mr = frame.m = frame.mid
     frame.holdover = None
     frame.last_exit = None
-    tar = []
-    label = _run_machine(ar, cmp3, frame, _PRESCAN, frozenset({_L1}), tar, ct)
+    # a pre-scan that collapses onto the center runs the stage to its end
+    label = _run_machine(ar, cmp3, frame, _PRESCAN, frozenset({_L1}),
+                         _stage_buffer(frame), ct)
     if label == _L1:
         return S1
     return frame.last_exit if frame.last_exit is not None else EXIT2
@@ -1854,7 +1787,8 @@ def run_state3(ar, frame: PartitionFrame, direction: str,
     entry = frame.entry if frame.entry in _STATE_FAMILY[state] \
         else _STATE_ENTRY[state]
     stop = frozenset({_EXIT3L, _EXIT3R})
-    label = _run_machine(ar, cmp3, frame, entry, stop, temp.buf, ct)
+    label = _run_machine(ar, cmp3, frame, entry, stop,
+                         _stage_buffer(frame, temp), ct)
     return _LABEL_TO_STATE[label]
 
 
@@ -1865,6 +1799,6 @@ def copy_back(ar, frame: PartitionFrame, exit_id: str,
     cmp3 = cmp if cmp is not None else _default_cmp3
     if ct is None:
         ct = [0] * CT_LEN
-    tar = temp.buf if temp is not None else []
-    _run_machine(ar, cmp3, frame, _EXIT_ENTRY[exit_id], None, tar, ct)
+    _run_machine(ar, cmp3, frame, _EXIT_ENTRY[exit_id], None,
+                 _stage_buffer(frame, temp), ct)
     return frame.new_l, frame.new_r

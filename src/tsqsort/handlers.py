@@ -40,7 +40,8 @@ def _outcome(ar, frame, label, cmp3, ct, finish: bool) -> HandlerOutcome:
         return HandlerOutcome("bypass", frame.new_l, frame.new_r)
     name = _core._LABEL_NAMES[label]
     if finish:
-        _core._run_machine(ar, cmp3, frame, label, None, [], ct)
+        _core._run_machine(ar, cmp3, frame, label, None,
+                           _core._stage_buffer(frame), ct)
     else:
         frame.entry = label
     return HandlerOutcome("fallback", frame.new_l, frame.new_r, name, frame)

@@ -17,7 +17,8 @@ class CountingComparator:
 
     def __init__(self, inner=None):
         if inner is None:
-            inner = _default_cmp3
+            # imported here: core imports this module for the event kinds
+            from .core import _default_cmp3 as inner
         self.inner = inner
         self.count = 0
 
@@ -28,14 +29,6 @@ class CountingComparator:
 
 def counting_comparator(inner=None) -> CountingComparator:
     return CountingComparator(inner)
-
-
-def _default_cmp3(x, y) -> int:
-    if x < y:
-        return -1
-    if x > y:
-        return 1
-    return 0
 
 
 class ShadowWriteMonitor:
@@ -71,7 +64,6 @@ class ShadowWriteMonitor:
 # ---------------------------------------------------------------------------
 # Event tracing (configuration gated; off by default).
 
-COMPARE = "Compare"
 WRITE = "Write"
 STATE_ENTER = "StateEnter"
 STAGE_END = "StageEnd"

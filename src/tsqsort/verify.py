@@ -12,7 +12,7 @@ import random
 from .analysis import predict_swaps_tsq_exact, recurrence_oracle
 from .baselines import REGISTRY, fixed_pivot_qsort
 from .config import SortConfig
-from .core import Sorter
+from .core import Sorter, _default_cmp3
 from .datagen import KillerAdversary, cook_input
 from .pivot import median_of_5
 
@@ -49,7 +49,7 @@ def _check_median5_certificates():
     for perm in itertools.permutations((1, 2, 3, 4, 5)):
         ar = list(perm)
         tally = [0, 0, 0]
-        dec = median_of_5(ar, 0, 1, 2, 3, 4, _cmp3, tally)
+        dec = median_of_5(ar, 0, 1, 2, 3, 4, _default_cmp3, tally)
         if dec.pivot != 3:
             return False, f"wrong median for {perm}"
         writes = tally[1] + tally[2]
@@ -115,14 +115,6 @@ def _check_random_roundtrip():
         if ar != ref:
             return False, f"mismatch at n={n}"
     return True, "random spot checks"
-
-
-def _cmp3(x, y):
-    if x < y:
-        return -1
-    if x > y:
-        return 1
-    return 0
 
 
 CHECKS = (

@@ -50,11 +50,16 @@ def test_exhaustive_permutations_machine(low_cut_config):
 
 
 def test_exhaustive_multisets_machine(low_cut_config):
-    s = Sorter(low_cut_config, seed=23)
-    for tup in itertools.product(range(3), repeat=8):
-        ar = list(tup)
-        s.sort(ar)
-        assert ar == sorted(tup), tup
+    # every 3-symbol tuple up to n = 10; the equals buffer never needs
+    # more than the ceil(n/2) slots allocated up front
+    for n in range(2, 11):
+        for tup in itertools.product(range(3), repeat=n):
+            s = Sorter(low_cut_config, seed=23)
+            ar = list(tup)
+            st_ = s.sort_with_stats(ar)
+            assert ar == sorted(tup), tup
+            assert st_.temp_high_water <= (n + 1) // 2, tup
+            assert len(s.temp.buf) == (n + 1) // 2, tup
 
 
 def test_stage_three_way_law_random(low_cut_config):
@@ -187,6 +192,16 @@ def test_module_level_api_retains_buffer():
     assert default_sorter.temp.capacity >= 30
     tsqsort.free_temp_storage()
     assert default_sorter.temp.capacity == 0
+
+
+def test_module_level_config_override_is_per_call():
+    ar = list(range(50, 0, -1))
+    st_ = tsqsort.sort(list(ar), config=SortConfig(insertion_threshold=60))
+    assert st_.stages == 0  # one insertion sort under the override
+    st_ = tsqsort.sort(list(ar))
+    assert st_.stages > 0  # the default config again
+    from tsqsort.core import default_sorter
+    assert default_sorter.config == tsqsort.DEFAULT_CONFIG
 
 
 def test_sorter_not_reentrant():
