@@ -21,12 +21,18 @@ an order flag; flagged stages first try the possibly-sorted or
 possibly-reversed fast paths, falling back into the machine mid-stage
 with their scan progress kept.
 
-The machine is written as an explicit label loop so the control flow
-stays close to a goto-structured reference and can be entered at any
-resume point by the fast-path handlers.
+Each state runs as one structured loop: state 1 as a single alternating
+left-scan/right-scan cycle, states 2L/2R/3L/3R each as a local loop over
+their scan steps.  Labels remain only as state-boundary and resume
+points: a small dispatch chain moves between states and exits, and the
+machine can be entered at any label, which the fast-path handlers use to
+fall back mid-stage and the contract entry points use to stop and resume
+at state boundaries.
 """
 
 from __future__ import annotations
+
+import threading
 
 from .config import DEFAULT_CONFIG, SortConfig
 from .instrument import (HANDLER_ENTER, HANDLER_FALLBACK, STAGE_END,
@@ -119,9 +125,9 @@ class TempStore:
         self.buf = []
 
 
-# Machine labels.  The *_2 labels are the post-comparison dispatch
-# points (lc already holds the comparison of the element under the
-# relevant cursor); handlers resume the machine there.
+# Machine labels: state boundaries and resume points.  The *_2 labels
+# (and _R1_3) are post-comparison points: lc already holds the
+# comparison of the element under the relevant cursor.
 _PRESCAN = 0
 _COLLAPSED = 1
 _L1 = 2
@@ -173,6 +179,8 @@ _STATE1_FAMILY = frozenset({_PRESCAN, _COLLAPSED, _L1, _L1_2, _R1, _R1_3,
                             _ML1, _ML1_2, _MR1, _MR1_2})
 
 # Counter vector indices (a plain list is the cheapest mutable record).
+# The first three are the [comparisons, array writes, scratch writes]
+# tally of select_pivot and insertion_sort, so ct is passed to them as is.
 CT_CMP = 0
 CT_WA = 1       # array element writes
 CT_WS = 2       # scratch writes: holdover, pivot slot, swap temp, buffer
@@ -210,8 +218,16 @@ def choose_next_state(frame: PartitionFrame, closed_side: str) -> str:
 
 def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
     """Run the partition machine from ``label`` until it finishes the
-    stage (returns _DONE with fr.new_l/new_r set) or hits a label in
-    ``stop`` (frame state saved for resumption).
+    stage (returns _DONE with fr.new_l/new_r set) or reaches a label in
+    ``stop`` (frame state saved for resumption at fr.entry).
+
+    Each state runs as its own loop: state 1 as one alternating scan
+    cycle, states 2L/2R/3L/3R each as a local loop over their scan and
+    dispatch steps.  Control returns to the label chain only when the
+    state changes or the stage exits, so ``stop`` is checked there and
+    may name only such state-boundary labels.  Every label remains a
+    resume point, which the fast-path handlers and ``run_state*`` use to
+    enter a state mid-way.
     """
     mid = fr.mid
     l = fr.l
@@ -231,56 +247,74 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
         if stop is not None and label in stop:
             break
 
-        if label == _L1:
-            goto = 0
-            while True:
-                lc = cmp3(ar[l], p)
-                ncmp += 1
-                if lc >= 0:
-                    break
-                l += 1
-                if l == ml:
-                    goto = _MRIGHT_CHECKM
-                    break
-            if goto:
-                label = goto
-                continue
-            if lc == 0:
-                ar[m] = ar[l]
+        # ----- state 1: both sides open -----
+        if _L1 <= label <= _R1_3:
+            # One Hoare-style cycle: scan from l for an element not below
+            # the pivot and write it into the hole at r (_L1, _L1_2), then
+            # scan from r for one not above and write it into the hole at
+            # l (_R1, _R1_3).  It leaves on an equal under cursor k
+            # (lc == 0) or when a cursor meets the block: lc < 0 once
+            # l == ml, lc > 0 once mr == r.
+            if label == _L1_2:
+                ar[r] = ar[l]
                 nwa += 1
-                if r - mr > ml - l:
-                    mr += 1
-                    label = _MR1
-                else:
-                    ml -= 1
-                    label = _MRIGHT if ml == l else _ML1
-            else:
-                label = _L1_2
-            continue
-
-        if label == _L1_2:
-            ar[r] = ar[l]
-            nwa += 1
-            r -= 1
-            label = _MLEFT_CHECKM if mr == r else _R1
-            continue
-
-        if label == _R1:
-            goto = 0
-            while True:
-                lc = cmp3(ar[r], p)
-                ncmp += 1
-                if lc <= 0:
-                    break
                 r -= 1
                 if mr == r:
-                    goto = _MLEFT_CHECKM
+                    label = _MLEFT_CHECKM
+                    continue
+                label = _R1
+            elif label == _R1_3:
+                ar[l] = ar[r]
+                nwa += 1
+                l += 1
+                if ml == l:
+                    label = _MRIGHT_CHECKM
+                    continue
+                label = _L1
+            while True:
+                if label == _L1:
+                    while True:
+                        lc = cmp3(ar[l], p)
+                        ncmp += 1
+                        if lc >= 0:
+                            break
+                        l += 1
+                        if l == ml:
+                            break
+                    if lc <= 0:
+                        k = l
+                        break
+                    ar[r] = ar[l]
+                    nwa += 1
+                    r -= 1
+                    if mr == r:
+                        break
+                else:
+                    label = _L1  # entered at the right scan
+                while True:
+                    lc = cmp3(ar[r], p)
+                    ncmp += 1
+                    if lc <= 0:
+                        break
+                    r -= 1
+                    if mr == r:
+                        break
+                if lc >= 0:
+                    k = r
                     break
-            if goto:
-                label = goto
-                continue
-            if lc == 0:
-                ar[m] = ar[r]
+                ar[l] = ar[r]
+                nwa += 1
+                l += 1
+                if ml == l:
+                    break
+            if lc < 0:
+                label = _MRIGHT_CHECKM
+            elif lc > 0:
+                label = _MLEFT_CHECKM
+            else:
+                # store the equal into the middle hole and grow the
+                # block toward the larger facing gap
+                ar[m] = ar[k]
                 nwa += 1
                 if r - mr > ml - l:
                     mr += 1
@@ -288,19 +322,9 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 else:
                     ml -= 1
                     label = _MRIGHT if ml == l else _ML1
-            else:
-                label = _R1_3
-            continue
-
-        if label == _R1_3:
-            ar[l] = ar[r]
-            nwa += 1
-            l += 1
-            label = _MRIGHT_CHECKM if ml == l else _L1
             continue
 
         if label == _ML1:
-            goto = 0
             while True:
                 lc = cmp3(ar[ml], p)
                 ncmp += 1
@@ -308,9 +332,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                     break
                 ml -= 1
                 if ml == l:
-                    goto = _MRIGHT
                     break
-            label = goto if goto else _ML1_2
+            label = _MRIGHT if lc == 0 else _ML1_2
             continue
 
         if label == _ML1_2:
@@ -337,7 +360,6 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
             continue
 
         if label == _MR1:
-            goto = 0
             while True:
                 lc = cmp3(ar[mr], p)
                 ncmp += 1
@@ -345,9 +367,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                     break
                 mr += 1
                 if mr == r:
-                    goto = _MLEFT
                     break
-            label = goto if goto else _MR1_2
+            label = _MLEFT if lc == 0 else _MR1_2
             continue
 
         if label == _MR1_2:
@@ -443,350 +464,328 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
             continue
 
         # ----- state 2L: m moving left, right side closed -----
-        if label == _M2L:
-            goto = 0
+        # _M2L scans equals (left in place), _M2L_2 acts on the
+        # non-equal at m, _L2L scans from l for an element not below
+        # the pivot.  Every path that meets m == l exits.
+        if _M2L <= label <= _L2L:
             while True:
-                lc = cmp3(ar[m], p)
-                ncmp += 1
-                if lc != 0:
-                    break
-                m -= 1
-                if m == l:
-                    goto = _EXIT2
-                    break
-            label = goto if goto else _M2L_2
-            continue
-
-        if label == _M2L_2:
-            if lc < 0:
-                ar[l] = ar[m]
-                nwa += 1
-                l += 1
-                label = _EXIT2 if m == l else _L2L
-            else:
-                ar[r] = ar[m]
-                nwa += 1
-                r -= 1
-                ar[m] = ar[r]
-                nwa += 1
-                m -= 1
-                label = _EXIT2 if m == l else _M2L
-            continue
-
-        if label == _L2L:
-            goto = 0
-            while True:
-                lc = cmp3(ar[l], p)
-                ncmp += 1
-                if lc >= 0:
-                    break
-                l += 1
-                if m == l:
-                    goto = _EXIT2
-                    break
-            if goto:
-                label = goto
-                continue
-            if lc == 0:
-                ar[m] = ar[l]
-                nwa += 1
-                m -= 1
-                label = _EXIT2 if m == l else _M2L
-            else:
-                ar[r] = ar[l]
-                nwa += 1
-                r -= 1
-                ar[m] = ar[r]
-                nwa += 1
-                m -= 1
-                label = _EXIT2 if m == l else _M2L
-            continue
-
-        # ----- state 2R: m moving right, left side closed -----
-        if label == _M2R:
-            goto = 0
-            while True:
-                lc = cmp3(ar[m], p)
-                ncmp += 1
-                if lc != 0:
-                    break
-                m += 1
-                if m == r:
-                    goto = _EXIT2
-                    break
-            label = goto if goto else _M2R_2
-            continue
-
-        if label == _M2R_2:
-            if lc < 0:
-                ar[l] = ar[m]
-                nwa += 1
-                l += 1
-                ar[m] = ar[l]
-                nwa += 1
-                m += 1
-                label = _EXIT2 if m == r else _M2R
-            else:
-                ar[r] = ar[m]
-                nwa += 1
-                r -= 1
-                label = _EXIT2 if m == r else _R2R
-            continue
-
-        if label == _R2R:
-            goto = 0
-            while True:
-                lc = cmp3(ar[r], p)
-                ncmp += 1
-                if lc <= 0:
-                    break
-                r -= 1
-                if m == r:
-                    goto = _EXIT2
-                    break
-            if goto:
-                label = goto
-                continue
-            if lc == 0:
-                ar[m] = ar[r]
-                nwa += 1
-                m += 1
-                label = _EXIT2 if m == r else _M2R
-            else:
-                ar[l] = ar[r]
-                nwa += 1
-                l += 1
-                ar[m] = ar[l]
-                nwa += 1
-                m += 1
-                label = _EXIT2 if m == r else _M2R
-            continue
-
-        # ----- state 3L: m moving left, equals buffered -----
-        if label == _M3L:
-            goto = 0
-            while True:
-                lc = cmp3(ar[m], p)
-                ncmp += 1
-                if lc != 0:
-                    break
-                tar[ti] = ar[m]
-                nws += 1
-                ti += 1
-                m -= 1
-                if m == l:
-                    goto = _EXIT3L
-                    break
-            label = goto if goto else _M3L_2
-            continue
-
-        if label == _M3L_2:
-            if lc < 0:
-                ar[l] = ar[m]
-                nwa += 1
-                l += 1
-                label = _EXIT3L if m == l else _L3L
-            else:
-                # collect the run of > pivot elements below m
-                k = m
-                hit_end = False
-                while True:
-                    m -= 1
-                    if m == l:
-                        hit_end = True
-                        break
-                    lc = cmp3(ar[m], p)
-                    ncmp += 1
-                    if lc <= 0:
-                        break
-                k2 = m + 1
-                # copy the run [k2..k] into the gap descending from r,
-                # buffering block elements the gap consumes
-                if k - m < r - k:
+                if label == _M2L:
                     while True:
-                        ar[r] = ar[k2]
+                        lc = cmp3(ar[m], p)
+                        ncmp += 1
+                        if lc != 0:
+                            break
+                        m -= 1
+                        if m == l:
+                            break
+                    if lc == 0:
+                        break
+                if label != _L2L:
+                    if lc > 0:
+                        ar[r] = ar[m]
                         nwa += 1
                         r -= 1
-                        if r >= ml:
-                            tar[ti] = ar[r]
-                            nws += 1
-                            ti += 1
-                        k2 += 1
-                        if k2 > k:
-                            break
-                else:
-                    while True:
-                        ar[r] = ar[k2]
+                        ar[m] = ar[r]
                         nwa += 1
-                        r -= 1
-                        if r >= ml:
-                            tar[ti] = ar[r]
-                            nws += 1
-                            ti += 1
-                        elif r <= k:
-                            r = k2
+                        m -= 1
+                        if m == l:
                             break
-                        k2 += 1
-                if hit_end:
-                    label = _EXIT3L
-                elif lc == 0:
-                    tar[ti] = ar[m]
-                    nws += 1
-                    ti += 1
-                    m -= 1
-                    label = _EXIT3L if m == l else _M3L
-                else:
+                        label = _M2L
+                        continue
                     ar[l] = ar[m]
                     nwa += 1
                     l += 1
-                    label = _EXIT3L if m == l else _L3L
-            continue
-
-        if label == _L3L:
-            goto = 0
-            while True:
-                lc = cmp3(ar[l], p)
-                ncmp += 1
-                if lc >= 0:
-                    break
-                l += 1
-                if m == l:
-                    goto = _EXIT3L
-                    break
-            if goto:
-                label = goto
-                continue
-            if lc == 0:
-                tar[ti] = ar[l]
-                nws += 1
-                ti += 1
-                m -= 1
-                label = _EXIT3L if m == l else _M3L
-            else:
-                ar[r] = ar[l]
-                nwa += 1
-                r -= 1
-                if r >= ml:
-                    tar[ti] = ar[r]
-                    nws += 1
-                    ti += 1
-                m -= 1
-                label = _EXIT3L if m == l else _M3L
-            continue
-
-        # ----- state 3R: m moving right, equals buffered -----
-        if label == _M3R:
-            goto = 0
-            while True:
-                lc = cmp3(ar[m], p)
-                ncmp += 1
-                if lc != 0:
-                    break
-                tar[ti] = ar[m]
-                nws += 1
-                ti += 1
-                m += 1
-                if m == r:
-                    goto = _EXIT3R
-                    break
-            label = goto if goto else _M3R_2
-            continue
-
-        if label == _M3R_2:
-            if lc > 0:
-                ar[r] = ar[m]
-                nwa += 1
-                r -= 1
-                label = _EXIT3R if m == r else _R3R
-            else:
-                k = m
-                hit_end = False
-                while True:
-                    m += 1
-                    if m == r:
-                        hit_end = True
+                    if m == l:
                         break
-                    lc = cmp3(ar[m], p)
+                while True:
+                    lc = cmp3(ar[l], p)
                     ncmp += 1
                     if lc >= 0:
                         break
-                k2 = m - 1
-                if m - k < k - l:
+                    l += 1
+                    if m == l:
+                        break
+                if lc < 0:
+                    break
+                if lc == 0:
+                    ar[m] = ar[l]
+                    nwa += 1
+                else:
+                    ar[r] = ar[l]
+                    nwa += 1
+                    r -= 1
+                    ar[m] = ar[r]
+                    nwa += 1
+                m -= 1
+                if m == l:
+                    break
+                label = _M2L
+            label = _EXIT2
+            continue
+
+        # ----- state 2R: m moving right, left side closed -----
+        if _M2R <= label <= _R2R:
+            while True:
+                if label == _M2R:
                     while True:
-                        ar[l] = ar[k2]
+                        lc = cmp3(ar[m], p)
+                        ncmp += 1
+                        if lc != 0:
+                            break
+                        m += 1
+                        if m == r:
+                            break
+                    if lc == 0:
+                        break
+                if label != _R2R:
+                    if lc < 0:
+                        ar[l] = ar[m]
                         nwa += 1
                         l += 1
-                        if l <= mr:
-                            tar[ti] = ar[l]
-                            nws += 1
-                            ti += 1
-                        k2 -= 1
-                        if k2 < k:
-                            break
-                else:
-                    while True:
-                        ar[l] = ar[k2]
+                        ar[m] = ar[l]
                         nwa += 1
-                        l += 1
-                        if l <= mr:
-                            tar[ti] = ar[l]
-                            nws += 1
-                            ti += 1
-                        elif l >= k:
-                            l = k2
+                        m += 1
+                        if m == r:
                             break
-                        k2 -= 1
-                if hit_end:
-                    label = _EXIT3R
-                elif lc == 0:
-                    tar[ti] = ar[m]
-                    nws += 1
-                    ti += 1
-                    m += 1
-                    label = _EXIT3R if m == r else _M3R
-                else:
+                        label = _M2R
+                        continue
                     ar[r] = ar[m]
                     nwa += 1
                     r -= 1
-                    label = _EXIT3R if m == r else _R3R
+                    if m == r:
+                        break
+                while True:
+                    lc = cmp3(ar[r], p)
+                    ncmp += 1
+                    if lc <= 0:
+                        break
+                    r -= 1
+                    if m == r:
+                        break
+                if lc > 0:
+                    break
+                if lc == 0:
+                    ar[m] = ar[r]
+                    nwa += 1
+                else:
+                    ar[l] = ar[r]
+                    nwa += 1
+                    l += 1
+                    ar[m] = ar[l]
+                    nwa += 1
+                m += 1
+                if m == r:
+                    break
+                label = _M2R
+            label = _EXIT2
             continue
 
-        if label == _R3R:
-            goto = 0
+        # ----- state 3L: m moving left, equals buffered -----
+        # As 2L, but equals go to the buffer and a run of elements above
+        # the pivot is block-copied into the gap descending from r.
+        if _M3L <= label <= _L3L:
             while True:
-                lc = cmp3(ar[r], p)
-                ncmp += 1
-                if lc <= 0:
+                if label == _M3L:
+                    while True:
+                        lc = cmp3(ar[m], p)
+                        ncmp += 1
+                        if lc != 0:
+                            break
+                        tar[ti] = ar[m]
+                        nws += 1
+                        ti += 1
+                        m -= 1
+                        if m == l:
+                            break
+                    if lc == 0:
+                        break
+                if label != _L3L:
+                    if lc > 0:
+                        # collect the run of > pivot elements below m
+                        k = m
+                        while True:
+                            m -= 1
+                            if m == l:
+                                break
+                            lc = cmp3(ar[m], p)
+                            ncmp += 1
+                            if lc <= 0:
+                                break
+                        k2 = m + 1
+                        # copy the run [k2..k] into the gap descending
+                        # from r, buffering block elements it consumes
+                        if k - m < r - k:
+                            while True:
+                                ar[r] = ar[k2]
+                                nwa += 1
+                                r -= 1
+                                if r >= ml:
+                                    tar[ti] = ar[r]
+                                    nws += 1
+                                    ti += 1
+                                k2 += 1
+                                if k2 > k:
+                                    break
+                        else:
+                            while True:
+                                ar[r] = ar[k2]
+                                nwa += 1
+                                r -= 1
+                                if r >= ml:
+                                    tar[ti] = ar[r]
+                                    nws += 1
+                                    ti += 1
+                                elif r <= k:
+                                    r = k2
+                                    break
+                                k2 += 1
+                        if m == l:
+                            break
+                        if lc == 0:
+                            tar[ti] = ar[m]
+                            nws += 1
+                            ti += 1
+                            m -= 1
+                            if m == l:
+                                break
+                            label = _M3L
+                            continue
+                    ar[l] = ar[m]
+                    nwa += 1
+                    l += 1
+                    if m == l:
+                        break
+                while True:
+                    lc = cmp3(ar[l], p)
+                    ncmp += 1
+                    if lc >= 0:
+                        break
+                    l += 1
+                    if m == l:
+                        break
+                if lc < 0:
                     break
-                r -= 1
-                if m == r:
-                    goto = _EXIT3R
-                    break
-            if goto:
-                label = goto
-                continue
-            if lc == 0:
-                tar[ti] = ar[r]
-                nws += 1
-                ti += 1
-                m += 1
-                label = _EXIT3R if m == r else _M3R
-            else:
-                ar[l] = ar[r]
-                nwa += 1
-                l += 1
-                if l <= mr:
+                if lc == 0:
                     tar[ti] = ar[l]
                     nws += 1
                     ti += 1
+                else:
+                    ar[r] = ar[l]
+                    nwa += 1
+                    r -= 1
+                    if r >= ml:
+                        tar[ti] = ar[r]
+                        nws += 1
+                        ti += 1
+                m -= 1
+                if m == l:
+                    break
+                label = _M3L
+            label = _EXIT3L
+            continue
+
+        # ----- state 3R: m moving right, equals buffered -----
+        if _M3R <= label <= _R3R:
+            while True:
+                if label == _M3R:
+                    while True:
+                        lc = cmp3(ar[m], p)
+                        ncmp += 1
+                        if lc != 0:
+                            break
+                        tar[ti] = ar[m]
+                        nws += 1
+                        ti += 1
+                        m += 1
+                        if m == r:
+                            break
+                    if lc == 0:
+                        break
+                if label != _R3R:
+                    if lc < 0:
+                        k = m
+                        while True:
+                            m += 1
+                            if m == r:
+                                break
+                            lc = cmp3(ar[m], p)
+                            ncmp += 1
+                            if lc >= 0:
+                                break
+                        k2 = m - 1
+                        if m - k < k - l:
+                            while True:
+                                ar[l] = ar[k2]
+                                nwa += 1
+                                l += 1
+                                if l <= mr:
+                                    tar[ti] = ar[l]
+                                    nws += 1
+                                    ti += 1
+                                k2 -= 1
+                                if k2 < k:
+                                    break
+                        else:
+                            while True:
+                                ar[l] = ar[k2]
+                                nwa += 1
+                                l += 1
+                                if l <= mr:
+                                    tar[ti] = ar[l]
+                                    nws += 1
+                                    ti += 1
+                                elif l >= k:
+                                    l = k2
+                                    break
+                                k2 -= 1
+                        if m == r:
+                            break
+                        if lc == 0:
+                            tar[ti] = ar[m]
+                            nws += 1
+                            ti += 1
+                            m += 1
+                            if m == r:
+                                break
+                            label = _M3R
+                            continue
+                    ar[r] = ar[m]
+                    nwa += 1
+                    r -= 1
+                    if m == r:
+                        break
+                while True:
+                    lc = cmp3(ar[r], p)
+                    ncmp += 1
+                    if lc <= 0:
+                        break
+                    r -= 1
+                    if m == r:
+                        break
+                if lc > 0:
+                    break
+                if lc == 0:
+                    tar[ti] = ar[r]
+                    nws += 1
+                    ti += 1
+                else:
+                    ar[l] = ar[r]
+                    nwa += 1
+                    l += 1
+                    if l <= mr:
+                        tar[ti] = ar[l]
+                        nws += 1
+                        ti += 1
                 m += 1
-                label = _EXIT3R if m == r else _M3R
+                if m == r:
+                    break
+                label = _M3R
+            label = _EXIT3R
             continue
 
         # ----- initialization paths -----
         if label == _PRESCAN:
             m = ml = mr = mid
-            goto = 0
             while True:
                 lc = cmp3(ar[r], p)
                 ncmp += 1
@@ -794,10 +793,9 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                     break
                 r -= 1
                 if r == mid:
-                    goto = _COLLAPSED
                     break
-            if goto:
-                label = goto
+            if lc > 0:
+                label = _COLLAPSED
                 continue
             temp = ar[r]
             nws += 1
@@ -810,7 +808,6 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
             # below the pivot; if none, the pivot drops straight into
             # the hole.  Otherwise hold that element out and continue as
             # a closed-right-side stage with an empty middle block.
-            goto = 0
             while True:
                 lc = cmp3(ar[l], p)
                 ncmp += 1
@@ -818,9 +815,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                     break
                 l += 1
                 if l == mid:
-                    goto = 1
                     break
-            if goto:
+            if lc < 0:
                 ar[mid] = p
                 nwa += 1
                 fr.new_l = mid - 1
@@ -1570,18 +1566,10 @@ class Sorter:
                 ct[CT_DEPTH] = depth
             n = b - a + 1
             if n <= thr:
-                t3 = [0, 0, 0]
-                insertion_sort(ar, a, b, cmp3, t3)
-                ct[CT_CMP] += t3[0]
-                ct[CT_WA] += t3[1]
-                ct[CT_WS] += t3[2]
+                insertion_sort(ar, a, b, cmp3, ct)
                 return
             ct[CT_STAGES] += 1
-            t3 = [0, 0, 0]
-            dec = select_pivot(ar, a, b, cfg, rng, cmp3, t3)
-            ct[CT_CMP] += t3[0]
-            ct[CT_WA] += t3[1]
-            ct[CT_WS] += t3[2]
+            dec = select_pivot(ar, a, b, cfg, rng, cmp3, ct)
             mid = (a + b) >> 1
             fr.a = a
             fr.b = b
@@ -1672,19 +1660,28 @@ class _TraceArray:
 # Module-level convenience API around a default retained instance.
 
 default_sorter = Sorter()
+# held while a module-level call uses default_sorter
+_default_lock = threading.Lock()
 
 
 def sort(ar, cmp=None, config: SortConfig | None = None,
          element_size: int | None = None) -> SortStats:
     """Sort in place with the module's default sorter instance.
 
-    A ``config`` that differs from the default sorter's runs on a
-    one-off sorter, so it never carries over into later calls.
+    A call runs on a one-off sorter instead when its ``config`` differs
+    from the default sorter's, so the override never carries over into
+    later calls, or when the default sorter is busy with a call from
+    another thread (or from inside a comparator), so concurrent calls
+    never share its buffer.
     """
-    sorter = default_sorter
-    if config is not None and config != sorter.config:
-        sorter = Sorter(config)
-    return sorter.sort_with_stats(ar, cmp, element_size)
+    if config is None or config == default_sorter.config:
+        if _default_lock.acquire(blocking=False):
+            try:
+                return default_sorter.sort_with_stats(ar, cmp, element_size)
+            finally:
+                _default_lock.release()
+        config = default_sorter.config
+    return Sorter(config).sort_with_stats(ar, cmp, element_size)
 
 
 def sort_with_stats(ar, cmp=None, config: SortConfig | None = None,
@@ -1693,7 +1690,16 @@ def sort_with_stats(ar, cmp=None, config: SortConfig | None = None,
 
 
 def free_temp_storage() -> None:
-    default_sorter.free_temp_storage()
+    """Release the default sorter's retained buffer.
+
+    Raises RuntimeError while a module-level call is using it.
+    """
+    if not _default_lock.acquire(blocking=False):
+        raise RuntimeError("cannot free temp storage during a sort")
+    try:
+        default_sorter.free_temp_storage()
+    finally:
+        _default_lock.release()
 
 
 # ---------------------------------------------------------------------------

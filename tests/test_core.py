@@ -204,6 +204,41 @@ def test_module_level_config_override_is_per_call():
     assert default_sorter.config == tsqsort.DEFAULT_CONFIG
 
 
+def test_module_level_sort_is_thread_safe():
+    import sys
+    import threading
+
+    errors = []
+    bad = []
+
+    def worker(seed):
+        rnd = random.Random(seed)
+        try:
+            for _ in range(30):
+                ar = [rnd.randint(0, 999) for _ in range(rnd.randint(2, 400))]
+                want = sorted(ar)
+                tsqsort.sort(ar)
+                if ar != want:
+                    bad.append(seed)
+        except Exception as exc:
+            errors.append(repr(exc))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert bad == []
+
+
 def test_sorter_not_reentrant():
     s = Sorter(seed=1)
     err = {}

@@ -8,7 +8,7 @@ depth and the state and handler activation counters of one sort.
 
 import pytest
 
-from tsqsort import GenSpec, Sorter, generate
+from tsqsort import GenSpec, Sorter, core, generate
 from tsqsort.bench import BATTERY_REORDERS
 from tsqsort.datagen import DISTRIBUTIONS
 from tsqsort.stats import STATE_IDS
@@ -23,7 +23,20 @@ CASES.update({
     "presorted/1e4": GenSpec(reorder="sorted", n=10_000, arange=DISTINCT,
                              seed=5),
     "dups/1e4": GenSpec(n=10_000, arange=100, seed=5),
+    # the only cases whose handlers fall back at mleft_noscan (sorted)
+    # and mr_scan1_2 (reversed)
+    "organpipes/reversed/seed1": GenSpec(distribution="organpipes",
+                                         reorder="reversed", n=600,
+                                         arange=40, seed=1),
+    "stagger/fort/distinct": GenSpec(distribution="stagger", reorder="fort",
+                                     n=600, arange=DISTINCT, seed=1),
 })
+
+# Every label _sorted_handler and _reversed_handler can fall back to.
+HANDLER_RESUME_LABELS = {
+    "prescan", "l_scan1_2", "r_scan1", "r_scan1_3", "ml_scan1_2",
+    "mr_scan1_2", "mleft", "mright", "mleft_noscan", "mright_noscan",
+}
 
 
 def counts(spec):
@@ -77,6 +90,9 @@ GOLDEN = {
     "organpipes/reversed":
         (2669, 620, 314, 0, 26, 6,
          (0, 0, 1, 0, 0, 1, 0, 0), (25, 1, 1)),
+    "organpipes/reversed/seed1":
+        (2661, 620, 320, 0, 26, 6,
+         (0, 1, 0, 0, 0, 1, 0, 0), (25, 1, 1)),
     "organpipes/sorted":
         (2666, 26, 26, 0, 26, 6,
          (0, 0, 0, 0, 0, 0, 0, 0), (26, 0, 0)),
@@ -167,6 +183,9 @@ GOLDEN = {
     "stagger/fort":
         (5738, 3530, 555, 0, 58, 10,
          (57, 0, 0, 34, 19, 58, 34, 19), (3, 6, 9)),
+    "stagger/fort/distinct":
+        (3853, 2365, 204, 7, 35, 9,
+         (35, 12, 12, 3, 4, 35, 3, 4), (7, 3, 10)),
     "stagger/fronthalfreversed":
         (4821, 787, 165, 0, 60, 11,
          (25, 0, 0, 20, 2, 23, 20, 2), (35, 0, 1)),
@@ -182,3 +201,17 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_counts(name):
     assert counts(CASES[name]) == GOLDEN[name]
+
+
+def test_golden_cases_enter_every_handler_resume_label(monkeypatch):
+    seen = set()
+    run_machine = core._run_machine
+
+    def spy(ar, cmp3, fr, label, stop, tar, ct):
+        seen.add(core._LABEL_NAMES[label])
+        return run_machine(ar, cmp3, fr, label, stop, tar, ct)
+
+    monkeypatch.setattr(core, "_run_machine", spy)
+    for spec in CASES.values():
+        counts(spec)
+    assert HANDLER_RESUME_LABELS <= seen
