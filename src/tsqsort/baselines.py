@@ -26,6 +26,7 @@ import sys
 
 from .core import Sorter, _default_cmp3
 from .datagen import ParkMillerGen
+from .inline import compare_inline
 from .stats import SortStats
 
 
@@ -43,6 +44,7 @@ def _finish(st: SortStats, nc: int, nwa: int, nws: int, depth: int,
 _CLASSIC_INSERTION = 16
 
 
+@compare_inline("cmp")
 def classic_qsort(ar, cmp=None, seed: int = 1,
                   cutoff: int = _CLASSIC_INSERTION) -> SortStats:
     """Median-of-3 Hoare-scheme quicksort with full 3-write swaps.
@@ -173,6 +175,7 @@ def classic_qsort(ar, cmp=None, seed: int = 1,
     return _finish(SortStats(), nc, nwa, nws, maxdepth, stages)
 
 
+@compare_inline("cmp")
 def fixed_pivot_qsort(ar, cmp=None, comparison_budget: int | None = None
                       ) -> SortStats:
     """First-element-pivot quicksort; quadratic on cooked inputs.
@@ -248,6 +251,7 @@ def fixed_pivot_qsort(ar, cmp=None, comparison_budget: int | None = None
 _BM_INSERTION = 7
 
 
+@compare_inline("cmp")
 def three_way_qsort(ar, cmp=None, seed: int = 1) -> SortStats:
     """Split-end fat-pivot quicksort with the classic pivot ladder."""
     cmp3 = cmp if cmp is not None else _default_cmp3
@@ -371,6 +375,7 @@ _NETWORK5 = ((0, 1), (3, 4), (2, 4), (2, 3), (0, 3), (0, 2), (1, 4),
              (1, 3), (1, 2))
 
 
+@compare_inline("cmp")
 def dual_pivot_qsort(ar, cmp=None, seed: int = 1) -> SortStats:
     """Two-pivot three-region quicksort (the 2009 scheme)."""
     cmp3 = cmp if cmp is not None else _default_cmp3

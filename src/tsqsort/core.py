@@ -28,6 +28,12 @@ points: a small dispatch chain moves between states and exits, and the
 machine can be entered at any label, which the fast-path handlers use to
 fall back mid-stage and the contract entry points use to stop and resume
 at state boundaries.
+
+The machine, both fast-path handlers, the pivot medians and the
+insertion sort are decorated with ``inline.compare_inline``: an ``ast``
+transformer compiles them once more from their own source with every
+``cmp3(x, y)`` call inlined, and that variant runs whenever the
+comparator is the default one.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import threading
 
 from .config import DEFAULT_CONFIG, SortConfig
+from .inline import _default_cmp3, compare_inline
 from .instrument import (HANDLER_ENTER, HANDLER_FALLBACK, STAGE_END,
                          STATE_ENTER, WRITE)
 from .pivot import MitigationRng, PivotDecision, select_pivot
@@ -51,14 +58,6 @@ __all__ = [
 
 class TempAllocationError(MemoryError):
     """The ceil(n/2) temporary buffer could not be allocated."""
-
-
-def _default_cmp3(x, y) -> int:
-    if x < y:
-        return -1
-    if x > y:
-        return 1
-    return 0
 
 
 class PartitionFrame:
@@ -216,6 +215,7 @@ def choose_next_state(frame: PartitionFrame, closed_side: str) -> str:
     raise ValueError("closed_side must be 'Left' or 'Right'")
 
 
+@compare_inline()
 def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
     """Run the partition machine from ``label`` until it finishes the
     stage (returns _DONE with fr.new_l/new_r set) or reaches a label in
@@ -904,6 +904,7 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
 # Fast-path handlers for possibly-sorted / possibly-reversed stages.
 
 
+@compare_inline()
 def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
     """Verify left-below/right-above around the extracted pivot.
 
@@ -1124,6 +1125,7 @@ def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
     return out
 
 
+@compare_inline()
 def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
     """Swap outermost pairs inward while both sides look reversed.
 

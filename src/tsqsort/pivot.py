@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 
 from .config import SortConfig
+from .inline import compare_inline
 
 R_A = 16807
 R_M = 2147483648
@@ -63,6 +64,7 @@ class PivotDecision:
     order_flag: int
 
 
+@compare_inline()
 def median_of_3(ar, i0: int, i1: int, i2: int, cmp3, tally) -> PivotDecision:
     """Median of three elements, sorting them in place as a side effect.
 
@@ -121,6 +123,7 @@ def median_of_3(ar, i0: int, i1: int, i2: int, cmp3, tally) -> PivotDecision:
     return PivotDecision(ar[i1], i1, 0)
 
 
+@compare_inline()
 def median_of_5(ar, i0: int, i1: int, i2: int, i3: int, i4: int,
                 cmp3, tally) -> PivotDecision:
     """Median of five elements, placed at the center index.

@@ -8,7 +8,10 @@ comparison and no writes.
 
 from __future__ import annotations
 
+from .inline import compare_inline
 
+
+@compare_inline()
 def insertion_sort(ar, lo: int, hi: int, cmp3, tally) -> None:
     """Sort ar[lo..hi] inclusive.
 
