@@ -19,7 +19,7 @@ from .datagen import (GenSpec, KillerAdversary, ParkMillerGen, cook_input,
                       generate, killer_comparator, reorder)
 from .handlers import (HandlerOutcome, handle_possibly_reversed,
                        handle_possibly_sorted)
-from .instrument import (CountingComparator, ShadowWriteMonitor, TraceSink,
+from .instrument import (CountingComparator, ShadowWriteMonitor, StageRecord,
                          counting_comparator)
 from .pivot import (MitigationRng, PivotDecision, fifteenth, median_of_3,
                     median_of_5, ninther, rng_next, select_pivot)
@@ -32,8 +32,8 @@ __all__ = [
     "CountingComparator", "DEFAULT_CONFIG", "GenSpec", "HandlerOutcome",
     "KillerAdversary", "MitigationRng", "ParkMillerGen", "PartitionFrame",
     "Permutation", "PivotDecision", "REGISTRY", "ShadowWriteMonitor",
-    "SortConfig", "SortStats", "Sorter", "TempAllocationError", "TempStore",
-    "TraceSink", "apply_permutation", "classic_qsort", "cook_input",
+    "SortConfig", "SortStats", "Sorter", "StageRecord", "TempAllocationError",
+    "TempStore", "apply_permutation", "classic_qsort", "cook_input",
     "counting_comparator", "dual_pivot_qsort", "fifteenth",
     "free_temp_storage", "generate", "get_algorithm",
     "handle_possibly_reversed", "handle_possibly_sorted", "insertion_sort",

@@ -27,6 +27,7 @@ import sys
 from .core import Sorter, _default_cmp3
 from .datagen import ParkMillerGen
 from .inline import compare_inline
+from .smallsort import insertion_sort
 from .stats import SortStats
 
 
@@ -61,28 +62,8 @@ def classic_qsort(ar, cmp=None, seed: int = 1,
     nws = 0
     stages = 0
     maxdepth = 0
-
-    def insertion(a, b):
-        nonlocal nc, nwa, nws
-        for k in range(a + 1, b + 1):
-            nc += 1
-            if cmp3(ar[k], ar[k - 1]) < 0:
-                j = k
-                temp = ar[j]
-                ar[j] = ar[j - 1]
-                nwa += 1
-                nws += 1
-                j -= 1
-                while j > a:
-                    nc += 1
-                    if cmp3(temp, ar[j - 1]) < 0:
-                        ar[j] = ar[j - 1]
-                        nwa += 1
-                        j -= 1
-                    else:
-                        break
-                ar[j] = temp
-                nwa += 1
+    # insertion_sort's [comparisons, array writes, scratch writes]
+    small = [0, 0, 0]
 
     def qs(a, b, depth):
         nonlocal nc, nwa, nws, stages, maxdepth
@@ -168,11 +149,12 @@ def classic_qsort(ar, cmp=None, seed: int = 1,
                 qs(i, b, depth)
                 b = j
         if b > a:
-            insertion(a, b)
+            insertion_sort(ar, a, b, cmp3, small)
 
     if len(ar) > 1:
         qs(0, len(ar) - 1, 1)
-    return _finish(SortStats(), nc, nwa, nws, maxdepth, stages)
+    return _finish(SortStats(), nc + small[0], nwa + small[1],
+                   nws + small[2], maxdepth, stages)
 
 
 @compare_inline("cmp")
@@ -384,6 +366,8 @@ def dual_pivot_qsort(ar, cmp=None, seed: int = 1) -> SortStats:
     nws = 0
     stages = 0
     maxdepth = 0
+    # insertion_sort's [comparisons, array writes, scratch writes]
+    small = [0, 0, 0]
 
     def swap(i, j):
         nonlocal nwa, nws
@@ -392,28 +376,6 @@ def dual_pivot_qsort(ar, cmp=None, seed: int = 1) -> SortStats:
         ar[j] = t
         nwa += 2
         nws += 1
-
-    def insertion(a, b):
-        nonlocal nc, nwa, nws
-        for k in range(a + 1, b + 1):
-            nc += 1
-            if cmp3(ar[k], ar[k - 1]) < 0:
-                j = k
-                temp = ar[j]
-                ar[j] = ar[j - 1]
-                nwa += 1
-                nws += 1
-                j -= 1
-                while j > a:
-                    nc += 1
-                    if cmp3(temp, ar[j - 1]) < 0:
-                        ar[j] = ar[j - 1]
-                        nwa += 1
-                        j -= 1
-                    else:
-                        break
-                ar[j] = temp
-                nwa += 1
 
     def qs(left, right, depth):
         nonlocal nc, nwa, nws, stages, maxdepth
@@ -543,11 +505,12 @@ def dual_pivot_qsort(ar, cmp=None, seed: int = 1) -> SortStats:
             if diff:
                 qs(less, great, depth)
             left = great + 2
-        insertion(left, right)
+        insertion_sort(ar, left, right, cmp3, small)
 
     if len(ar) > 1:
         qs(0, len(ar) - 1, 1)
-    return _finish(SortStats(), nc, nwa, nws, maxdepth, stages)
+    return _finish(SortStats(), nc + small[0], nwa + small[1],
+                   nws + small[2], maxdepth, stages)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,10 @@ machine can be entered at any label, which the fast-path handlers use to
 fall back mid-stage and the contract entry points use to stop and resume
 at state boundaries.
 
+``Sorter.stage_hook``, when set, is called once per partition stage,
+after the partition and before the recursion, with an
+``instrument.StageRecord``; unset, it costs one test per stage.
+
 The machine, both fast-path handlers, the pivot medians and the
 insertion sort are decorated with ``inline.compare_inline``: an ``ast``
 transformer compiles them once more from their own source with every
@@ -42,8 +46,7 @@ import threading
 
 from .config import DEFAULT_CONFIG, SortConfig
 from .inline import _default_cmp3, compare_inline
-from .instrument import (HANDLER_ENTER, HANDLER_FALLBACK, STAGE_END,
-                         STATE_ENTER, WRITE)
+from .instrument import StageRecord
 from .pivot import MitigationRng, PivotDecision, select_pivot
 from .smallsort import insertion_sort
 from .stats import (EXIT2, EXIT3L, EXIT3R, S1, S2L, S2R, S3L, S3R, SortStats)
@@ -1493,7 +1496,6 @@ class Sorter:
         self.rng = MitigationRng(seed)
         self.temp = TempStore()
         self.stage_hook = None
-        self.trace = None
         self._active = False
 
     # -- public API --
@@ -1520,13 +1522,8 @@ class Sorter:
                 self.rng.next()
                 ct = [0] * CT_LEN
                 fr = PartitionFrame()
-                tr = self.trace
-                target = _TraceArray(ar, tr) if tr is not None else ar
-                self._range(target, cmp3, 0, n - 1, 1, fr, self.temp.buf,
-                            ct, self.stage_hook)
+                self._range(ar, cmp3, 0, n - 1, 1, fr, self.temp.buf, ct)
                 self._fill_stats(stats, ct)
-                if tr is not None:
-                    tr.emit(STAGE_END, 0, n - 1, "root")
             finally:
                 self._active = False
         return stats
@@ -1558,11 +1555,11 @@ class Sorter:
             "fallbacks": ct[CT_HFALL],
         }
 
-    def _range(self, ar, cmp3, a, b, depth, fr, tar, ct, hook) -> None:
+    def _range(self, ar, cmp3, a, b, depth, fr, tar, ct) -> None:
         cfg = self.config
         thr = cfg.insertion_threshold
         rng = self.rng
-        trace = self.trace
+        hook = self.stage_hook
         while True:
             if depth > ct[CT_DEPTH]:
                 ct[CT_DEPTH] = depth
@@ -1571,6 +1568,9 @@ class Sorter:
                 insertion_sort(ar, a, b, cmp3, ct)
                 return
             ct[CT_STAGES] += 1
+            if hook is not None:
+                cmp0 = ct[CT_CMP]
+                writes0 = ct[CT_WA] + ct[CT_WS]
             dec = select_pivot(ar, a, b, cfg, rng, cmp3, ct)
             mid = (a + b) >> 1
             fr.a = a
@@ -1587,75 +1587,43 @@ class Sorter:
             label = _PRESCAN
             if dec.order_flag > 0:
                 ct[CT_HSORT] += 1
-                if trace is not None:
-                    trace.emit(HANDLER_ENTER, "sorted", a, b)
                 label = _sorted_handler(ar, cmp3, fr, ct)
                 if label != _DONE:
                     ct[CT_HFALL] += 1
-                    if trace is not None:
-                        trace.emit(HANDLER_FALLBACK, "sorted",
-                                   _LABEL_NAMES[label])
             elif dec.order_flag < 0:
                 ct[CT_HREV] += 1
-                if trace is not None:
-                    trace.emit(HANDLER_ENTER, "reversed", a, b)
                 label = _reversed_handler(ar, cmp3, fr, ct,
                                           cfg.reverse_tolerance)
                 if label != _DONE:
                     ct[CT_HFALL] += 1
-                    if trace is not None:
-                        trace.emit(HANDLER_FALLBACK, "reversed",
-                                   _LABEL_NAMES[label])
             if label != _DONE:
                 if label in _STATE1_FAMILY:
                     ct[CT_S1] += 1
-                if trace is not None:
-                    trace.emit(STATE_ENTER, _LABEL_NAMES[label], a, b)
                 _run_machine(ar, cmp3, fr, label, None, tar, ct)
             new_l = fr.new_l
             new_r = fr.new_r
             if hook is not None:
-                hook(a, b, new_l, new_r, fr.pivot)
-            if trace is not None:
-                trace.emit(STAGE_END, a, b, new_l, new_r)
+                hook(StageRecord(
+                    a, b, fr.pivot, dec.order_flag,
+                    None if label == _DONE else _LABEL_NAMES[label],
+                    fr.last_exit, new_l, new_r, ct[CT_CMP] - cmp0,
+                    ct[CT_WA] + ct[CT_WS] - writes0))
             left_n = new_l - a + 1
             right_n = b - new_r + 1
             # recurse into the smaller side, loop on the larger
             if left_n <= right_n:
                 if left_n > 1:
-                    self._range(ar, cmp3, a, new_l, depth + 1, fr, tar, ct,
-                                hook)
+                    self._range(ar, cmp3, a, new_l, depth + 1, fr, tar, ct)
                 if right_n <= 1:
                     return
                 a = new_r
             else:
                 if right_n > 1:
-                    self._range(ar, cmp3, new_r, b, depth + 1, fr, tar, ct,
-                                hook)
+                    self._range(ar, cmp3, new_r, b, depth + 1, fr, tar, ct)
                 if left_n <= 1:
                     return
                 b = new_l
             depth += 1
-
-
-class _TraceArray:
-    """Array proxy emitting a Write event per store (trace mode only)."""
-
-    __slots__ = ("data", "trace")
-
-    def __init__(self, data, trace):
-        self.data = data
-        self.trace = trace
-
-    def __len__(self):
-        return len(self.data)
-
-    def __getitem__(self, i):
-        return self.data[i]
-
-    def __setitem__(self, i, v):
-        self.trace.emit(WRITE, i)
-        self.data[i] = v
 
 
 # ---------------------------------------------------------------------------

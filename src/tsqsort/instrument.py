@@ -1,13 +1,16 @@
-"""Counting wrappers and tracing hooks for invariant tests.
+"""Counting wrappers for invariant tests, and the per-stage record.
 
 These helpers stay out of the hot path unless explicitly attached: the
 sorters keep their own counters (those are the product), while the
-wrappers here let tests cross-check them from the outside.
+wrappers here let tests cross-check them from the outside and
+``StageRecord`` is what ``Sorter.stage_hook`` receives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .inline import _default_cmp3
 
 
 class CountingComparator:
@@ -16,10 +19,7 @@ class CountingComparator:
     __slots__ = ("inner", "count")
 
     def __init__(self, inner=None):
-        if inner is None:
-            # imported here: core imports this module for the event kinds
-            from .core import _default_cmp3 as inner
-        self.inner = inner
+        self.inner = inner if inner is not None else _default_cmp3
         self.count = 0
 
     def __call__(self, x, y) -> int:
@@ -61,36 +61,30 @@ class ShadowWriteMonitor:
         return iter(self.data)
 
 
-# ---------------------------------------------------------------------------
-# Event tracing (configuration gated; off by default).
+@dataclass(slots=True)
+class StageRecord:
+    """One partition stage, as ``Sorter.stage_hook`` receives it.
 
-WRITE = "Write"
-STATE_ENTER = "StateEnter"
-STAGE_END = "StageEnd"
-HANDLER_ENTER = "HandlerEnter"
-HANDLER_FALLBACK = "HandlerFallback"
+    ``a``..``b`` is the stage's subrange and ``new_l``/``new_r`` the
+    bounds it leaves for recursion: ``ar[a..new_l]`` and
+    ``ar[new_r..b]``.  ``pivot`` and ``order_flag`` come from pivot
+    selection (> 0 tried the possibly-sorted fast path, < 0 the
+    possibly-reversed one).  ``entry`` names the machine label the
+    stage entered the partition machine at, or is None when a fast path
+    finished the stage; ``exit`` is the machine's last exit state
+    (``stats.EXIT2``/``EXIT3L``/``EXIT3R``), None when it never ran.
+    ``comparisons`` and ``writes`` are the stage's own counts, pivot
+    selection included; insertion sorts of small subranges belong to
+    no stage.
+    """
 
-
-@dataclass(frozen=True)
-class TraceEvent:
-    kind: str
-    payload: tuple
-
-    def line(self) -> str:
-        return f"{self.kind}\t" + "\t".join(str(p) for p in self.payload)
-
-
-class TraceSink:
-    """Collects stage-level trace events; dump as line-oriented text."""
-
-    def __init__(self):
-        self.events: list[TraceEvent] = []
-
-    def emit(self, kind: str, *payload) -> None:
-        self.events.append(TraceEvent(kind, payload))
-
-    def dump(self) -> str:
-        return "\n".join(e.line() for e in self.events)
-
-    def kinds(self):
-        return [e.kind for e in self.events]
+    a: int
+    b: int
+    pivot: object
+    order_flag: int
+    entry: str | None
+    exit: str | None
+    new_l: int
+    new_r: int
+    comparisons: int
+    writes: int

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 # Partition-state identifiers.  Transitions are only
-# S1 -> {S2L, S2R, S3L, S3R, EXIT2} and S2* -> EXIT2, S3L -> EXIT3L,
-# S3R -> EXIT3R.
+# S1 -> {S2L, S2R, S3L, S3R, EXIT2}, S2* -> EXIT2, S3L -> EXIT3L,
+# S3R -> EXIT3R and EXIT3* -> EXIT2.
 S1 = "S1"
 S2L = "S2L"
 S2R = "S2R"
@@ -17,17 +17,6 @@ EXIT3L = "Exit3L"
 EXIT3R = "Exit3R"
 
 STATE_IDS = (S1, S2L, S2R, S3L, S3R, EXIT2, EXIT3L, EXIT3R)
-
-ALLOWED_TRANSITIONS = {
-    S1: {S2L, S2R, S3L, S3R, EXIT2},
-    S2L: {EXIT2},
-    S2R: {EXIT2},
-    S3L: {EXIT3L},
-    S3R: {EXIT3R},
-    EXIT3L: {EXIT2},
-    EXIT3R: {EXIT2},
-    EXIT2: set(),
-}
 
 
 @dataclass

@@ -68,8 +68,8 @@ def test_stage_three_way_law_random(low_cut_config):
         n = rnd.randint(4, 200)
         ar = [rnd.randint(0, rnd.choice([3, 30, 10**6])) for _ in range(n)]
         s = Sorter(low_cut_config, seed=trial + 1)
-        s.stage_hook = lambda a, b, nl, nr, p: assert_stage_law(
-            ar, a, b, nl, nr, p)
+        s.stage_hook = lambda r: assert_stage_law(
+            ar, r.a, r.b, r.new_l, r.new_r, r.pivot)
         s.sort(ar)
         assert ar == sorted(ar)
 

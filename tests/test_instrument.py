@@ -1,11 +1,16 @@
 import random
 
-from tsqsort import Sorter
+import pytest
+
+import tsqsort
+from tsqsort import SortConfig, Sorter, generate
 from tsqsort.baselines import classic_qsort
-from tsqsort.instrument import (STAGE_END, ShadowWriteMonitor, TraceSink,
+from tsqsort.instrument import (ShadowWriteMonitor, StageRecord,
                                 counting_comparator)
+from tsqsort.stats import EXIT3L, EXIT3R
 
 from conftest import cmp3
+from test_golden_counts import CASES
 
 
 def test_counting_comparator_basics():
@@ -75,20 +80,87 @@ def test_fast_path_write_crosschecks():
 
 
 def test_trace_stream_shape():
-    sink = TraceSink()
+    records = []
     s = Sorter(seed=2)
-    s.trace = sink
+    s.stage_hook = records.append
     rnd = random.Random(1)
     ar = [rnd.randint(0, 20) for _ in range(200)]
     s.sort(ar)
     assert ar == sorted(ar)
-    kinds = sink.kinds()
-    assert kinds, "trace must not be empty"
-    assert kinds[-1] == STAGE_END  # stream ends with the root stage end
-    text = sink.dump()
-    assert text.splitlines()[-1].startswith(STAGE_END)
+    assert records, "the stage stream must not be empty"
+    assert all(isinstance(r, StageRecord) for r in records)
+    # the root stage is reported before the recursion below it
+    assert (records[0].a, records[0].b) == (0, len(ar) - 1)
 
 
 def test_trace_off_by_default():
     s = Sorter(seed=2)
-    assert s.trace is None
+    assert s.stage_hook is None
+    assert not hasattr(s, "trace")
+
+
+def _fuzzed_inputs(rnd, count):
+    for _ in range(count):
+        n = rnd.randint(2, 400)
+        shape = rnd.choice(["random", "dups", "sorted", "reversed",
+                            "nearsorted"])
+        top = 4 if shape == "dups" else 10**6
+        vals = [rnd.randint(0, top) for _ in range(n)]
+        if shape in ("sorted", "reversed", "nearsorted"):
+            vals.sort(reverse=shape == "reversed")
+        if shape == "nearsorted":
+            for _ in range(rnd.randint(1, 4)):
+                i, j = rnd.randrange(n), rnd.randrange(n)
+                vals[i], vals[j] = vals[j], vals[i]
+        yield vals
+
+
+@pytest.mark.parametrize("threshold", [3, 7, 16])
+def test_stage_records_match_stats(threshold):
+    rnd = random.Random(threshold)
+    cfg = SortConfig(insertion_threshold=threshold)
+    for trial, vals in enumerate(_fuzzed_inputs(rnd, 140)):
+        records = []
+        s = Sorter(cfg, seed=trial + 1)
+        s.stage_hook = records.append
+        ar = list(vals)
+        st = s.sort_with_stats(ar)
+        assert ar == sorted(vals)
+        assert len(records) == st.stages
+        flagged = [r for r in records if r.order_flag]
+        ha = st.handler_activations
+        assert sum(r.order_flag > 0 for r in records) == ha["sorted"]
+        assert sum(r.order_flag < 0 for r in records) == ha["reversed"]
+        assert sum(r.entry is not None for r in flagged) == ha["fallbacks"]
+        for exit_id in (EXIT3L, EXIT3R):
+            assert sum(r.exit == exit_id for r in records) == \
+                st.state_activations[exit_id]
+        for r in records:
+            # the machine ran iff the stage names where it entered it
+            assert (r.entry is None) == (r.exit is None)
+            if not r.order_flag:
+                assert r.entry == "prescan"
+        # insertion sorts of small subranges belong to no record
+        assert sum(r.comparisons for r in records) <= st.comparisons
+        assert sum(r.writes for r in records) <= st.element_writes
+
+
+def test_stage_hook_changes_no_count():
+    for spec in CASES.values():
+        plain = generate(spec)
+        hooked = list(plain)
+        st_plain = Sorter(seed=7).sort_with_stats(plain)
+        s = Sorter(seed=7)
+        s.stage_hook = [].append
+        st_hooked = s.sort_with_stats(hooked)
+        assert hooked == plain
+        assert vars(st_hooked) == vars(st_plain)
+
+
+def test_public_api_exports():
+    for name in tsqsort.__all__:
+        assert hasattr(tsqsort, name), name
+    assert tsqsort.StageRecord is StageRecord
+    assert "StageRecord" in tsqsort.__all__
+    assert "TraceSink" not in tsqsort.__all__
+    assert not hasattr(tsqsort, "TraceSink")
