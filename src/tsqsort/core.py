@@ -21,13 +21,14 @@ an order flag; flagged stages first try the possibly-sorted or
 possibly-reversed fast paths, falling back into the machine mid-stage
 with their scan progress kept.
 
-Each state runs as one structured loop: state 1 as a single alternating
-left-scan/right-scan cycle, states 2L/2R/3L/3R each as a local loop over
-their scan steps.  Labels remain only as state-boundary and resume
-points: a small dispatch chain moves between states and exits, and the
-machine can be entered at any label, which the fast-path handlers use to
-fall back mid-stage and the contract entry points use to stop and resume
-at state boundaries.
+The machine runs a stage as one forward pass of phases: the pre-scan,
+the state-1 cycle, the closing scan and state choice, one of states
+2L/2R/3L/3R, the state-3 drain and Exit2.  State 1 is a single loop of
+alternating left and right scans that also stores equals and grows the
+block over them; each of 2L/2R/3L/3R is a local loop over its scan
+steps.  Labels remain only as entry points into the pass: the
+fast-path handlers' resume points, where they fall back mid-stage, and
+the contract entry points' starts and stops at phase boundaries.
 
 ``Sorter.stage_hook``, when set, is called once per partition stage,
 after the partition and before the recursion, with an
@@ -127,58 +128,53 @@ class TempStore:
         self.buf = []
 
 
-# Machine labels: state boundaries and resume points.  The *_2 labels
-# (and _R1_3) are post-comparison points: lc already holds the
-# comparison of the element under the relevant cursor.
+# Machine labels, in the order of the machine's phases: the pre-scan,
+# the state-1 cycle, the closing scan and state choice, states
+# 2L/2R/3L/3R, the state-3 drains and Exit2.  Each is a point the
+# machine can be entered at: a fast-path handler's resume point, a
+# contract entry or stop, an exit, or _DONE.  The *_2 labels (and
+# _R1_3) are post-comparison points: the element under the relevant
+# cursor is compared already, above the pivot at _L1_2, below it at
+# _R1_3, and with lc holding the result at the others.  _L1 and _R1
+# come first among the state-1 labels: the cycle enters them with a
+# scan, the others with a placement.
 _PRESCAN = 0
-_COLLAPSED = 1
-_L1 = 2
+_L1 = 1
+_R1 = 2
 _L1_2 = 3
-_R1 = 4
-_R1_3 = 5
-_ML1 = 6
-_ML1_2 = 7
-_MR1 = 8
-_MR1_2 = 9
-_MLEFT = 10
-_MRIGHT = 11
-_MLEFT_CHECKM = 12
-_MRIGHT_CHECKM = 13
-_MLEFT_NOSCAN = 14
-_MRIGHT_NOSCAN = 15
-_M2L = 16
-_M2L_2 = 17
-_L2L = 18
-_M2R = 19
-_M2R_2 = 20
-_R2R = 21
-_M3L = 22
-_M3L_2 = 23
-_L3L = 24
-_M3R = 25
-_M3R_2 = 26
-_R3R = 27
-_EXIT2 = 28
-_EXIT3L = 29
-_EXIT3R = 30
-_DONE = 31
+_R1_3 = 4
+_ML1_2 = 5
+_MR1_2 = 6
+_MLEFT = 7
+_MRIGHT = 8
+_MLEFT_NOSCAN = 9
+_MRIGHT_NOSCAN = 10
+_M2L = 11
+_M2L_2 = 12
+_M2R = 13
+_M2R_2 = 14
+_M3L = 15
+_M3L_2 = 16
+_M3R = 17
+_M3R_2 = 18
+_EXIT3L = 19
+_EXIT3R = 20
+_EXIT2 = 21
+_DONE = 22
 
 _LABEL_NAMES = {
-    _PRESCAN: "prescan", _COLLAPSED: "collapsed",
-    _L1: "l_scan1", _L1_2: "l_scan1_2", _R1: "r_scan1", _R1_3: "r_scan1_3",
-    _ML1: "ml_scan1", _ML1_2: "ml_scan1_2", _MR1: "mr_scan1",
+    _PRESCAN: "prescan", _L1: "l_scan1", _R1: "r_scan1",
+    _L1_2: "l_scan1_2", _R1_3: "r_scan1_3", _ML1_2: "ml_scan1_2",
     _MR1_2: "mr_scan1_2", _MLEFT: "mleft", _MRIGHT: "mright",
-    _MLEFT_CHECKM: "mleft_checkm", _MRIGHT_CHECKM: "mright_checkm",
     _MLEFT_NOSCAN: "mleft_noscan", _MRIGHT_NOSCAN: "mright_noscan",
-    _M2L: "m_scan2L", _M2L_2: "m_scan2L_2", _L2L: "l_scan2L",
-    _M2R: "m_scan2R", _M2R_2: "m_scan2R_2", _R2R: "r_scan2R",
-    _M3L: "m_scan3L", _M3L_2: "m_scan3L_2", _L3L: "l_scan3L",
-    _M3R: "m_scan3R", _M3R_2: "m_scan3R_2", _R3R: "r_scan3R",
-    _EXIT2: "exit2", _EXIT3L: "exit3L", _EXIT3R: "exit3R", _DONE: "done",
+    _M2L: "m_scan2L", _M2L_2: "m_scan2L_2", _M2R: "m_scan2R",
+    _M2R_2: "m_scan2R_2", _M3L: "m_scan3L", _M3L_2: "m_scan3L_2",
+    _M3R: "m_scan3R", _M3R_2: "m_scan3R_2",
+    _EXIT3L: "exit3L", _EXIT3R: "exit3R", _EXIT2: "exit2", _DONE: "done",
 }
 
-_STATE1_FAMILY = frozenset({_PRESCAN, _COLLAPSED, _L1, _L1_2, _R1, _R1_3,
-                            _ML1, _ML1_2, _MR1, _MR1_2})
+_STATE1_FAMILY = frozenset({_PRESCAN, _L1, _R1, _L1_2, _R1_3, _ML1_2,
+                            _MR1_2})
 
 # Counter vector indices (a plain list is the cheapest mutable record).
 # The first three are the [comparisons, array writes, scratch writes]
@@ -224,13 +220,13 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
     stage (returns _DONE with fr.new_l/new_r set) or reaches a label in
     ``stop`` (frame state saved for resumption at fr.entry).
 
-    Each state runs as its own loop: state 1 as one alternating scan
-    cycle, states 2L/2R/3L/3R each as a local loop over their scan and
-    dispatch steps.  Control returns to the label chain only when the
-    state changes or the stage exits, so ``stop`` is checked there and
-    may name only such state-boundary labels.  Every label remains a
-    resume point, which the fast-path handlers and ``run_state*`` use to
-    enter a state mid-way.
+    The machine is one forward pass of phases: the pre-scan (with the
+    case that collapses onto mid), the state-1 cycle, the closing scan
+    and state choice, one of states 2L/2R/3L/3R, the state-3 drain and
+    Exit2.  Each phase is entered at the label passed in or at the one
+    the phase before it ends on, and ``stop`` is tested only there,
+    between phases.  Only the state-1 cycle loops over more than one
+    state's code.
     """
     mid = fr.mid
     l = fr.l
@@ -245,35 +241,90 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
     nwa = 0
     nws = 0
     ti = ct[CT_TI]
+    if stop is None:
+        stop = ()
 
-    while True:
-        if stop is not None and label in stop:
-            break
-
-        # ----- state 1: both sides open -----
-        if _L1 <= label <= _R1_3:
-            # One Hoare-style cycle: scan from l for an element not below
-            # the pivot and write it into the hole at r (_L1, _L1_2), then
-            # scan from r for one not above and write it into the hole at
-            # l (_R1, _R1_3).  It leaves on an equal under cursor k
-            # (lc == 0) or when a cursor meets the block: lc < 0 once
-            # l == ml, lc > 0 once mr == r.
-            if label == _L1_2:
-                ar[r] = ar[l]
-                nwa += 1
-                r -= 1
-                if mr == r:
-                    label = _MLEFT_CHECKM
-                    continue
-                label = _R1
-            elif label == _R1_3:
-                ar[l] = ar[r]
-                nwa += 1
+    # ----- pre-scan from the right, for the holdover -----
+    if label == _PRESCAN:
+        m = ml = mr = mid
+        while True:
+            lc = cmp3(ar[r], p)
+            ncmp += 1
+            if lc <= 0:
+                break
+            r -= 1
+            if r == mid:
+                break
+        if lc <= 0:
+            temp = ar[r]
+            nws += 1
+            label = _L1
+        else:
+            # Collapsed onto mid: everything above mid exceeds the
+            # pivot.  Scan from the left for the first element not
+            # below the pivot; if none, the pivot drops straight into
+            # the hole.  Otherwise hold that element out and continue
+            # as a closed-right-side stage with an empty middle block.
+            while True:
+                lc = cmp3(ar[l], p)
+                ncmp += 1
+                if lc >= 0:
+                    break
                 l += 1
-                if ml == l:
-                    label = _MRIGHT_CHECKM
-                    continue
-                label = _L1
+                if l == mid:
+                    break
+            if lc < 0:
+                ar[mid] = p
+                nwa += 1
+                fr.new_l = mid - 1
+                fr.new_r = mid + 1
+                fr.last_exit = EXIT2
+                label = _DONE
+            else:
+                temp = ar[l]
+                nws += 1
+                r = mid
+                label = _MLEFT
+
+    # ----- state 1: both sides open -----
+    # Hoare-style scans alternate: from l for an element not below the
+    # pivot, written into the hole at r (_L1), then from r for one not
+    # above, written into the hole at l (_R1).  An equal found at k goes
+    # into the middle hole at m, and the block grows toward the larger
+    # facing gap over the equals beyond its edge; the first non-equal
+    # there leaves a new middle hole and is placed like a scan's find
+    # (_ML1_2, _MR1_2).  The cycle ends when a cursor meets the block.
+    if _L1 <= label <= _MR1_2 and label not in stop:
+        if label == _L1_2:
+            k = l
+            lc = 1
+        elif label == _R1_3:
+            k = r
+            lc = -1
+        elif label == _ML1_2:
+            m = k = ml
+        elif label == _MR1_2:
+            m = k = mr
+        while True:
+            if label > _R1:
+                # place the non-equal found at k into a side hole
+                if lc > 0:
+                    ar[r] = ar[k]
+                    nwa += 1
+                    r -= 1
+                    if mr == r:
+                        break
+                    label = _R1
+                else:
+                    ar[l] = ar[k]
+                    nwa += 1
+                    l += 1
+                    if ml == l:
+                        break
+                    label = _L1
+            # the scans; they leave on an equal under cursor k
+            # (lc == 0) or when a cursor meets the block: lc < 0 once
+            # l == ml, lc > 0 once mr == r
             while True:
                 if label == _L1:
                     while True:
@@ -310,96 +361,60 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 l += 1
                 if ml == l:
                     break
-            if lc < 0:
-                label = _MRIGHT_CHECKM
-            elif lc > 0:
-                label = _MLEFT_CHECKM
-            else:
-                # store the equal into the middle hole and grow the
-                # block toward the larger facing gap
-                ar[m] = ar[k]
-                nwa += 1
-                if r - mr > ml - l:
+            if lc != 0:
+                break
+            # store the equal into the middle hole and grow the block
+            # toward the larger facing gap, over the equals beyond it
+            ar[m] = ar[k]
+            nwa += 1
+            if r - mr > ml - l:
+                while True:
                     mr += 1
-                    label = _MR1
-                else:
+                    if mr == r:
+                        break
+                    lc = cmp3(ar[mr], p)
+                    ncmp += 1
+                    if lc != 0:
+                        break
+                if lc == 0:
+                    break
+                m = k = mr
+                label = _MR1_2
+            else:
+                while True:
                     ml -= 1
-                    label = _MRIGHT if ml == l else _ML1
-            continue
-
-        if label == _ML1:
-            while True:
-                lc = cmp3(ar[ml], p)
-                ncmp += 1
-                if lc != 0:
+                    if ml == l:
+                        break
+                    lc = cmp3(ar[ml], p)
+                    ncmp += 1
+                    if lc != 0:
+                        break
+                if lc == 0:
                     break
-                ml -= 1
-                if ml == l:
-                    break
-            label = _MRIGHT if lc == 0 else _ML1_2
-            continue
-
-        if label == _ML1_2:
-            if lc < 0:
-                ar[l] = ar[ml]
+                m = k = ml
+                label = _ML1_2
+        if lc == 0:
+            # the block grew onto a cursor
+            label = _MRIGHT if ml == l else _MLEFT
+        elif lc > 0:
+            # The middle hole may sit at the block's left edge; move the
+            # block top into it so the hole lands at r where states
+            # 2L/3L expect it.
+            if m == ml and ml != mr:
+                ar[ml] = ar[mr]
                 nwa += 1
-                l += 1
-                if l == ml:
-                    label = _MRIGHT
-                else:
-                    m = ml
-                    label = _L1
-            else:
-                ar[r] = ar[ml]
+            label = _MLEFT
+        else:
+            if m == mr and ml != mr:
+                ar[mr] = ar[ml]
                 nwa += 1
-                r -= 1
-                if mr == r:
-                    ar[ml] = ar[mr]
-                    nwa += 1
-                    label = _MLEFT
-                else:
-                    m = ml
-                    label = _R1
-            continue
+            label = _MRIGHT
 
-        if label == _MR1:
-            while True:
-                lc = cmp3(ar[mr], p)
-                ncmp += 1
-                if lc != 0:
-                    break
-                mr += 1
-                if mr == r:
-                    break
-            label = _MLEFT if lc == 0 else _MR1_2
-            continue
-
-        if label == _MR1_2:
-            if lc < 0:
-                ar[l] = ar[mr]
-                nwa += 1
-                l += 1
-                if ml == l:
-                    ar[mr] = ar[ml]
-                    nwa += 1
-                    label = _MRIGHT
-                else:
-                    m = mr
-                    label = _L1
-            else:
-                ar[r] = ar[mr]
-                nwa += 1
-                r -= 1
-                if mr == r:
-                    label = _MLEFT
-                else:
-                    m = mr
-                    label = _R1
-            continue
-
+    # ----- closing scan and state choice: one side closed -----
+    if _MLEFT <= label <= _MRIGHT_NOSCAN and label not in stop:
         if label == _MLEFT:
             # Right side closed; absorb equals adjoining the block's
-            # left edge, then pick the follow-up state.
+            # left edge.
             label = _MLEFT_NOSCAN
             while True:
                 ml -= 1
@@ -410,9 +425,7 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 ncmp += 1
                 if lc != 0:
                     break
-            continue
-
-        if label == _MRIGHT:
+        elif label == _MRIGHT:
             label = _MRIGHT_NOSCAN
             while True:
                 mr += 1
@@ -423,28 +436,9 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 ncmp += 1
                 if lc != 0:
                     break
-            continue
-
-        if label == _MLEFT_CHECKM:
-            # The middle hole may sit at the block's left edge; move the
-            # block top into it so the hole lands at r where states
-            # 2L/3L expect it.
-            if m == ml and ml != mr:
-                ar[ml] = ar[mr]
-                nwa += 1
-            label = _MLEFT
-            continue
-
-        if label == _MRIGHT_CHECKM:
-            if m == mr and ml != mr:
-                ar[mr] = ar[ml]
-                nwa += 1
-            label = _MRIGHT
-            continue
-
+        # ml (mr) sits on the first non-equal below (above) the block
+        # with its lc set, by the scan above or by a fast-path handler
         if label == _MLEFT_NOSCAN:
-            # ml sits on the first non-equal below the block with its lc
-            # set, by _MLEFT or by a fast-path handler; pick the state.
             m = ml
             ml += 1
             if mr - ml <= (ml - l) // 4:
@@ -453,9 +447,7 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
             else:
                 ct[CT_S2L] += 1
                 label = _M2L_2
-            continue
-
-        if label == _MRIGHT_NOSCAN:
+        elif label == _MRIGHT_NOSCAN:
             m = mr
             mr -= 1
             if mr - ml <= (r - mr) // 4:
@@ -464,13 +456,15 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
             else:
                 ct[CT_S2R] += 1
                 label = _M2R_2
-            continue
 
-        # ----- state 2L: m moving left, right side closed -----
-        # _M2L scans equals (left in place), _M2L_2 acts on the
-        # non-equal at m, _L2L scans from l for an element not below
-        # the pivot.  Every path that meets m == l exits.
-        if _M2L <= label <= _L2L:
+    # ----- states 2L/2R/3L/3R: one side closed, m scanning -----
+    # Each runs as its own loop.  _M* scans equals at m, _M*_2 acts on
+    # the non-equal at m; every path that meets m == l (2L/3L) or
+    # m == r (2R/3R) exits.
+    if _M2L <= label <= _M3R_2 and label not in stop:
+        if label <= _M2L_2:
+            # 2L: m moving left, equals left in place, the block rolled
+            # one slot per element above the pivot
             while True:
                 if label == _M2L:
                     while True:
@@ -483,23 +477,23 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                             break
                     if lc == 0:
                         break
-                if label != _L2L:
-                    if lc > 0:
-                        ar[r] = ar[m]
-                        nwa += 1
-                        r -= 1
-                        ar[m] = ar[r]
-                        nwa += 1
-                        m -= 1
-                        if m == l:
-                            break
-                        label = _M2L
-                        continue
-                    ar[l] = ar[m]
+                if lc > 0:
+                    ar[r] = ar[m]
                     nwa += 1
-                    l += 1
+                    r -= 1
+                    ar[m] = ar[r]
+                    nwa += 1
+                    m -= 1
                     if m == l:
                         break
+                    label = _M2L
+                    continue
+                ar[l] = ar[m]
+                nwa += 1
+                l += 1
+                if m == l:
+                    break
+                # scan from l for an element not below the pivot
                 while True:
                     lc = cmp3(ar[l], p)
                     ncmp += 1
@@ -524,10 +518,9 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                     break
                 label = _M2L
             label = _EXIT2
-            continue
 
-        # ----- state 2R: m moving right, left side closed -----
-        if _M2R <= label <= _R2R:
+        elif label <= _M2R_2:
+            # 2R: m moving right
             while True:
                 if label == _M2R:
                     while True:
@@ -540,23 +533,22 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                             break
                     if lc == 0:
                         break
-                if label != _R2R:
-                    if lc < 0:
-                        ar[l] = ar[m]
-                        nwa += 1
-                        l += 1
-                        ar[m] = ar[l]
-                        nwa += 1
-                        m += 1
-                        if m == r:
-                            break
-                        label = _M2R
-                        continue
-                    ar[r] = ar[m]
+                if lc < 0:
+                    ar[l] = ar[m]
                     nwa += 1
-                    r -= 1
+                    l += 1
+                    ar[m] = ar[l]
+                    nwa += 1
+                    m += 1
                     if m == r:
                         break
+                    label = _M2R
+                    continue
+                ar[r] = ar[m]
+                nwa += 1
+                r -= 1
+                if m == r:
+                    break
                 while True:
                     lc = cmp3(ar[r], p)
                     ncmp += 1
@@ -581,12 +573,11 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                     break
                 label = _M2R
             label = _EXIT2
-            continue
 
-        # ----- state 3L: m moving left, equals buffered -----
-        # As 2L, but equals go to the buffer and a run of elements above
-        # the pivot is block-copied into the gap descending from r.
-        if _M3L <= label <= _L3L:
+        elif label <= _M3L_2:
+            # 3L: as 2L, but equals go to the buffer and a run of
+            # elements above the pivot is block-copied into the gap
+            # descending from r
             while True:
                 if label == _M3L:
                     while True:
@@ -602,62 +593,61 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                             break
                     if lc == 0:
                         break
-                if label != _L3L:
-                    if lc > 0:
-                        # collect the run of > pivot elements below m
-                        k = m
-                        while True:
-                            m -= 1
-                            if m == l:
-                                break
-                            lc = cmp3(ar[m], p)
-                            ncmp += 1
-                            if lc <= 0:
-                                break
-                        k2 = m + 1
-                        # copy the run [k2..k] into the gap descending
-                        # from r, buffering block elements it consumes
-                        if k - m < r - k:
-                            while True:
-                                ar[r] = ar[k2]
-                                nwa += 1
-                                r -= 1
-                                if r >= ml:
-                                    tar[ti] = ar[r]
-                                    nws += 1
-                                    ti += 1
-                                k2 += 1
-                                if k2 > k:
-                                    break
-                        else:
-                            while True:
-                                ar[r] = ar[k2]
-                                nwa += 1
-                                r -= 1
-                                if r >= ml:
-                                    tar[ti] = ar[r]
-                                    nws += 1
-                                    ti += 1
-                                elif r <= k:
-                                    r = k2
-                                    break
-                                k2 += 1
+                if lc > 0:
+                    # collect the run of > pivot elements below m
+                    k = m
+                    while True:
+                        m -= 1
                         if m == l:
                             break
-                        if lc == 0:
-                            tar[ti] = ar[m]
-                            nws += 1
-                            ti += 1
-                            m -= 1
-                            if m == l:
+                        lc = cmp3(ar[m], p)
+                        ncmp += 1
+                        if lc <= 0:
+                            break
+                    k2 = m + 1
+                    # copy the run [k2..k] into the gap descending
+                    # from r, buffering block elements it consumes
+                    if k - m < r - k:
+                        while True:
+                            ar[r] = ar[k2]
+                            nwa += 1
+                            r -= 1
+                            if r >= ml:
+                                tar[ti] = ar[r]
+                                nws += 1
+                                ti += 1
+                            k2 += 1
+                            if k2 > k:
                                 break
-                            label = _M3L
-                            continue
-                    ar[l] = ar[m]
-                    nwa += 1
-                    l += 1
+                    else:
+                        while True:
+                            ar[r] = ar[k2]
+                            nwa += 1
+                            r -= 1
+                            if r >= ml:
+                                tar[ti] = ar[r]
+                                nws += 1
+                                ti += 1
+                            elif r <= k:
+                                r = k2
+                                break
+                            k2 += 1
                     if m == l:
                         break
+                    if lc == 0:
+                        tar[ti] = ar[m]
+                        nws += 1
+                        ti += 1
+                        m -= 1
+                        if m == l:
+                            break
+                        label = _M3L
+                        continue
+                ar[l] = ar[m]
+                nwa += 1
+                l += 1
+                if m == l:
+                    break
                 while True:
                     lc = cmp3(ar[l], p)
                     ncmp += 1
@@ -685,10 +675,9 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                     break
                 label = _M3L
             label = _EXIT3L
-            continue
 
-        # ----- state 3R: m moving right, equals buffered -----
-        if _M3R <= label <= _R3R:
+        else:
+            # 3R: m moving right, equals buffered
             while True:
                 if label == _M3R:
                     while True:
@@ -704,59 +693,58 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                             break
                     if lc == 0:
                         break
-                if label != _R3R:
-                    if lc < 0:
-                        k = m
-                        while True:
-                            m += 1
-                            if m == r:
-                                break
-                            lc = cmp3(ar[m], p)
-                            ncmp += 1
-                            if lc >= 0:
-                                break
-                        k2 = m - 1
-                        if m - k < k - l:
-                            while True:
-                                ar[l] = ar[k2]
-                                nwa += 1
-                                l += 1
-                                if l <= mr:
-                                    tar[ti] = ar[l]
-                                    nws += 1
-                                    ti += 1
-                                k2 -= 1
-                                if k2 < k:
-                                    break
-                        else:
-                            while True:
-                                ar[l] = ar[k2]
-                                nwa += 1
-                                l += 1
-                                if l <= mr:
-                                    tar[ti] = ar[l]
-                                    nws += 1
-                                    ti += 1
-                                elif l >= k:
-                                    l = k2
-                                    break
-                                k2 -= 1
+                if lc < 0:
+                    k = m
+                    while True:
+                        m += 1
                         if m == r:
                             break
-                        if lc == 0:
-                            tar[ti] = ar[m]
-                            nws += 1
-                            ti += 1
-                            m += 1
-                            if m == r:
+                        lc = cmp3(ar[m], p)
+                        ncmp += 1
+                        if lc >= 0:
+                            break
+                    k2 = m - 1
+                    if m - k < k - l:
+                        while True:
+                            ar[l] = ar[k2]
+                            nwa += 1
+                            l += 1
+                            if l <= mr:
+                                tar[ti] = ar[l]
+                                nws += 1
+                                ti += 1
+                            k2 -= 1
+                            if k2 < k:
                                 break
-                            label = _M3R
-                            continue
-                    ar[r] = ar[m]
-                    nwa += 1
-                    r -= 1
+                    else:
+                        while True:
+                            ar[l] = ar[k2]
+                            nwa += 1
+                            l += 1
+                            if l <= mr:
+                                tar[ti] = ar[l]
+                                nws += 1
+                                ti += 1
+                            elif l >= k:
+                                l = k2
+                                break
+                            k2 -= 1
                     if m == r:
                         break
+                    if lc == 0:
+                        tar[ti] = ar[m]
+                        nws += 1
+                        ti += 1
+                        m += 1
+                        if m == r:
+                            break
+                        label = _M3R
+                        continue
+                ar[r] = ar[m]
+                nwa += 1
+                r -= 1
+                if m == r:
+                    break
                 while True:
                     lc = cmp3(ar[r], p)
                     ncmp += 1
@@ -784,109 +772,53 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                     break
                 label = _M3R
             label = _EXIT3R
-            continue
 
-        # ----- initialization paths -----
-        if label == _PRESCAN:
-            m = ml = mr = mid
-            while True:
-                lc = cmp3(ar[r], p)
-                ncmp += 1
-                if lc <= 0:
-                    break
-                r -= 1
-                if r == mid:
-                    break
-            if lc > 0:
-                label = _COLLAPSED
-                continue
-            temp = ar[r]
-            nws += 1
-            label = _L1
-            continue
-
-        if label == _COLLAPSED:
-            # Pre-scan collapsed onto mid: everything above mid exceeds
-            # the pivot.  Scan from the left for the first element not
-            # below the pivot; if none, the pivot drops straight into
-            # the hole.  Otherwise hold that element out and continue as
-            # a closed-right-side stage with an empty middle block.
-            while True:
-                lc = cmp3(ar[l], p)
-                ncmp += 1
-                if lc >= 0:
-                    break
-                l += 1
-                if l == mid:
-                    break
-            if lc < 0:
-                ar[mid] = p
-                nwa += 1
-                fr.new_l = mid - 1
-                fr.new_r = mid + 1
-                fr.last_exit = EXIT2
-                label = _DONE
-                break
-            temp = ar[l]
-            nws += 1
-            r = mid
-            ml = mr = mid
-            label = _MLEFT
-            continue
-
-        # ----- exits -----
+    # ----- state-3 drain: buffered equals back beside the block -----
+    if _EXIT3L <= label <= _EXIT3R and label not in stop:
+        if ti > ct[CT_TI_HW]:
+            ct[CT_TI_HW] = ti
         if label == _EXIT3L:
             ct[CT_EXIT3L] += 1
-            if ti > ct[CT_TI_HW]:
-                ct[CT_TI_HW] = ti
+            fr.last_exit = EXIT3L
             while ti > 0:
                 ti -= 1
                 m += 1
                 ar[m] = tar[ti]
                 nwa += 1
-            fr.last_exit = EXIT3L
-            label = _EXIT2
-            continue
-
-        if label == _EXIT3R:
+        else:
             ct[CT_EXIT3R] += 1
-            if ti > ct[CT_TI_HW]:
-                ct[CT_TI_HW] = ti
+            fr.last_exit = EXIT3R
             while ti > 0:
                 ti -= 1
                 m -= 1
                 ar[m] = tar[ti]
                 nwa += 1
-            fr.last_exit = EXIT3R
-            label = _EXIT2
-            continue
+        label = _EXIT2
 
-        if label == _EXIT2:
-            ct[CT_EXIT2] += 1
-            lc = cmp3(temp, p)
-            ncmp += 1
-            if lc >= 0:
-                ar[r] = temp
-                nwa += 1
-                ar[l] = p
-                nwa += 1
-                l -= 1
-                if lc == 0:
-                    r += 1
-            else:
-                ar[l] = temp
-                nwa += 1
-                ar[r] = p
-                nwa += 1
+    # ----- Exit2: place the holdover and the pivot -----
+    if label == _EXIT2 and label not in stop:
+        ct[CT_EXIT2] += 1
+        lc = cmp3(temp, p)
+        ncmp += 1
+        if lc >= 0:
+            ar[r] = temp
+            nwa += 1
+            ar[l] = p
+            nwa += 1
+            l -= 1
+            if lc == 0:
                 r += 1
-            fr.new_l = l
-            fr.new_r = r
-            if fr.last_exit is None:
-                fr.last_exit = EXIT2
-            label = _DONE
-            break
-
-        raise AssertionError(f"bad machine label {label}")
+        else:
+            ar[l] = temp
+            nwa += 1
+            ar[r] = p
+            nwa += 1
+            r += 1
+        fr.new_l = l
+        fr.new_r = r
+        if fr.last_exit is None:
+            fr.last_exit = EXIT2
+        label = _DONE
 
     fr.l = l
     fr.r = r
@@ -1676,11 +1608,14 @@ def free_temp_storage() -> None:
 # Contract-level entry points into the stage machine (test surface).
 
 _STATE_STOPS = frozenset({_M2L_2, _M2R_2, _M3L_2, _M3R_2, _EXIT2})
-_LABEL_TO_STATE = {_M2L_2: S2L, _M2R_2: S2R, _M3L_2: S3L, _M3R_2: S3R,
-                   _EXIT2: EXIT2, _EXIT3L: EXIT3L, _EXIT3R: EXIT3R}
+# every label run_state1 resumes at: all that come before states 2/3
+_STATE1_RESUME = frozenset(range(_PRESCAN, _M2L))
+_LABEL_TO_STATE = {_L1: S1, _M2L_2: S2L, _M2R_2: S2R, _M3L_2: S3L,
+                   _M3R_2: S3R, _EXIT2: EXIT2, _EXIT3L: EXIT3L,
+                   _EXIT3R: EXIT3R}
 _STATE_ENTRY = {S2L: _M2L_2, S2R: _M2R_2, S3L: _M3L_2, S3R: _M3R_2}
-_STATE_FAMILY = {S2L: {_M2L, _M2L_2, _L2L}, S2R: {_M2R, _M2R_2, _R2R},
-                 S3L: {_M3L, _M3L_2, _L3L}, S3R: {_M3R, _M3R_2, _R3R}}
+_STATE_FAMILY = {S2L: {_M2L, _M2L_2}, S2R: {_M2R, _M2R_2},
+                 S3L: {_M3L, _M3L_2}, S3R: {_M3R, _M3R_2}}
 _EXIT_ENTRY = {EXIT2: _EXIT2, EXIT3L: _EXIT3L, EXIT3R: _EXIT3R}
 
 
@@ -1692,6 +1627,27 @@ def _stage_buffer(frame: PartitionFrame, temp: TempStore | None = None):
         return [None] * cap
     temp.ensure(cap)
     return temp.buf
+
+
+def _state_after(frame: PartitionFrame, label: int) -> str:
+    """The StateId the machine stopped before, or the stage's exit once
+    the machine has finished it."""
+    return frame.last_exit if label == _DONE else _LABEL_TO_STATE[label]
+
+
+def _state_entry(frame: PartitionFrame, direction: str, left: str,
+                 right: str) -> int:
+    """The label run_state2/3 enter the ``direction`` state at: the
+    frame's saved entry if it lies in that state, else its start."""
+    if direction == "L":
+        state = left
+    elif direction == "R":
+        state = right
+    else:
+        raise ValueError("direction must be 'L' or 'R'")
+    if frame.entry in _STATE_FAMILY[state]:
+        return frame.entry
+    return _STATE_ENTRY[state]
 
 
 def init_stage(ar, frame: PartitionFrame, decision: PivotDecision,
@@ -1719,49 +1675,48 @@ def init_stage(ar, frame: PartitionFrame, decision: PivotDecision,
     # a pre-scan that collapses onto the center runs the stage to its end
     label = _run_machine(ar, cmp3, frame, _PRESCAN, frozenset({_L1}),
                          _stage_buffer(frame), ct)
-    if label == _L1:
-        return S1
-    return frame.last_exit if frame.last_exit is not None else EXIT2
+    return _state_after(frame, label)
 
 
 def run_state1(ar, frame: PartitionFrame, cmp=None, ct=None,
                temp: TempStore | None = None) -> str:
     """Run state 1 from the frame's current point until a side closes.
 
-    Returns the follow-up StateId chosen by the gap test, or Exit2 when
-    everything between the cursors turned out pivot-equal.
+    The frame resumes at its saved entry when that is a state-1 label,
+    a closing scan or the pre-scan (as a fast-path fallback leaves it),
+    else at the left scan.  Returns the follow-up StateId chosen by the
+    gap test, or Exit2 when everything between the cursors turned out
+    pivot-equal, or the stage's exit when the machine finished it.
     """
     cmp3 = cmp if cmp is not None else _default_cmp3
     if ct is None:
         ct = [0] * CT_LEN
     tar = temp.buf if temp is not None else []
-    entry = frame.entry if frame.entry in _STATE1_FAMILY else _L1
+    entry = frame.entry if frame.entry in _STATE1_RESUME else _L1
     label = _run_machine(ar, cmp3, frame, entry, _STATE_STOPS, tar, ct)
-    return _LABEL_TO_STATE[label]
+    return _state_after(frame, label)
 
 
 def run_state2(ar, frame: PartitionFrame, direction: str, cmp=None,
                ct=None) -> str:
-    """Run state 2L or 2R to completion; returns Exit2."""
+    """Run state 2L or 2R (``direction`` "L" or "R") to completion;
+    returns Exit2."""
     cmp3 = cmp if cmp is not None else _default_cmp3
     if ct is None:
         ct = [0] * CT_LEN
-    state = S2L if direction == "L" else S2R
-    entry = frame.entry if frame.entry in _STATE_FAMILY[state] \
-        else _STATE_ENTRY[state]
+    entry = _state_entry(frame, direction, S2L, S2R)
     label = _run_machine(ar, cmp3, frame, entry, frozenset({_EXIT2}), [], ct)
     return _LABEL_TO_STATE[label]
 
 
 def run_state3(ar, frame: PartitionFrame, direction: str,
                temp: TempStore, cmp=None, ct=None) -> str:
-    """Run state 3L or 3R to completion; returns Exit3L or Exit3R."""
+    """Run state 3L or 3R (``direction`` "L" or "R") to completion;
+    returns Exit3L or Exit3R."""
     cmp3 = cmp if cmp is not None else _default_cmp3
     if ct is None:
         ct = [0] * CT_LEN
-    state = S3L if direction == "L" else S3R
-    entry = frame.entry if frame.entry in _STATE_FAMILY[state] \
-        else _STATE_ENTRY[state]
+    entry = _state_entry(frame, direction, S3L, S3R)
     stop = frozenset({_EXIT3L, _EXIT3R})
     label = _run_machine(ar, cmp3, frame, entry, stop,
                          _stage_buffer(frame, temp), ct)
@@ -1771,10 +1726,12 @@ def run_state3(ar, frame: PartitionFrame, direction: str,
 def copy_back(ar, frame: PartitionFrame, exit_id: str,
               temp: TempStore | None = None, cmp=None, ct=None):
     """Drain the equals buffer (state-3 exits), restore holdover and
-    pivot, and return the retracted (new_l, new_r) bounds."""
-    cmp3 = cmp if cmp is not None else _default_cmp3
-    if ct is None:
-        ct = [0] * CT_LEN
-    _run_machine(ar, cmp3, frame, _EXIT_ENTRY[exit_id], None,
-                 _stage_buffer(frame, temp), ct)
+    pivot, and return the retracted (new_l, new_r) bounds.  A stage the
+    machine has already finished only returns its bounds."""
+    if frame.entry != _DONE:
+        cmp3 = cmp if cmp is not None else _default_cmp3
+        if ct is None:
+            ct = [0] * CT_LEN
+        _run_machine(ar, cmp3, frame, _EXIT_ENTRY[exit_id], None,
+                     _stage_buffer(frame, temp), ct)
     return frame.new_l, frame.new_r

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import core as _core
+from .config import DEFAULT_CONFIG
 from .core import PartitionFrame
 
 
@@ -36,14 +37,13 @@ class HandlerOutcome:
 
 
 def _outcome(ar, frame, label, cmp3, ct, finish: bool) -> HandlerOutcome:
+    frame.entry = label
     if label == _core._DONE:
         return HandlerOutcome("bypass", frame.new_l, frame.new_r)
     name = _core._LABEL_NAMES[label]
     if finish:
         _core._run_machine(ar, cmp3, frame, label, None,
                            _core._stage_buffer(frame), ct)
-    else:
-        frame.entry = label
     return HandlerOutcome("fallback", frame.new_l, frame.new_r, name, frame)
 
 
@@ -74,6 +74,6 @@ def handle_possibly_reversed(ar, frame: PartitionFrame, cmp=None,
     if ct is None:
         ct = [0] * _core.CT_LEN
     if tolerance is None:
-        tolerance = 3
+        tolerance = DEFAULT_CONFIG.reverse_tolerance
     label = _core._reversed_handler(ar, cmp3, frame, ct, tolerance)
     return _outcome(ar, frame, label, cmp3, ct, finish)

@@ -10,6 +10,7 @@ from tsqsort import SortConfig, Sorter, TempAllocationError
 from tsqsort.core import (PartitionFrame, TempStore, choose_next_state,
                           copy_back, init_stage, run_state1, run_state2,
                           run_state3)
+from tsqsort.handlers import handle_possibly_sorted
 from tsqsort.pivot import PivotDecision
 from tsqsort.stats import (EXIT2, EXIT3L, EXIT3R, S1, S2L, S2R, S3L, S3R)
 
@@ -392,6 +393,34 @@ def test_run_state3_buffers_equals():
         else:
             copy_back(ar, fr, state, temp, ct=ct)
     assert_stage_law(ar, 0, n - 1, fr.new_l, fr.new_r, 5)
+
+
+def test_run_state2_3_reject_unknown_direction():
+    fr = PartitionFrame(0, 7)
+    with pytest.raises(ValueError):
+        run_state2([0] * 8, fr, "Left")
+    with pytest.raises(ValueError):
+        run_state3([0] * 8, fr, "", TempStore())
+
+
+def test_copy_back_after_finished_stage_returns_bounds():
+    # a pre-scan that collapses onto the center, or a fast-path bypass,
+    # finishes the stage, so copy_back must not run the exit again
+    ar = [1, 9, 9, 9]
+    fr = PartitionFrame(0, 3)
+    exit_id = init_stage(ar, fr, PivotDecision(1, 1, 0))
+    done = list(ar)
+    ct = [0] * 32
+    assert copy_back(ar, fr, exit_id, ct=ct) == (fr.new_l, fr.new_r)
+    assert ar == done and not any(ct)
+
+    ar = [1, 2, 3, 4, 5]
+    fr = PartitionFrame(0, 4)
+    fr.pivot = 3
+    out = handle_possibly_sorted(ar, fr)
+    assert out.bypassed
+    assert copy_back(ar, fr, EXIT2, ct=ct) == (out.new_l, out.new_r)
+    assert ar == [1, 2, 3, 4, 5] and not any(ct)
 
 
 def test_all_equal_single_stage():

@@ -1,10 +1,14 @@
 import random
 
-from tsqsort import SortConfig, Sorter
-from tsqsort.core import CT_CMP, CT_LEN, CT_WA, CT_WS, PartitionFrame
+from tsqsort import SortConfig, Sorter, handlers
+from tsqsort.core import (CT_CMP, CT_LEN, CT_WA, CT_WS, PartitionFrame,
+                          TempStore, copy_back, run_state1, run_state2,
+                          run_state3)
 from tsqsort.handlers import handle_possibly_reversed, handle_possibly_sorted
+from tsqsort.stats import S2L, S2R, S3L, S3R
 
 from conftest import assert_stage_law, cmp3
+from test_golden_counts import HANDLER_RESUME_LABELS
 
 
 def _frame_for(ar, pivot):
@@ -149,3 +153,61 @@ def test_fallback_comparison_budget():
         arr = list(ar)
         handle_possibly_reversed(arr, fr, tolerance=3, ct=ct, finish=True)
         assert ct[CT_CMP] <= 2 * n + 4
+
+
+def _fallback_staged(data, pivot, handle):
+    """A handler fallback resumed through run_state1/2/3 and copy_back."""
+    ar = list(data)
+    fr = _frame_for(ar, pivot)
+    ct = [0] * CT_LEN
+    temp = TempStore()
+    out = handle(ar, fr, ct=ct)
+    state = run_state1(ar, fr, ct=ct, temp=temp)
+    if state in (S2L, S2R):
+        state = run_state2(ar, fr, state[-1], ct=ct)
+    elif state in (S3L, S3R):
+        state = run_state3(ar, fr, state[-1], temp, ct=ct)
+    new_l, new_r = copy_back(ar, fr, state, temp, ct=ct)
+    return out.resume_point, ar, new_l, new_r, ct[:3]
+
+
+def _fallback_finished(data, pivot, handle):
+    ar = list(data)
+    fr = _frame_for(ar, pivot)
+    ct = [0] * CT_LEN
+    out = handle(ar, fr, ct=ct, finish=True)
+    return out.resume_point, ar, out.new_l, out.new_r, ct[:3]
+
+
+def test_fallback_resumes_through_contract_api():
+    # from every resume point, the staged contract path ends the stage
+    # exactly as finish=True does: same array, bounds and counts
+    rnd = random.Random(20)
+    seen = set()
+    for trial in range(3000):
+        n = rnd.randint(5, 60)
+        data = [rnd.randint(0, rnd.choice([3, 20, 1000])) for _ in range(n)]
+        if trial % 3:
+            data.sort(reverse=trial % 3 == 2)
+        pivot = data[(n - 1) >> 1]
+        for handle in (handle_possibly_sorted, handle_possibly_reversed):
+            want = _fallback_finished(data, pivot, handle)
+            if want[0]:
+                assert _fallback_staged(data, pivot, handle) == want, trial
+                seen.add(want[0])
+    assert seen == HANDLER_RESUME_LABELS
+
+
+def test_reversed_default_tolerance_is_the_config_default(monkeypatch):
+    ar = [9, 8, 7, 6, 5, 4, 3, 2, 1]
+    ar[1], ar[7] = ar[7], ar[1]  # two misplaced elements
+
+    def attempt(**kw):
+        arr = list(ar)
+        out = handle_possibly_reversed(arr, _frame_for(arr, 5), **kw)
+        return out.kind, out.resume_point, arr
+
+    assert attempt() == attempt(tolerance=3) != attempt(tolerance=0)
+    monkeypatch.setattr(handlers, "DEFAULT_CONFIG",
+                        SortConfig(reverse_tolerance=0))
+    assert attempt() == attempt(tolerance=0)
