@@ -847,62 +847,59 @@ def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
     full success the stage completes with no element migration (only
     the pivot restore).  Any mismatch drops into the main machine at
     the matching resume point with all scan progress kept.
+
+    The two verify scans are index loops, long by design on ordered
+    input: each stops on the first element not below (left) or not
+    above (right) the pivot, or at mid, and their comparisons are
+    counted once, from where they stopped.
     """
     a = fr.a
     b = fr.b
     mid = fr.mid
     p = fr.pivot
-    ncmp = 0
     nwa = 0
     nws = 0
-    l = a
-    r = b
-    out = -1
-    while out < 0:
-        lc2 = cmp3(ar[l], p)
-        ncmp += 1
-        if lc2 < 0:
-            l += 1
-            if l != mid:
-                continue
-            # Left half verified below the pivot; now verify the right.
-            full = False
-            while True:
-                lc2 = cmp3(ar[r], p)
+    for l in range(a, mid):
+        lc = cmp3(ar[l], p)
+        if lc >= 0:
+            break
+    else:
+        l = mid
+    for r in range(b, mid, -1):
+        rc = cmp3(ar[r], p)
+        if rc <= 0:
+            break
+    else:
+        r = mid
+    ncmp = l - a + (l != mid) + b - r + (r != mid)
+    if l == mid:
+        # Left half verified below the pivot.
+        if r == mid:
+            ar[mid] = p
+            nwa += 1
+            fr.new_l = mid - 1
+            fr.new_r = mid + 1
+            out = _DONE
+        elif rc == 0:
+            # equals bordering the block from above
+            mr = mid + 1
+            bypass = mr == r
+            lc = 0
+            while not bypass:
+                lc = cmp3(ar[mr], p)
                 ncmp += 1
-                if lc2 <= 0:
+                if lc != 0:
                     break
-                r -= 1
-                if r == mid:
-                    full = True
-                    break
-            if full:
+                mr += 1
+                if mr == r:
+                    bypass = True
+            if bypass:
                 ar[mid] = p
                 nwa += 1
                 fr.new_l = mid - 1
-                fr.new_r = mid + 1
+                fr.new_r = r + 1
                 out = _DONE
-                break
-            if lc2 == 0:
-                # equals bordering the block from above
-                mr = mid + 1
-                bypass = mr == r
-                lc = 0
-                while not bypass:
-                    lc = cmp3(ar[mr], p)
-                    ncmp += 1
-                    if lc != 0:
-                        break
-                    mr += 1
-                    if mr == r:
-                        bypass = True
-                if bypass:
-                    ar[mid] = p
-                    nwa += 1
-                    fr.new_l = mid - 1
-                    fr.new_r = r + 1
-                    out = _DONE
-                    break
+            else:
                 fr.holdover = ar[r]
                 nws += 1
                 fr.l = l
@@ -911,47 +908,35 @@ def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
                 fr.mr = mr
                 fr.lc = lc
                 out = _MRIGHT_NOSCAN
-            else:
-                fr.holdover = ar[r]
-                nws += 1
-                fr.l = l
-                fr.r = r
-                fr.ml = fr.mr = mid
-                fr.lc = lc2
-                out = _MRIGHT
-            break
-        if lc2 == 0:
-            # Equal under the left cursor; check what the right holds.
-            collapsed = False
-            lc = 0
-            while True:
-                lc = cmp3(ar[r], p)
+        else:
+            fr.holdover = ar[r]
+            nws += 1
+            fr.l = l
+            fr.r = r
+            fr.ml = fr.mr = mid
+            fr.lc = rc
+            out = _MRIGHT
+    elif lc == 0:
+        # Equal under the left cursor.
+        if r == mid:
+            # right half all above; absorb equals below the center
+            ml = mid - 1
+            bypass = ml == l
+            while not bypass:
+                lc = cmp3(ar[ml], p)
                 ncmp += 1
-                if lc <= 0:
+                if lc != 0:
                     break
-                r -= 1
-                if r == mid:
-                    collapsed = True
-                    break
-            if collapsed:
-                # right half all above; absorb equals below the center
-                ml = mid - 1
-                bypass = ml == l
-                while not bypass:
-                    lc = cmp3(ar[ml], p)
-                    ncmp += 1
-                    if lc != 0:
-                        break
-                    ml -= 1
-                    if ml == l:
-                        bypass = True
-                if bypass:
-                    ar[mid] = p
-                    nwa += 1
-                    fr.new_l = l - 1
-                    fr.new_r = r + 1
-                    out = _DONE
-                    break
+                ml -= 1
+                if ml == l:
+                    bypass = True
+            if bypass:
+                ar[mid] = p
+                nwa += 1
+                fr.new_l = l - 1
+                fr.new_r = r + 1
+                out = _DONE
+            else:
                 fr.holdover = ar[l]
                 nws += 1
                 fr.l = l
@@ -960,50 +945,47 @@ def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
                 fr.mr = mid
                 fr.lc = lc
                 out = _MLEFT_NOSCAN
-                break
-            if lc == 0:
-                # equals at both cursors
-                ml = mid
-                inner = -1
-                while True:
-                    ml -= 1
-                    if ml == l:
-                        mr = mid + 1
-                        bypass = mr == r
-                        lc = 0
-                        while not bypass:
-                            lc = cmp3(ar[mr], p)
-                            ncmp += 1
-                            if lc != 0:
-                                break
-                            mr += 1
-                            if mr == r:
-                                bypass = True
-                        if bypass:
-                            ar[mid] = p
-                            nwa += 1
-                            fr.new_l = l - 1
-                            fr.new_r = r + 1
-                            inner = _DONE
+        elif rc == 0:
+            # equals at both cursors
+            ml = mid
+            out = -1
+            while True:
+                ml -= 1
+                if ml == l:
+                    mr = mid + 1
+                    bypass = mr == r
+                    lc = 0
+                    while not bypass:
+                        lc = cmp3(ar[mr], p)
+                        ncmp += 1
+                        if lc != 0:
                             break
-                        fr.holdover = ar[l]
-                        nws += 1
-                        ar[mid] = ar[r]
+                        mr += 1
+                        if mr == r:
+                            bypass = True
+                    if bypass:
+                        ar[mid] = p
                         nwa += 1
-                        fr.l = l
-                        fr.r = r
-                        fr.ml = ml
-                        fr.mr = mr
-                        fr.lc = lc
-                        inner = _MRIGHT_NOSCAN
+                        fr.new_l = l - 1
+                        fr.new_r = r + 1
+                        out = _DONE
                         break
-                    lc = cmp3(ar[ml], p)
-                    ncmp += 1
-                    if lc != 0:
-                        break
-                if inner >= 0:
-                    out = inner
+                    fr.holdover = ar[l]
+                    nws += 1
+                    ar[mid] = ar[r]
+                    nwa += 1
+                    fr.l = l
+                    fr.r = r
+                    fr.ml = ml
+                    fr.mr = mr
+                    fr.lc = lc
+                    out = _MRIGHT_NOSCAN
                     break
+                lc = cmp3(ar[ml], p)
+                ncmp += 1
+                if lc != 0:
+                    break
+            if out < 0:
                 fr.holdover = ar[l]
                 nws += 1
                 ar[mid] = ar[r]
@@ -1015,44 +997,32 @@ def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
                 fr.m = mid
                 fr.lc = lc
                 out = _ML1_2
-            else:
-                fr.holdover = ar[l]
-                nws += 1
-                fr.l = l
-                fr.r = r
-                fr.m = fr.ml = fr.mr = mid
-                fr.lc = lc
-                out = _R1_3
-            break
-        # ar[l] above the pivot: mismatch; find a right-side partner.
-        collapsed = False
-        while True:
-            lc2 = cmp3(ar[r], p)
-            ncmp += 1
-            if lc2 <= 0:
-                break
-            r -= 1
-            if r == mid:
-                collapsed = True
-                break
-        if collapsed:
-            # hole at mid, ar[l] known above the pivot: hold it out and
-            # run as a closed-right-side stage
+        else:
             fr.holdover = ar[l]
             nws += 1
             fr.l = l
-            fr.r = mid
-            fr.ml = fr.mr = mid
-            out = _MLEFT
-            break
+            fr.r = r
+            fr.m = fr.ml = fr.mr = mid
+            fr.lc = rc
+            out = _R1_3
+    elif r == mid:
+        # ar[l] above the pivot and the right half all above: hold ar[l]
+        # out and run as a closed-right-side stage from the hole at mid
+        fr.holdover = ar[l]
+        nws += 1
+        fr.l = l
+        fr.r = mid
+        fr.ml = fr.mr = mid
+        out = _MLEFT
+    else:
+        # ar[l] above the pivot, ar[r] not: a mismatched pair
         fr.holdover = ar[r]
         nws += 1
         fr.l = l
         fr.r = r
         fr.m = fr.ml = fr.mr = mid
-        fr.lc = lc2
+        fr.lc = rc
         out = _L1_2
-        break
 
     ct[CT_CMP] += ncmp
     ct[CT_WA] += nwa

@@ -9,7 +9,7 @@ point, keeping the scan progress made so far.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import core as _core
 from .config import DEFAULT_CONFIG
@@ -23,13 +23,15 @@ class HandlerOutcome:
     ``kind`` is "bypass" (stage finished; ``new_l``/``new_r`` bound the
     pivot-equal middle block) or "fallback" (resume the machine at
     ``resume_point`` with ``frame`` carrying the preserved progress).
+    ``frame`` takes no part in equality: a frame compares by identity,
+    so two outcomes of the same fallback would otherwise differ.
     """
 
     kind: str
     new_l: int = -1
     new_r: int = -1
     resume_point: str = ""
-    frame: PartitionFrame | None = None
+    frame: PartitionFrame | None = field(default=None, compare=False)
 
     @property
     def bypassed(self) -> bool:

@@ -24,6 +24,8 @@ from __future__ import annotations
 import __future__
 import ast
 import linecache
+import re
+from bisect import bisect_left
 from types import CodeType
 
 # the comparator name the transformer inlines
@@ -34,6 +36,8 @@ _TMP_Y = "_cmp3_y"
 _GENERIC = "_cmp3_generic"
 _DEFAULT = "_cmp3_default"
 _RESERVED = (_TMP_X, _TMP_Y, _GENERIC, _DEFAULT)
+# where a call of the comparator may start in the source text
+_CALL_TEXT = re.compile(rf"\b{CALLEE}\s*\(")
 
 
 def _default_cmp3(x, y) -> int:
@@ -104,7 +108,7 @@ def _compile_variant(fn, param: str):
         if name in src:
             raise ValueError(f"{fn.__qualname__} uses reserved name {name}")
     fdef.decorator_list = []
-    if _inline_calls(fdef) == 0:
+    if _inline_calls(fdef, _call_lines(src, code.co_firstlineno)) == 0:
         raise ValueError(f"{fn.__qualname__} has no {CALLEE}(x, y) call")
     fdef.body.insert(0, _dispatch(fdef, param))
 
@@ -172,9 +176,29 @@ def _is_cmp3_call(node) -> bool:
             and not any(x.__class__ is ast.Starred for x in node.args))
 
 
-def _inline_calls(root) -> int:
+def _call_lines(src: str, first: int) -> list:
+    """Sorted numbers of the lines on which a ``cmp3(`` starts in
+    ``src``, whose first line is line ``first``."""
+    lines = []
+    line = first
+    pos = 0
+    for m in _CALL_TEXT.finditer(src):
+        line += src.count("\n", pos, m.start())
+        pos = m.start()
+        lines.append(line)
+    return lines
+
+
+def _holds_call(stmt, call_lines: list) -> bool:
+    i = bisect_left(call_lines, stmt.lineno)
+    return i < len(call_lines) and call_lines[i] <= stmt.end_lineno
+
+
+def _inline_calls(root, call_lines: list) -> int:
     """Replace every ``cmp3(x, y)`` call under ``root`` in place; returns
-    how many.  An explicit-stack walk: ``ast.NodeTransformer`` costs
+    how many.  ``call_lines`` lists the lines on which a ``cmp3(`` starts
+    (:func:`_call_lines`); a statement spanning none of them is not
+    walked.  An explicit-stack walk: ``ast.NodeTransformer`` costs
     about five times as much, which shows in the import time."""
     count = 0
     stack = [root]
@@ -184,7 +208,11 @@ def _inline_calls(root) -> int:
             v = getattr(node, field, None)
             if v.__class__ is list:
                 for i, c in enumerate(v):
-                    if isinstance(c, ast.AST) and not isinstance(c, _LEAVES):
+                    if isinstance(c, ast.stmt):
+                        if _holds_call(c, call_lines):
+                            stack.append(c)
+                    elif (isinstance(c, ast.AST)
+                          and not isinstance(c, _LEAVES)):
                         if _is_cmp3_call(c):
                             c = v[i] = _inline_expr(c)
                             count += 1

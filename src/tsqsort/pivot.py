@@ -14,7 +14,7 @@ estimator keeps its anchor points.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import SortConfig
 from .inline import compare_inline
@@ -55,9 +55,12 @@ def rng_next(rng: MitigationRng) -> MitigationRng:
     return rng.next()
 
 
-@dataclass(frozen=True)
-class PivotDecision:
-    """Chosen pivot value, the index it sits at, and the order flag."""
+class PivotDecision(NamedTuple):
+    """Chosen pivot value, the index it sits at, and the order flag.
+
+    A named tuple: built once per stage, it costs about half what a
+    frozen dataclass costs to construct.
+    """
 
     pivot: object
     pi: int

@@ -18,12 +18,13 @@ def insertion_sort(ar, lo: int, hi: int, cmp3, tally) -> None:
     ``tally`` is [comparisons, array writes, scratch writes]; holding a
     displaced element out is the one scratch write per displacement.
     """
-    ncmp = 0
+    if hi <= lo:
+        return
+    # the outer pass compares each ar[k] with ar[k - 1] once
+    ncmp = hi - lo
     nwa = 0
     nws = 0
-    k = lo + 1
-    while k <= hi:
-        ncmp += 1
+    for k in range(lo + 1, hi + 1):
         if cmp3(ar[k], ar[k - 1]) < 0:
             j = k
             temp = ar[j]
@@ -44,7 +45,6 @@ def insertion_sort(ar, lo: int, hi: int, cmp3, tally) -> None:
                         break
             ar[j] = temp
             nwa += 1
-        k += 1
     tally[0] += ncmp
     tally[1] += nwa
     tally[2] += nws

@@ -62,6 +62,19 @@ def test_sorted_handler_random_inputs_transparent():
         assert out.kind in ("bypass", "fallback")
 
 
+def test_equal_fallbacks_compare_equal():
+    # the frame is left out of equality: two runs of the same fallback
+    # give equal outcomes although each carries its own frame
+    def attempt():
+        ar = [1, 6, 3, 4, 2]
+        return handle_possibly_sorted(ar, _frame_for(ar, 3))
+
+    first, second = attempt(), attempt()
+    assert first.kind == "fallback" and first.resume_point == "l_scan1_2"
+    assert first.frame is not second.frame
+    assert first == second
+
+
 def test_reversed_full_bypass_swap_count():
     ar = [9, 8, 7, 6, 5, 4, 3, 2, 1]
     fr = _frame_for(ar, 5)
