@@ -38,7 +38,10 @@ The machine, both fast-path handlers, the pivot medians and the
 insertion sort are decorated with ``inline.compare_inline``: an ``ast``
 transformer compiles them once more from their own source with every
 ``cmp3(x, y)`` call inlined, and that variant runs whenever the
-comparator is the default one.
+comparator is the default one.  The scans are written as
+``ncmp += 1`` then ``if (lc := cmp3(ar[l], p)) >= 0: break``: a test of
+that shape compiles to branches on ``<`` and ``>`` themselves, with no
+three-way value built and tested again.
 """
 
 from __future__ import annotations
@@ -248,9 +251,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
     if label == _PRESCAN:
         m = ml = mr = mid
         while True:
-            lc = cmp3(ar[r], p)
             ncmp += 1
-            if lc <= 0:
+            if (lc := cmp3(ar[r], p)) <= 0:
                 break
             r -= 1
             if r == mid:
@@ -266,9 +268,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
             # the hole.  Otherwise hold that element out and continue
             # as a closed-right-side stage with an empty middle block.
             while True:
-                lc = cmp3(ar[l], p)
                 ncmp += 1
-                if lc >= 0:
+                if (lc := cmp3(ar[l], p)) >= 0:
                     break
                 l += 1
                 if l == mid:
@@ -328,9 +329,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
             while True:
                 if label == _L1:
                     while True:
-                        lc = cmp3(ar[l], p)
                         ncmp += 1
-                        if lc >= 0:
+                        if (lc := cmp3(ar[l], p)) >= 0:
                             break
                         l += 1
                         if l == ml:
@@ -346,9 +346,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 else:
                     label = _L1  # entered at the right scan
                 while True:
-                    lc = cmp3(ar[r], p)
                     ncmp += 1
-                    if lc <= 0:
+                    if (lc := cmp3(ar[r], p)) <= 0:
                         break
                     r -= 1
                     if mr == r:
@@ -372,9 +371,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                     mr += 1
                     if mr == r:
                         break
-                    lc = cmp3(ar[mr], p)
                     ncmp += 1
-                    if lc != 0:
+                    if (lc := cmp3(ar[mr], p)) != 0:
                         break
                 if lc == 0:
                     break
@@ -385,9 +383,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                     ml -= 1
                     if ml == l:
                         break
-                    lc = cmp3(ar[ml], p)
                     ncmp += 1
-                    if lc != 0:
+                    if (lc := cmp3(ar[ml], p)) != 0:
                         break
                 if lc == 0:
                     break
@@ -421,9 +418,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 if ml == l:
                     label = _EXIT2
                     break
-                lc = cmp3(ar[ml], p)
                 ncmp += 1
-                if lc != 0:
+                if (lc := cmp3(ar[ml], p)) != 0:
                     break
         elif label == _MRIGHT:
             label = _MRIGHT_NOSCAN
@@ -432,9 +428,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 if mr == r:
                     label = _EXIT2
                     break
-                lc = cmp3(ar[mr], p)
                 ncmp += 1
-                if lc != 0:
+                if (lc := cmp3(ar[mr], p)) != 0:
                     break
         # ml (mr) sits on the first non-equal below (above) the block
         # with its lc set, by the scan above or by a fast-path handler
@@ -468,9 +463,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
             while True:
                 if label == _M2L:
                     while True:
-                        lc = cmp3(ar[m], p)
                         ncmp += 1
-                        if lc != 0:
+                        if (lc := cmp3(ar[m], p)) != 0:
                             break
                         m -= 1
                         if m == l:
@@ -495,9 +489,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                     break
                 # scan from l for an element not below the pivot
                 while True:
-                    lc = cmp3(ar[l], p)
                     ncmp += 1
-                    if lc >= 0:
+                    if (lc := cmp3(ar[l], p)) >= 0:
                         break
                     l += 1
                     if m == l:
@@ -524,9 +517,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
             while True:
                 if label == _M2R:
                     while True:
-                        lc = cmp3(ar[m], p)
                         ncmp += 1
-                        if lc != 0:
+                        if (lc := cmp3(ar[m], p)) != 0:
                             break
                         m += 1
                         if m == r:
@@ -550,9 +542,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 if m == r:
                     break
                 while True:
-                    lc = cmp3(ar[r], p)
                     ncmp += 1
-                    if lc <= 0:
+                    if (lc := cmp3(ar[r], p)) <= 0:
                         break
                     r -= 1
                     if m == r:
@@ -581,9 +572,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
             while True:
                 if label == _M3L:
                     while True:
-                        lc = cmp3(ar[m], p)
                         ncmp += 1
-                        if lc != 0:
+                        if (lc := cmp3(ar[m], p)) != 0:
                             break
                         tar[ti] = ar[m]
                         nws += 1
@@ -600,9 +590,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                         m -= 1
                         if m == l:
                             break
-                        lc = cmp3(ar[m], p)
                         ncmp += 1
-                        if lc <= 0:
+                        if (lc := cmp3(ar[m], p)) <= 0:
                             break
                     k2 = m + 1
                     # copy the run [k2..k] into the gap descending
@@ -649,9 +638,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 if m == l:
                     break
                 while True:
-                    lc = cmp3(ar[l], p)
                     ncmp += 1
-                    if lc >= 0:
+                    if (lc := cmp3(ar[l], p)) >= 0:
                         break
                     l += 1
                     if m == l:
@@ -681,9 +669,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
             while True:
                 if label == _M3R:
                     while True:
-                        lc = cmp3(ar[m], p)
                         ncmp += 1
-                        if lc != 0:
+                        if (lc := cmp3(ar[m], p)) != 0:
                             break
                         tar[ti] = ar[m]
                         nws += 1
@@ -699,9 +686,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                         m += 1
                         if m == r:
                             break
-                        lc = cmp3(ar[m], p)
                         ncmp += 1
-                        if lc >= 0:
+                        if (lc := cmp3(ar[m], p)) >= 0:
                             break
                     k2 = m - 1
                     if m - k < k - l:
@@ -746,9 +732,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
                 if m == r:
                     break
                 while True:
-                    lc = cmp3(ar[r], p)
                     ncmp += 1
-                    if lc <= 0:
+                    if (lc := cmp3(ar[r], p)) <= 0:
                         break
                     r -= 1
                     if m == r:
@@ -798,9 +783,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
     # ----- Exit2: place the holdover and the pivot -----
     if label == _EXIT2 and label not in stop:
         ct[CT_EXIT2] += 1
-        lc = cmp3(temp, p)
         ncmp += 1
-        if lc >= 0:
+        if (lc := cmp3(temp, p)) >= 0:
             ar[r] = temp
             nwa += 1
             ar[l] = p
@@ -860,14 +844,12 @@ def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
     nwa = 0
     nws = 0
     for l in range(a, mid):
-        lc = cmp3(ar[l], p)
-        if lc >= 0:
+        if (lc := cmp3(ar[l], p)) >= 0:
             break
     else:
         l = mid
     for r in range(b, mid, -1):
-        rc = cmp3(ar[r], p)
-        if rc <= 0:
+        if (rc := cmp3(ar[r], p)) <= 0:
             break
     else:
         r = mid
@@ -886,9 +868,8 @@ def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
             bypass = mr == r
             lc = 0
             while not bypass:
-                lc = cmp3(ar[mr], p)
                 ncmp += 1
-                if lc != 0:
+                if (lc := cmp3(ar[mr], p)) != 0:
                     break
                 mr += 1
                 if mr == r:
@@ -923,9 +904,8 @@ def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
             ml = mid - 1
             bypass = ml == l
             while not bypass:
-                lc = cmp3(ar[ml], p)
                 ncmp += 1
-                if lc != 0:
+                if (lc := cmp3(ar[ml], p)) != 0:
                     break
                 ml -= 1
                 if ml == l:
@@ -956,9 +936,8 @@ def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
                     bypass = mr == r
                     lc = 0
                     while not bypass:
-                        lc = cmp3(ar[mr], p)
                         ncmp += 1
-                        if lc != 0:
+                        if (lc := cmp3(ar[mr], p)) != 0:
                             break
                         mr += 1
                         if mr == r:
@@ -981,9 +960,8 @@ def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
                     fr.lc = lc
                     out = _MRIGHT_NOSCAN
                     break
-                lc = cmp3(ar[ml], p)
                 ncmp += 1
-                if lc != 0:
+                if (lc := cmp3(ar[ml], p)) != 0:
                     break
             if out < 0:
                 fr.holdover = ar[l]
@@ -1058,9 +1036,8 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
         while True:
             if mr == r:
                 # only equals between mid and r
-                lc = cmp3(ar[r], p)
                 ncmp += 1
-                if lc < 0:
+                if (lc := cmp3(ar[r], p)) < 0:
                     ar[l] = ar[r]
                     nwa += 1
                     ar[r] = p
@@ -1078,15 +1055,13 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
                     fr.new_l = l - 1
                     fr.new_r = r
                 return _DONE
-            lc = cmp3(ar[mr], p)
             ncmp += 1
-            if lc != 0:
+            if (lc := cmp3(ar[mr], p)) != 0:
                 break
             mr += 1
         while True:
-            lc2 = cmp3(ar[r], p)
             ncmp += 1
-            if lc2 <= 0:
+            if (lc2 := cmp3(ar[r], p)) <= 0:
                 break
             r -= 1
             if mr == r:
@@ -1128,9 +1103,8 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
                     fr.new_l = l - 1
                     fr.new_r = r
                     return _DONE
-                lc = cmp3(ar[l], p)
                 ncmp += 1
-                if lc > 0:
+                if (lc := cmp3(ar[l], p)) > 0:
                     ar[mid] = ar[l]
                     nwa += 1
                     ar[l] = p
@@ -1148,9 +1122,8 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
                     fr.new_l = l
                     fr.new_r = r + 1
                 return _DONE
-            lc = cmp3(ar[ml], p)
             ncmp += 1
-            if lc != 0:
+            if (lc := cmp3(ar[ml], p)) != 0:
                 break
         fr.holdover = ar[l]
         nws += 1
@@ -1162,13 +1135,11 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
         return _MLEFT_NOSCAN
 
     while out < 0:
-        lc2 = cmp3(ar[l], p)
         ncmp += 1
-        if lc2 > 0:
+        if (lc2 := cmp3(ar[l], p)) > 0:
             while True:
-                lc = cmp3(ar[r], p)
                 ncmp += 1
-                if lc < 0:
+                if (lc := cmp3(ar[r], p)) < 0:
                     t2 = ar[l]
                     nws += 1
                     ar[l] = ar[r]
@@ -1229,9 +1200,8 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
                                 fr.new_r = r
                                 inner = _DONE
                                 break
-                            lc = cmp3(ar[ml], p)
                             ncmp += 1
-                            if lc != 0:
+                            if (lc := cmp3(ar[ml], p)) != 0:
                                 break
                         if inner >= 0:
                             break
@@ -1246,9 +1216,8 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
                         fr.lc = lc
                         inner = _MLEFT_NOSCAN
                         break
-                    lc = cmp3(ar[mr], p)
                     ncmp += 1
-                    if lc != 0:
+                    if (lc := cmp3(ar[mr], p)) != 0:
                         break
                 if inner >= 0:
                     out = inner
@@ -1290,9 +1259,8 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
                 while True:
                     mr += 1
                     if mr == r:
-                        lc = cmp3(ar[r], p)
                         ncmp += 1
-                        if lc < 0:
+                        if (lc := cmp3(ar[r], p)) < 0:
                             t2 = ar[r]
                             nws += 1
                             ar[r] = ar[l]
@@ -1310,16 +1278,14 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
                             fr.new_r = r + 1 if lc == 0 else r
                         inner = _DONE
                         break
-                    lc = cmp3(ar[mr], p)
                     ncmp += 1
-                    if lc != 0:
+                    if (lc := cmp3(ar[mr], p)) != 0:
                         break
                 if inner >= 0:
                     break
                 while True:
-                    lc2 = cmp3(ar[r], p)
                     ncmp += 1
-                    if lc2 <= 0:
+                    if (lc2 := cmp3(ar[r], p)) <= 0:
                         break
                     r -= 1
                     if mr == r:
@@ -1354,9 +1320,8 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
                 fr.lc = lc
                 inner = _MRIGHT_NOSCAN
                 break
-            lc2 = cmp3(ar[ml], p)
             ncmp += 1
-            if lc2 != 0:
+            if (lc2 := cmp3(ar[ml], p)) != 0:
                 break
         if inner >= 0:
             out = inner
@@ -1657,13 +1622,15 @@ def run_state1(ar, frame: PartitionFrame, cmp=None, ct=None,
     else at the left scan.  Returns the follow-up StateId chosen by the
     gap test, or Exit2 when everything between the cursors turned out
     pivot-equal, or the stage's exit when the machine finished it.
+
+    ``temp`` is accepted for callers that still pass it and is not
+    used: state 1 and the closing scans never touch the equals buffer.
     """
     cmp3 = cmp if cmp is not None else _default_cmp3
     if ct is None:
         ct = [0] * CT_LEN
-    tar = temp.buf if temp is not None else []
     entry = frame.entry if frame.entry in _STATE1_RESUME else _L1
-    label = _run_machine(ar, cmp3, frame, entry, _STATE_STOPS, tar, ct)
+    label = _run_machine(ar, cmp3, frame, entry, _STATE_STOPS, (), ct)
     return _state_after(frame, label)
 
 

@@ -71,11 +71,17 @@ def handle_possibly_reversed(ar, frame: PartitionFrame, cmp=None,
 
     ``tolerance`` bounds how many elements already sitting on their
     final side are skipped before giving up on the reversal hypothesis.
+    A frame of one or two elements, which a sort never hands to the
+    handler, has no pair to swap: its scans would step past the range,
+    so the sorted fast path ends that stage instead.
     """
     cmp3 = cmp if cmp is not None else _core._default_cmp3
     if ct is None:
         ct = [0] * _core.CT_LEN
     if tolerance is None:
         tolerance = DEFAULT_CONFIG.reverse_tolerance
-    label = _core._reversed_handler(ar, cmp3, frame, ct, tolerance)
+    if frame.b - frame.a < 2:
+        label = _core._sorted_handler(ar, cmp3, frame, ct)
+    else:
+        label = _core._reversed_handler(ar, cmp3, frame, ct, tolerance)
     return _outcome(ar, frame, label, cmp3, ct, finish)

@@ -4,11 +4,26 @@
 when none is given.  Calling it costs a Python call per comparison, so
 the hot functions are decorated with :func:`compare_inline`.  At import
 the decorator compiles, from the function's own source lines, a variant
-in which each ``cmp3(x, y)`` call is the expression
-``-1 if x < y else (1 if x > y else 0)``: it runs ``<`` and then ``>``
-on the same operands in the same order as ``_default_cmp3``, so every
-rich comparison, count and result is the same on either path.  The
-variant keeps the source line numbers, so a traceback from an element's
+in which each ``cmp3(x, y)`` compares inline.  Both forms below run
+``<`` and then, only when that is false, ``>`` on the same operands,
+each result truth-tested once, as ``_default_cmp3`` does, so every rich
+comparison, count and result is the same on either path:
+
+* The test of an ``if`` or ``while`` that is ``cmp3(x, y) OP 0`` or
+  ``(name := cmp3(x, y)) OP 0``, with OP one of ``< <= > >= == !=``, is
+  fused into branches on the comparisons themselves: ``if x < y:``
+  takes the arm that -1 selects with no further test, and otherwise
+  ``x > y`` picks between the arms of 1 and 0.  ``name`` is assigned
+  -1, 1 or 0 in the matching branch.  An arm that two outcomes share
+  is copied into both branches, except that a shared arm of 1 and 0
+  follows ``name = 1 if x > y else 0``; a ``while`` becomes
+  ``while True:`` led by the fused test, whose exit arm runs the
+  loop's ``else`` and breaks.
+* Any other call is the expression ``-1 if x < y else (1 if x > y
+  else 0)``.
+
+The variant keeps the source line numbers, and every node made from a
+call carries the call's line, so a traceback from an element's
 ``__lt__`` points at the real ``cmp3(`` line.
 
 The compiled function keeps the original's name and signature.  It runs
@@ -23,6 +38,7 @@ from __future__ import annotations
 
 import __future__
 import ast
+import copy
 import linecache
 import re
 from bisect import bisect_left
@@ -93,22 +109,33 @@ def _parse_def(lines: list, first: int, last: int):
             last += 1
 
 
-def _compile_variant(fn, param: str):
+def _source_def(fn):
+    """(module tree, def node, def source) of the top-level function
+    ``fn``, parsed from its source lines; the nodes are None when the
+    lines cannot be had or do not hold its def."""
     if fn.__qualname__ != fn.__name__:
         raise ValueError(f"{fn.__qualname__} is not a top-level def")
     code = fn.__code__
     lines = linecache.getlines(code.co_filename, fn.__globals__)
     tree, src = _parse_def(lines, code.co_firstlineno, _last_code_line(code))
     if tree is None or len(tree.body) != 1:
-        return fn
+        return None, None, src
     fdef = tree.body[0]
     if not isinstance(fdef, ast.FunctionDef) or fdef.name != fn.__name__:
+        return None, None, src
+    return tree, fdef, src
+
+
+def _compile_variant(fn, param: str):
+    tree, fdef, src = _source_def(fn)
+    if fdef is None:
         return fn
+    code = fn.__code__
     for name in _RESERVED:
         if name in src:
             raise ValueError(f"{fn.__qualname__} uses reserved name {name}")
     fdef.decorator_list = []
-    if _inline_calls(fdef, _call_lines(src, code.co_firstlineno)) == 0:
+    if _inline_calls(fdef, _call_lines(src, code.co_firstlineno)) == (0, 0):
         raise ValueError(f"{fn.__qualname__} has no {CALLEE}(x, y) call")
     fdef.body.insert(0, _dispatch(fdef, param))
 
@@ -194,13 +221,14 @@ def _holds_call(stmt, call_lines: list) -> bool:
     return i < len(call_lines) and call_lines[i] <= stmt.end_lineno
 
 
-def _inline_calls(root, call_lines: list) -> int:
-    """Replace every ``cmp3(x, y)`` call under ``root`` in place; returns
-    how many.  ``call_lines`` lists the lines on which a ``cmp3(`` starts
+def _inline_calls(root, call_lines: list) -> tuple:
+    """Compile every ``cmp3(x, y)`` call under ``root`` inline, in place;
+    returns (calls made inline expressions, ``if``/``while`` tests
+    fused).  ``call_lines`` lists the lines on which a ``cmp3(`` starts
     (:func:`_call_lines`); a statement spanning none of them is not
     walked.  An explicit-stack walk: ``ast.NodeTransformer`` costs
     about five times as much, which shows in the import time."""
-    count = 0
+    inlined = fused = 0
     stack = [root]
     while stack:
         node = stack.pop()
@@ -209,21 +237,126 @@ def _inline_calls(root, call_lines: list) -> int:
             if v.__class__ is list:
                 for i, c in enumerate(v):
                     if isinstance(c, ast.stmt):
-                        if _holds_call(c, call_lines):
+                        if not _holds_call(c, call_lines):
+                            continue
+                        test = _fusable_test(c)
+                        if test is None:
                             stack.append(c)
+                            continue
+                        v[i], n_inl, n_fus = _fuse(c, test, call_lines)
+                        inlined += n_inl
+                        fused += n_fus + 1
                     elif (isinstance(c, ast.AST)
                           and not isinstance(c, _LEAVES)):
                         if _is_cmp3_call(c):
                             c = v[i] = _inline_expr(c)
-                            count += 1
+                            inlined += 1
                         stack.append(c)
             elif isinstance(v, ast.AST) and not isinstance(v, _LEAVES):
                 if _is_cmp3_call(v):
                     v = _inline_expr(v)
                     setattr(node, field, v)
-                    count += 1
+                    inlined += 1
                 stack.append(v)
-    return count
+    return inlined, fused
+
+
+# truth of ``cmp3(x, y) OP 0`` when x < y, when x > y, and otherwise
+_OUTCOMES = {ast.Lt: (True, False, False), ast.LtE: (True, False, True),
+             ast.Gt: (False, True, False), ast.GtE: (False, True, True),
+             ast.Eq: (False, False, True), ast.NotEq: (True, True, False)}
+
+
+def _fusable_test(stmt):
+    """(name or None, call, outcomes) when ``stmt`` is an ``if`` or a
+    ``while`` whose test is ``[(name :=)] cmp3(x, y) OP 0``, else
+    None.  A ``while`` whose ``else`` holds a ``break`` or ``continue``
+    is not fused: inside the ``while True:`` it would bind to the wrong
+    loop."""
+    kind = stmt.__class__
+    if kind is not ast.If and kind is not ast.While:
+        return None
+    test = stmt.test
+    if (test.__class__ is not ast.Compare or len(test.ops) != 1
+            or test.ops[0].__class__ not in _OUTCOMES):
+        return None
+    zero = test.comparators[0]
+    if (zero.__class__ is not ast.Constant or zero.value.__class__ is not int
+            or zero.value != 0):
+        return None
+    left = test.left
+    name = None
+    if left.__class__ is ast.NamedExpr:
+        name = left.target.id
+        left = left.value
+    if not _is_cmp3_call(left):
+        return None
+    if kind is ast.While and any(
+            isinstance(n, (ast.Break, ast.Continue))
+            for s in stmt.orelse for n in ast.walk(s)):
+        return None
+    return name, left, _OUTCOMES[test.ops[0].__class__]
+
+
+def _fuse(stmt, test, call_lines: list):
+    """(fused statement, calls inlined, tests fused) for an ``if`` or
+    ``while`` that :func:`_fusable_test` accepted; its operands and arms
+    are compiled first, so a copied arm needs no second walk."""
+    name, call, outcomes = test
+    inlined, fused = _inline_calls(call, call_lines)
+    for arm in (stmt.body, stmt.orelse):
+        n_inl, n_fus = _inline_calls(ast.Module(arm, []), call_lines)
+        inlined += n_inl
+        fused += n_fus
+    loc = _loc(call)
+    if stmt.__class__ is ast.If:
+        return (_branches(name, call, outcomes, stmt.body, stmt.orelse, loc),
+                inlined, fused)
+    # while TEST: BODY else: ORELSE
+    #   -> while True: <if TEST: pass else: ORELSE; break>; BODY
+    leave = stmt.orelse + [ast.Break(**loc)]
+    loop = [_branches(name, call, outcomes, [], leave, loc)] + stmt.body
+    return ast.While(ast.Constant(True, **loc), loop, [], **loc), inlined, fused
+
+
+def _branches(name, call, outcomes, true_arm, false_arm, loc) -> ast.If:
+    """``if x < y: [name = -1] ARM(-1)`` followed by, when 1 and 0 share
+    an arm, ``else: [name = 1 if x > y else 0] ARM(1)``, and otherwise
+    ``elif x > y: [name = 1] ARM(1) else: [name = 0] ARM(0)``.  An arm
+    that the ``x < y`` branch takes too is deep-copied for the other."""
+    x, xs = _operand(call.args[0], _TMP_X, loc)
+    y, ys = _operand(call.args[1], _TMP_Y, loc)
+    arms = [true_arm if t else false_arm for t in outcomes]
+
+    def arm(k):
+        if k and arms[k] is arms[0]:
+            return copy.deepcopy(arms[k])
+        return arms[k]
+
+    def set_name(value):
+        if name is None:
+            return []
+        return [ast.Assign([ast.Name(name, ast.Store(), **loc)], value,
+                           **loc)]
+
+    def const(c):
+        return ast.Constant(c, **loc)
+
+    above = ast.Compare(x, [ast.Gt()], [y], **loc)
+    below = set_name(const(-1)) + arm(0) or [ast.Pass(**loc)]
+    if arms[1] is arms[2]:
+        if name is None:
+            # the > result is truth-tested as _default_cmp3 does
+            rest = [ast.If(above, [ast.Pass(**loc)], [], **loc)]
+        else:
+            rest = set_name(ast.IfExp(above, const(1), const(0), **loc))
+        rest += arm(1)
+    else:
+        rest = [ast.If(above, set_name(const(1)) + arm(1) or
+                       [ast.Pass(**loc)],
+                       set_name(const(0)) + arm(2), **loc)]
+    return ast.If(ast.Compare(xs, [ast.Lt()], [ys], **loc), below, rest,
+                  **loc)
 
 
 def _inline_expr(call: ast.Call) -> ast.IfExp:

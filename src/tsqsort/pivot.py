@@ -59,7 +59,10 @@ class PivotDecision(NamedTuple):
     """Chosen pivot value, the index it sits at, and the order flag.
 
     A named tuple: built once per stage, it costs about half what a
-    frozen dataclass costs to construct.
+    frozen dataclass costs to construct.  The selectors build it with
+    ``tuple.__new__(PivotDecision, (pivot, pi, flag))``, which skips the
+    generated ``__new__``'s argument parsing and takes under half as long
+    again.
     """
 
     pivot: object
@@ -81,7 +84,7 @@ def median_of_3(ar, i0: int, i1: int, i2: int, cmp3, tally) -> PivotDecision:
             tally[0] += 1
             if cmp3(ar[i2], ar[i1]) >= 0:
                 # already 0 1 2
-                return PivotDecision(ar[i1], i1, 1)
+                return tuple.__new__(PivotDecision, (ar[i1], i1, 1))
             # 0 2 1: swap the upper pair
             temp = ar[i1]
             ar[i1] = ar[i2]
@@ -122,8 +125,8 @@ def median_of_3(ar, i0: int, i1: int, i2: int, cmp3, tally) -> PivotDecision:
             ar[i2] = temp
             tally[1] += 2
             tally[2] += 1
-            return PivotDecision(ar[i1], i1, -1)
-    return PivotDecision(ar[i1], i1, 0)
+            return tuple.__new__(PivotDecision, (ar[i1], i1, -1))
+    return tuple.__new__(PivotDecision, (ar[i1], i1, 0))
 
 
 @compare_inline()
@@ -136,42 +139,70 @@ def median_of_5(ar, i0: int, i1: int, i2: int, i3: int, i4: int,
     then moved to ``i2`` with a single three-write swap when it is not
     already there.  Fully ascending samples report +1, fully descending
     -1; both of those need zero writes.
+
+    The insertion is unrolled into fixed compare steps: s0..s3 hold the
+    sample values in the order found so far and o0..o3 the sample
+    numbers (0 for ``i0`` .. 4 for ``i4``) at those places.
     """
-    idx = (i0, i1, i2, i3, i4)
-    vals = (ar[i0], ar[i1], ar[i2], ar[i3], ar[i4])
-    order = [0]
-    ncmp = 0
-    for k in range(1, 5):
-        v = vals[k]
-        lo, hi = 0, len(order)
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            ncmp += 1
-            if cmp3(v, vals[order[mid]]) >= 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        order.insert(lo, k)
+    v0 = ar[i0]
+    v1 = ar[i1]
+    v2 = ar[i2]
+    v3 = ar[i3]
+    v4 = ar[i4]
+    if cmp3(v1, v0) >= 0:
+        s0, s1, o0, o1 = v0, v1, 0, 1
+    else:
+        s0, s1, o0, o1 = v1, v0, 1, 0
+    # comparisons: one for sample 1, one or two for sample 2, two for
+    # sample 3, and two for sample 4 or three when it goes below s1
+    if cmp3(v2, s1) >= 0:
+        s2, o2 = v2, 2
+        ncmp = 6
+    elif cmp3(v2, s0) >= 0:
+        s1, s2, o1, o2 = v2, s1, 2, o1
+        ncmp = 7
+    else:
+        s0, s1, s2, o0, o1, o2 = v2, s0, s1, 2, o0, o1
+        ncmp = 7
+    if cmp3(v3, s1) >= 0:
+        if cmp3(v3, s2) >= 0:
+            s3, o3 = v3, 3
+        else:
+            s2, s3, o2, o3 = v3, s2, 3, o2
+    elif cmp3(v3, s0) >= 0:
+        s1, s2, s3, o1, o2, o3 = v3, s1, s2, 3, o1, o2
+    else:
+        s0, s1, s2, s3, o0, o1, o2, o3 = v3, s0, s1, s2, 3, o0, o1, o2
+    # the last insert moves only sample numbers, and only o0..o3: they
+    # fix the whole order, so o4 is never needed
+    if cmp3(v4, s2) >= 0:
+        if cmp3(v4, s3) < 0:
+            o3 = 4
+    elif cmp3(v4, s1) >= 0:
+        o2, o3 = 4, o2
+    else:
+        ncmp += 1
+        if cmp3(v4, s0) >= 0:
+            o1, o2, o3 = 4, o1, o2
+        else:
+            o0, o1, o2, o3 = 4, o0, o1, o2
     tally[0] += ncmp
 
-    if order[0] == 0 and order[1] == 1 and order[2] == 2 \
-            and order[3] == 3 and order[4] == 4:
+    if o0 == 0 and o1 == 1 and o2 == 2 and o3 == 3:
         flag = 1
-    elif order[0] == 4 and order[1] == 3 and order[2] == 2 \
-            and order[3] == 1 and order[4] == 0:
+    elif o0 == 4 and o1 == 3 and o2 == 2 and o3 == 1:
         flag = -1
     else:
         flag = 0
 
-    med_label = order[2]
-    if med_label != 2:
-        j = idx[med_label]
+    if o2 != 2:
+        j = i0 if o2 == 0 else i1 if o2 == 1 else i3 if o2 == 3 else i4
         temp = ar[i2]
         ar[i2] = ar[j]
         ar[j] = temp
         tally[1] += 2
         tally[2] += 1
-    return PivotDecision(ar[i2], i2, flag)
+    return tuple.__new__(PivotDecision, (ar[i2], i2, flag))
 
 
 def ninther(ar, idx9, cmp3, tally) -> PivotDecision:
@@ -182,7 +213,7 @@ def ninther(ar, idx9, cmp3, tally) -> PivotDecision:
     outer = median_of_3(ar, idx9[1], idx9[4], idx9[7], cmp3, tally)
     flag = _combine_flags((g0.order_flag, g1.order_flag, g2.order_flag),
                           outer.order_flag)
-    return PivotDecision(outer.pivot, idx9[4], flag)
+    return tuple.__new__(PivotDecision, (outer.pivot, idx9[4], flag))
 
 
 def fifteenth(ar, idx15, cmp3, tally) -> PivotDecision:
@@ -197,7 +228,7 @@ def fifteenth(ar, idx15, cmp3, tally) -> PivotDecision:
                         centers[3], centers[4], cmp3, tally)
     flag = _combine_flags(tuple(g.order_flag for g in groups),
                           outer.order_flag)
-    return PivotDecision(outer.pivot, centers[2], flag)
+    return tuple.__new__(PivotDecision, (outer.pivot, centers[2], flag))
 
 
 def _combine_flags(group_flags, outer_flag) -> int:

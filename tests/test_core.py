@@ -315,7 +315,7 @@ def test_full_stage_pipeline_matches_oracle():
         ct = [0] * 32
         state = init_stage(ar, fr, PivotDecision(pivot, mid, 0), ct=ct)
         if state == S1:
-            state = run_state1(ar, fr, ct=ct, temp=temp)
+            state = run_state1(ar, fr, ct=ct)
             if state in (S2L, S2R):
                 exit_id = run_state2(ar, fr, state[-1], ct=ct)
             elif state in (S3L, S3R):
@@ -383,7 +383,7 @@ def test_run_state3_buffers_equals():
     ct = [0] * 32
     state = init_stage(ar, fr, PivotDecision(5, (n - 1) >> 1, 0), ct=ct)
     if state == S1:
-        state = run_state1(ar, fr, ct=ct, temp=temp)
+        state = run_state1(ar, fr, ct=ct)
         if state in (S3L, S3R):
             exit_id = run_state3(ar, fr, state[-1], temp, ct=ct)
             assert exit_id in (EXIT3L, EXIT3R)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from tsqsort import SortConfig, Sorter, handlers
@@ -175,7 +176,7 @@ def _fallback_staged(data, pivot, handle):
     ct = [0] * CT_LEN
     temp = TempStore()
     out = handle(ar, fr, ct=ct)
-    state = run_state1(ar, fr, ct=ct, temp=temp)
+    state = run_state1(ar, fr, ct=ct)
     if state in (S2L, S2R):
         state = run_state2(ar, fr, state[-1], ct=ct)
     elif state in (S3L, S3R):
@@ -224,3 +225,24 @@ def test_reversed_default_tolerance_is_the_config_default(monkeypatch):
     monkeypatch.setattr(handlers, "DEFAULT_CONFIG",
                         SortConfig(reverse_tolerance=0))
     assert attempt() == attempt(tolerance=0)
+
+
+def test_handlers_end_tiny_stages_by_the_stage_law():
+    # frames of one to three elements, every array over three values
+    # and every pivot taken from the center slot, on both comparator
+    # paths: each handler ends the stage with a permutation of its input
+    # and bounds that satisfy the stage law
+    for n in (1, 2, 3):
+        for data in itertools.product(range(3), repeat=n):
+            pivot = data[(n - 1) >> 1]
+            for handle in (handle_possibly_sorted, handle_possibly_reversed):
+                for cmp in (None, cmp3):
+                    ar = list(data)
+                    fr = _frame_for(ar, pivot)
+                    out = handle(ar, fr, cmp, finish=True)
+                    case = (n, data, handle.__name__, cmp)
+                    assert sorted(ar) == sorted(data), case
+                    assert -1 <= out.new_l < out.new_r <= n, case
+                    assert (out.new_l, out.new_r) == (fr.new_l, fr.new_r)
+                    assert_stage_law(ar, 0, n - 1, fr.new_l, fr.new_r,
+                                     pivot)

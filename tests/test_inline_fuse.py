@@ -1,0 +1,272 @@
+"""Fused tests: an ``if``/``while`` on ``cmp3(x, y) OP 0`` branches on
+the rich comparisons themselves.
+
+``compare_inline`` compiles such a test into ``if x < y:`` and, only
+when that is false, a branch on ``x > y``, assigning a walrus name -1,
+1 or 0 in the matching branch.  These tests check, for every OP, with
+and without the walrus, in ``if``, ``elif`` and ``while`` with an
+``else`` arm, that the compiled function returns what the original
+does and makes the same ``<``, ``>`` and truth-test calls in the same
+order, and that a comparison raising at any point is reported at the
+``cmp3(`` line on both paths.  The number of fused tests in each
+decorated function of the package is pinned, so that a source edit
+which falls back to the value form fails here.
+"""
+
+import linecache
+import traceback
+
+import pytest
+
+from tsqsort import baselines, core, pivot, smallsort
+from tsqsort.inline import (_call_lines, _default_cmp3, _inline_calls,
+                            _source_def, compare_inline)
+
+OPS = ("<", "<=", ">", ">=", "==", "!=")
+FORMS = ("if", "elif", "while")
+
+
+def generic(x, y):
+    return _default_cmp3(x, y)
+
+
+# Template bodies; TEST is the fused test, VALUE what the arms record
+# of it.  The `if` test starts below the `if` line, so a node given the
+# statement's line instead of the call's shows in a traceback.  The
+# `while` loop is also left by a `break` in its body, and its body
+# `continue`s now and then, so both reach the loop test.
+TEMPLATES = {
+    "if": """
+def {name}(cmp3, xs, y):
+    out = []
+    for x in xs:
+        if (
+            {test}
+        ):
+            out.append(("body", {value}))
+        else:
+            out.append(("else", {value}))
+    return out
+""",
+    "elif": """
+def {name}(cmp3, xs, y):
+    out = []
+    for x in xs:
+        if x is None:
+            out.append("none")
+        elif {test}:
+            out.append(("body", {value}))
+        else:
+            out.append(("else", {value}))
+    return out
+""",
+    "while": """
+def {name}(cmp3, xs, y):
+    out = []
+    i = 0
+    x = xs[0]
+    while {test}:
+        out.append(("body", i, {value}))
+        i += 1
+        if i == len(xs):
+            break
+        x = xs[i]
+        if i % 3 == 1:
+            continue
+        out.append("step")
+    else:
+        out.append(("else", i, {value}))
+    return out
+""",
+}
+
+FILENAME = "<fused tests>"
+
+
+def _build():
+    """Compile every (form, OP, walrus) function from one generated
+    module whose source linecache serves, as a source file would."""
+    src = []
+    names = {}
+    for form in FORMS:
+        for k, op in enumerate(OPS):
+            for named in (False, True):
+                name = f"{form}_{k}_{'named' if named else 'plain'}"
+                call = "cmp3(x, y)"
+                test = f"(r := {call}) {op} 0" if named else f"{call} {op} 0"
+                src.append(TEMPLATES[form].format(
+                    name=name, test=test, value="r" if named else "None"))
+                names[name] = (form, op, named)
+    text = "".join(src)
+    lines = text.splitlines(keepends=True)
+    linecache.cache[FILENAME] = (len(text), None, lines, FILENAME)
+    ns = {}
+    exec(compile(text, FILENAME, "exec"), ns)
+    return {name: (ns[name], compare_inline()(ns[name]), names[name])
+            for name in names}
+
+
+FUNCS = _build()
+
+
+class Truth:
+    """A non-bool truthy result whose truth test is logged."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __bool__(self):
+        Logged.log.append(("bool", self.value))
+        return self.value
+
+
+class Logged:
+    """An element whose ``<`` and ``>`` log their calls and return a
+    ``Truth``; the k-th rich comparison raises when ``raise_at`` is k."""
+
+    __slots__ = ("v",)
+    log = []
+    calls = 0
+    raise_at = 0
+
+    def __init__(self, v):
+        self.v = v
+
+    def _compare(self, op, other, result):
+        Logged.log.append((op, self.v, other.v))
+        Logged.calls += 1
+        if Logged.calls == Logged.raise_at:
+            raise ValueError("comparison refused")
+        return Truth(result)
+
+    def __lt__(self, other):
+        return self._compare("<", other, self.v < other.v)
+
+    def __gt__(self, other):
+        return self._compare(">", other, self.v > other.v)
+
+    __hash__ = None
+
+
+def inputs(form):
+    """Element lists that reach every outcome of every arm."""
+    values = [[0, 1, 2, 1, 0, 2, 2, 1], [1, 1, 1, 1], [0, 0, 2], [2, 1, 0],
+              [1], [2, 2, 0, 1, 1]]
+    for vs in values:
+        xs = [Logged(v) for v in vs]
+        if form == "elif":
+            xs.insert(1, None)
+        yield xs, Logged(1)
+
+
+def logged_run(fn, cmp, xs, y):
+    Logged.log = []
+    Logged.calls = 0
+    return fn(cmp, xs, y), Logged.log
+
+
+@pytest.mark.parametrize("name", sorted(FUNCS))
+def test_fused_test_matches_the_value_form(name):
+    original, compiled, (form, op, named) = FUNCS[name]
+    assert compiled is not original
+    ran = set()
+    for xs, y in inputs(form):
+        want = logged_run(original, generic, xs, y)
+        assert logged_run(compiled, _default_cmp3, xs, y) == want
+        assert logged_run(compiled, generic, xs, y) == want
+        # the value form made every truth test the log holds
+        assert {entry[0] for entry in want[1]} <= {"<", ">", "bool"}
+        ran.update(str(entry[0]) for entry in want[0])
+    # both arms ran on these inputs
+    assert {"body", "else"} <= ran, (name, ran)
+
+
+def innermost_frame(fn, cmp, xs, y, k):
+    Logged.raise_at = k
+    try:
+        with pytest.raises(ValueError, match="comparison refused") as info:
+            logged_run(fn, cmp, xs, y)
+    finally:
+        Logged.raise_at = 0
+    frames = [f for f in traceback.extract_tb(info.value.__traceback__)
+              if f.filename == FILENAME]
+    return frames[-1]
+
+
+@pytest.mark.parametrize("name", sorted(FUNCS))
+def test_raise_at_every_comparison_points_at_the_cmp3_line(name):
+    original, compiled, (form, _, _) = FUNCS[name]
+    for xs, y in inputs(form):
+        _, log = logged_run(original, generic, xs, y)
+        n_compares = sum(1 for entry in log if entry[0] in ("<", ">"))
+        for k in range(1, n_compares + 1):
+            fused = innermost_frame(compiled, _default_cmp3, xs, y, k)
+            plain = innermost_frame(compiled, generic, xs, y, k)
+            assert "cmp3(" in fused.line, (k, fused)
+            assert (fused.lineno, fused.name) == (plain.lineno, plain.name)
+
+
+def fuse_counts(fn):
+    """(calls inlined as values, tests fused) when ``fn``'s source is
+    compiled again."""
+    _, fdef, src = _source_def(fn)
+    return _inline_calls(fdef, _call_lines(src, fn.__code__.co_firstlineno))
+
+
+@pytest.mark.parametrize("name", sorted(FUNCS))
+def test_each_generated_test_is_fused(name):
+    assert fuse_counts(FUNCS[name][0]) == (0, 1)
+
+
+# (calls inlined as values, tests fused) in each decorated function
+PINNED = {
+    core._run_machine: (0, 19),
+    core._sorted_handler: (0, 6),
+    core._reversed_handler: (0, 13),
+    pivot.median_of_3: (0, 5),
+    pivot.median_of_5: (0, 10),
+    smallsort.insertion_sort: (0, 2),
+    baselines.classic_qsort: (0, 5),
+    baselines.fixed_pivot_qsort: (0, 2),
+    baselines.three_way_qsort: (4, 4),
+    baselines.dual_pivot_qsort: (1, 12),
+}
+
+
+@pytest.mark.parametrize("fn", sorted(PINNED, key=lambda f: f.__name__),
+                         ids=lambda fn: fn.__name__)
+def test_fused_test_counts_are_pinned(fn):
+    assert fuse_counts(fn.__wrapped__) == PINNED[fn]
+
+
+def _not_fused(cmp3, xs, y):
+    out = []
+    for x in xs:
+        # a test that is not `cmp3(x, y) OP 0` keeps the value form
+        if cmp3(x, y) + 1 > 0:
+            out.append(cmp3(x, y))
+        if cmp3(x, y) < False:
+            out.append(x)
+    while cmp3(xs[0], y) == 0:
+        out.append(y)
+        break
+    else:
+        # a `while` whose else would bind a `continue` to the fused loop
+        for x in xs:
+            while cmp3(x, y) > 0:
+                break
+            else:
+                continue
+    return out
+
+
+def test_other_tests_keep_the_value_form():
+    # `cmp3(...) + 1 > 0`, the call in the body, `< False` and both
+    # `while` tests stay values: the inner loop's else continues the
+    # `for`, and the outer loop's else holds that `continue`
+    assert fuse_counts(_not_fused) == (5, 0)
+    compiled = compare_inline()(_not_fused)
+    for vs in ([0, 1, 2], [1, 1], [2, 0]):
+        assert compiled(_default_cmp3, vs, 1) == _not_fused(generic, vs, 1)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsqsort.config import SortConfig
+from tsqsort.inline import _default_cmp3
 from tsqsort.pivot import (MitigationRng, fifteenth, median_of_3,
                            median_of_5, ninther, rng_next, select_pivot)
 
@@ -97,6 +99,43 @@ def test_med5_flag_soundness_random():
         elif dec.order_flag == -1:
             assert all(x >= y for x, y in zip(vals, vals[1:]))
         assert dec.pivot == sorted(vals)[2]
+
+
+# SHA-256 of (array, tally, decision, comparator calls) over every
+# input of four values, captured before median_of_5 was unrolled; with
+# the default comparator the inline variant runs and no call is seen
+MEDIAN_DIGESTS = {
+    (median_of_3, False):
+        "f2868de6aec2083b322114f29bd6f834eaa7f30a4fff16ee9d22c93c489b62de",
+    (median_of_3, True):
+        "776c27634866f612ea06c00f380234b1d779e3adeea25c9730111d0cbcb79739",
+    (median_of_5, False):
+        "6a1fb263bcf124843155a1aeb88755163e9e174822df87891a2794a727803e43",
+    (median_of_5, True):
+        "3d1c144cc034ffc8154924aa7de39c1ad0ca31a6d1eee6488d9483d9145fcd13",
+}
+
+
+@pytest.mark.parametrize("fn,logged", sorted(MEDIAN_DIGESTS,
+                                             key=lambda k: (k[0].__name__,
+                                                            k[1])),
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_medians_exhaustive_digest(fn, logged):
+    k = 3 if fn is median_of_3 else 5
+    h = hashlib.sha256()
+    for vals in itertools.product(range(4), repeat=k):
+        ar = list(vals)
+        tally = [0, 0, 0]
+        log = []
+
+        def logging_cmp3(x, y):
+            log.append((x, y))
+            return _default_cmp3(x, y)
+
+        dec = fn(ar, *range(k), logging_cmp3 if logged else _default_cmp3,
+                 tally)
+        h.update(repr((ar, tally, dec, log)).encode())
+    assert h.hexdigest() == MEDIAN_DIGESTS[fn, logged]
 
 
 def test_ninther_group_medians():
