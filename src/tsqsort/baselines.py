@@ -258,11 +258,15 @@ def three_way_qsort(ar, cmp=None, seed: int = 1) -> SortStats:
             if cmp3(ar[j], ar[k]) < 0:
                 return j
             nc += 1
-            return k if cmp3(ar[i], ar[k]) < 0 else i
+            if cmp3(ar[i], ar[k]) < 0:
+                return k
+            return i
         if cmp3(ar[j], ar[k]) > 0:
             return j
         nc += 1
-        return k if cmp3(ar[i], ar[k]) > 0 else i
+        if cmp3(ar[i], ar[k]) > 0:
+            return k
+        return i
 
     def insertion(a, b):
         nonlocal nc
@@ -298,8 +302,7 @@ def three_way_qsort(ar, cmp=None, seed: int = 1) -> SortStats:
             while True:
                 while b <= c:
                     nc += 1
-                    lc = cmp3(ar[b], pv)
-                    if lc > 0:
+                    if (lc := cmp3(ar[b], pv)) > 0:
                         break
                     if lc == 0:
                         swap(a, b)
@@ -307,8 +310,7 @@ def three_way_qsort(ar, cmp=None, seed: int = 1) -> SortStats:
                     b += 1
                 while c >= b:
                     nc += 1
-                    lc = cmp3(ar[c], pv)
-                    if lc < 0:
+                    if (lc := cmp3(ar[c], pv)) < 0:
                         break
                     if lc == 0:
                         swap(c, d)
@@ -398,7 +400,9 @@ def dual_pivot_qsort(ar, cmp=None, seed: int = 1) -> SortStats:
             pivot1 = ar[m2]
             pivot2 = ar[m4]
             nc += 1
-            diff = cmp3(pivot1, pivot2) != 0
+            diff = True
+            if cmp3(pivot1, pivot2) == 0:
+                diff = False
             nws += 2  # both pivots held out
             ar[m2] = ar[left]
             ar[m4] = ar[right]

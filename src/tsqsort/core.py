@@ -827,22 +827,28 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
 def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
     """Verify left-below/right-above around the extracted pivot.
 
-    Equals around the center are absorbed into the middle block.  On
-    full success the stage completes with no element migration (only
-    the pivot restore).  Any mismatch drops into the main machine at
-    the matching resume point with all scan progress kept.
+    Two verify scans run first: from a for the first element not below
+    the pivot and from b for the first one not above it, each stopping
+    at mid.  lc < 0 after them iff l reached mid, and rc > 0 iff r did.
+    Equals around the center are then absorbed into the middle block:
+    below it when ar[l] equals the pivot and ar[r] is not below it, and
+    above it when ar[r] is equal and the block already reaches l.  If
+    the block then spans [l..r], the stage completes with only the
+    pivot restore; otherwise it drops into the main machine at the
+    matching resume point with all scan progress kept.
 
-    The two verify scans are index loops, long by design on ordered
-    input: each stops on the first element not below (left) or not
-    above (right) the pivot, or at mid, and their comparisons are
-    counted once, from where they stopped.
+    The scans are index loops, long by design on ordered input, whose
+    comparisons are counted once, from where they stopped.  The frame
+    enters with its cursors at the stage's start, as ``Sorter._range``
+    and ``PartitionFrame`` set them.
     """
     a = fr.a
     b = fr.b
     mid = fr.mid
     p = fr.pivot
     nwa = 0
-    nws = 0
+    lc = -1
+    rc = 1
     for l in range(a, mid):
         if (lc := cmp3(ar[l], p)) >= 0:
             break
@@ -853,158 +859,76 @@ def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
             break
     else:
         r = mid
-    ncmp = l - a + (l != mid) + b - r + (r != mid)
-    if l == mid:
-        # Left half verified below the pivot.
-        if r == mid:
-            ar[mid] = p
-            nwa += 1
-            fr.new_l = mid - 1
-            fr.new_r = mid + 1
-            out = _DONE
-        elif rc == 0:
-            # equals bordering the block from above
-            mr = mid + 1
-            bypass = mr == r
-            lc = 0
-            while not bypass:
-                ncmp += 1
-                if (lc := cmp3(ar[mr], p)) != 0:
-                    break
-                mr += 1
-                if mr == r:
-                    bypass = True
-            if bypass:
-                ar[mid] = p
-                nwa += 1
-                fr.new_l = mid - 1
-                fr.new_r = r + 1
-                out = _DONE
-            else:
-                fr.holdover = ar[r]
-                nws += 1
-                fr.l = l
-                fr.r = r
-                fr.ml = mid
-                fr.mr = mr
-                fr.lc = lc
-                out = _MRIGHT_NOSCAN
+    ncmp = l - a + (lc >= 0) + b - r + (rc <= 0)
+    ml = mr = mid
+    if lc == 0 and rc >= 0:
+        # equals bordering the block from below
+        for ml in range(mid - 1, l, -1):
+            if (lc := cmp3(ar[ml], p)) != 0:
+                break
         else:
-            fr.holdover = ar[r]
-            nws += 1
-            fr.l = l
-            fr.r = r
-            fr.ml = fr.mr = mid
-            fr.lc = rc
-            out = _MRIGHT
-    elif lc == 0:
-        # Equal under the left cursor.
-        if r == mid:
-            # right half all above; absorb equals below the center
-            ml = mid - 1
-            bypass = ml == l
-            while not bypass:
-                ncmp += 1
-                if (lc := cmp3(ar[ml], p)) != 0:
-                    break
-                ml -= 1
-                if ml == l:
-                    bypass = True
-            if bypass:
-                ar[mid] = p
-                nwa += 1
-                fr.new_l = l - 1
-                fr.new_r = r + 1
-                out = _DONE
-            else:
-                fr.holdover = ar[l]
-                nws += 1
-                fr.l = l
-                fr.r = mid
-                fr.ml = ml
-                fr.mr = mid
-                fr.lc = lc
-                out = _MLEFT_NOSCAN
-        elif rc == 0:
-            # equals at both cursors
-            ml = mid
-            out = -1
-            while True:
-                ml -= 1
-                if ml == l:
-                    mr = mid + 1
-                    bypass = mr == r
-                    lc = 0
-                    while not bypass:
-                        ncmp += 1
-                        if (lc := cmp3(ar[mr], p)) != 0:
-                            break
-                        mr += 1
-                        if mr == r:
-                            bypass = True
-                    if bypass:
-                        ar[mid] = p
-                        nwa += 1
-                        fr.new_l = l - 1
-                        fr.new_r = r + 1
-                        out = _DONE
-                        break
-                    fr.holdover = ar[l]
-                    nws += 1
-                    ar[mid] = ar[r]
-                    nwa += 1
-                    fr.l = l
-                    fr.r = r
-                    fr.ml = ml
-                    fr.mr = mr
-                    fr.lc = lc
-                    out = _MRIGHT_NOSCAN
-                    break
-                ncmp += 1
-                if (lc := cmp3(ar[ml], p)) != 0:
-                    break
-            if out < 0:
-                fr.holdover = ar[l]
-                nws += 1
-                ar[mid] = ar[r]
-                nwa += 1
-                fr.l = l
-                fr.r = r
-                fr.ml = ml
-                fr.mr = mid
-                fr.m = mid
-                fr.lc = lc
-                out = _ML1_2
+            ml = l
+        ncmp += mid - 1 - ml + (ml != l)
+    if rc == 0 and ml == l:
+        # equals bordering the block from above
+        for mr in range(mid + 1, r):
+            if (lc := cmp3(ar[mr], p)) != 0:
+                break
         else:
-            fr.holdover = ar[l]
-            nws += 1
-            fr.l = l
-            fr.r = r
-            fr.m = fr.ml = fr.mr = mid
-            fr.lc = rc
-            out = _R1_3
-    elif r == mid:
-        # ar[l] above the pivot and the right half all above: hold ar[l]
-        # out and run as a closed-right-side stage from the hole at mid
-        fr.holdover = ar[l]
-        nws += 1
-        fr.l = l
-        fr.r = mid
-        fr.ml = fr.mr = mid
-        out = _MLEFT
+            mr = r
+        ncmp += mr - mid - 1 + (mr != r)
+
+    if ml == l and mr == r:
+        # [l..r] holds only the pivot's equals
+        ar[mid] = p
+        nwa += 1
+        fr.new_l = l - 1
+        fr.new_r = r + 1
+        out = _DONE
     else:
-        # ar[l] above the pivot, ar[r] not: a mismatched pair
-        fr.holdover = ar[r]
-        nws += 1
+        if l == mid:
+            # left half below the pivot, ar[r] not above it
+            hold = ar[r]
+            if mr == mid:
+                lc = rc
+                out = _MRIGHT
+            else:
+                out = _MRIGHT_NOSCAN
+        elif r == mid:
+            # right half above the pivot, ar[l] not below it
+            hold = ar[l]
+            if ml == mid:
+                lc = fr.lc  # kept: _MLEFT sets lc before reading it
+                out = _MLEFT
+            else:
+                out = _MLEFT_NOSCAN
+        elif ml < mid:
+            # equals at both cursors: ar[r] takes the center hole
+            hold = ar[l]
+            ar[mid] = ar[r]
+            nwa += 1
+            out = _MRIGHT_NOSCAN if ml == l else _ML1_2
+        elif lc == 0:
+            # ar[l] equal to the pivot, ar[r] below it
+            hold = ar[l]
+            lc = rc
+            out = _R1_3
+        else:
+            # ar[l] above the pivot, ar[r] not: a mismatched pair
+            hold = ar[r]
+            lc = rc
+            out = _L1_2
+        fr.holdover = hold
+        ct[CT_WS] += 1
         fr.l = l
         fr.r = r
-        fr.m = fr.ml = fr.mr = mid
-        fr.lc = rc
-        out = _L1_2
+        fr.ml = ml
+        fr.mr = mr
+        fr.m = mid
+        fr.lc = lc
 
     ct[CT_CMP] += ncmp
     ct[CT_WA] += nwa
-    ct[CT_WS] += nws
     return out
 
 
@@ -1014,232 +938,49 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
 
     Misplaced elements that already sit on their final side are skipped
     and counted against ``tol``; exceeding it falls back into the main
-    machine with progress kept.  Equals route into the middle block.
+    machine with progress kept.  The swap loop ends in one of four
+    phases, each written once:
+
+    * equals below: ar[l] equals the pivot; the block grows down from
+      mid over equals, falling back at _R1 on a non-equal, or reaching
+      l, which leaves the left side settled;
+    * equals above: ar[r] equals the pivot and ar[l] is above it; the
+      block grows up from mid, falling back at _MR1_2 on a non-equal,
+      or reaching r, which leaves the right side settled;
+    * left settled (ml == l): [a..l) is below the pivot and [l..mid)
+      equal to it (empty once l reached mid); the block grows up over
+      equals and r scans down over elements above, until the two meet
+      (the stage ends) or both stop (fall back at _MRIGHT_NOSCAN);
+    * right settled (mr == r), its mirror without the scan from l: the
+      stage ends when the block reaches l, else it falls back at
+      _MLEFT_NOSCAN.
+
+    ml == l and mr == r mark the settled sides, so a cursor that reached
+    mid settles its side with an empty block.  In the settled phases
+    only two write patterns depend on whether that block is empty
+    (l == mid, r == mid) or holds equals.
     """
-    a = fr.a
-    b = fr.b
     mid = fr.mid
     p = fr.pivot
     ncmp = 0
     nwa = 0
     nws = 0
-    l = a
-    r = b
+    l = fr.a
+    r = fr.b
+    ml = mr = mid
+    rc = 1
     cl = 1
     cr = 1
-    out = -1
 
-    def left_exhausted():
-        # l reached mid: left half settled below the pivot.
-        nonlocal ncmp, nwa, nws, r
-        mr = mid + 1
-        while True:
-            if mr == r:
-                # only equals between mid and r
-                ncmp += 1
-                if (lc := cmp3(ar[r], p)) < 0:
-                    ar[l] = ar[r]
-                    nwa += 1
-                    ar[r] = p
-                    nwa += 1
-                    fr.new_l = l
-                    fr.new_r = r + 1
-                elif lc == 0:
-                    ar[mid] = p
-                    nwa += 1
-                    fr.new_l = l - 1
-                    fr.new_r = r + 1
-                else:
-                    ar[mid] = p
-                    nwa += 1
-                    fr.new_l = l - 1
-                    fr.new_r = r
-                return _DONE
-            ncmp += 1
-            if (lc := cmp3(ar[mr], p)) != 0:
-                break
-            mr += 1
-        while True:
-            ncmp += 1
-            if (lc2 := cmp3(ar[r], p)) <= 0:
-                break
-            r -= 1
-            if mr == r:
-                if lc < 0:
-                    ar[l] = ar[r]
-                    nwa += 1
-                    ar[r] = p
-                    nwa += 1
-                    fr.new_l = l
-                    fr.new_r = r + 1
-                else:
-                    ar[mid] = p
-                    nwa += 1
-                    fr.new_l = l - 1
-                    fr.new_r = r
-                return _DONE
-        fr.holdover = ar[r]
-        nws += 1
-        fr.l = l
-        fr.r = r
-        fr.ml = mid
-        fr.mr = mr
-        fr.lc = lc
-        return _MRIGHT_NOSCAN
-
-    def right_exhausted(l_tested: bool):
-        # r reached mid: right half settled above the pivot.
-        nonlocal ncmp, nwa, nws, l
-        ml = mid
-        while True:
-            ml -= 1
-            if ml == l:
-                if l_tested:
-                    # ar[l] known above the pivot
-                    ar[mid] = ar[l]
-                    nwa += 1
-                    ar[l] = p
-                    nwa += 1
-                    fr.new_l = l - 1
-                    fr.new_r = r
-                    return _DONE
-                ncmp += 1
-                if (lc := cmp3(ar[l], p)) > 0:
-                    ar[mid] = ar[l]
-                    nwa += 1
-                    ar[l] = p
-                    nwa += 1
-                    fr.new_l = l - 1
-                    fr.new_r = r
-                elif lc == 0:
-                    ar[mid] = p
-                    nwa += 1
-                    fr.new_l = l - 1
-                    fr.new_r = r + 1
-                else:
-                    ar[mid] = p
-                    nwa += 1
-                    fr.new_l = l
-                    fr.new_r = r + 1
-                return _DONE
-            ncmp += 1
-            if (lc := cmp3(ar[ml], p)) != 0:
-                break
-        fr.holdover = ar[l]
-        nws += 1
-        fr.l = l
-        fr.r = mid
-        fr.ml = ml
-        fr.mr = mid
-        fr.lc = lc
-        return _MLEFT_NOSCAN
-
-    while out < 0:
+    # ----- swap loop: lc, rc hold the comparisons of ar[l], ar[r] -----
+    while True:
         ncmp += 1
-        if (lc2 := cmp3(ar[l], p)) > 0:
-            while True:
-                ncmp += 1
-                if (lc := cmp3(ar[r], p)) < 0:
-                    t2 = ar[l]
-                    nws += 1
-                    ar[l] = ar[r]
-                    nwa += 1
-                    ar[r] = t2
-                    nwa += 1
-                    if l + 2 == r:
-                        ar[mid] = p
-                        nwa += 1
-                        fr.new_l = l
-                        fr.new_r = r
-                        out = _DONE
-                        break
-                    l += 1
-                    r -= 1
-                    if l == mid:
-                        out = left_exhausted()
-                        break
-                    if r == mid:
-                        out = right_exhausted(False)
-                        break
-                    break
-                if lc > 0:
-                    # right element already on its final side
-                    r -= 1
-                    if r == mid:
-                        out = right_exhausted(True)
-                        break
-                    if cr > tol:
-                        fr.holdover = ar[l]
-                        nws += 1
-                        fr.l = l
-                        fr.r = r
-                        fr.m = fr.ml = fr.mr = mid
-                        out = _R1
-                        break
-                    cr += 1
-                    continue
-                # ar[r] equals the pivot: absorb equals above the center
-                mr = mid
-                inner = -1
-                while True:
-                    mr += 1
-                    if mr == r:
-                        ml = mid
-                        while True:
-                            ml -= 1
-                            if ml == l:
-                                t2 = ar[l]
-                                nws += 1
-                                ar[l] = ar[r]
-                                nwa += 1
-                                ar[r] = t2
-                                nwa += 1
-                                ar[mid] = p
-                                nwa += 1
-                                fr.new_l = l - 1
-                                fr.new_r = r
-                                inner = _DONE
-                                break
-                            ncmp += 1
-                            if (lc := cmp3(ar[ml], p)) != 0:
-                                break
-                        if inner >= 0:
-                            break
-                        ar[mid] = ar[r]
-                        nwa += 1
-                        fr.holdover = ar[l]
-                        nws += 1
-                        fr.l = l
-                        fr.r = r
-                        fr.ml = ml
-                        fr.mr = r
-                        fr.lc = lc
-                        inner = _MLEFT_NOSCAN
-                        break
-                    ncmp += 1
-                    if (lc := cmp3(ar[mr], p)) != 0:
-                        break
-                if inner >= 0:
-                    out = inner
-                    break
-                fr.holdover = ar[l]
-                nws += 1
-                ar[mid] = ar[r]
-                nwa += 1
-                fr.l = l
-                fr.r = r
-                fr.ml = mid
-                fr.mr = mr
-                fr.m = mid
-                fr.lc = lc
-                out = _MR1_2
+        if (lc := cmp3(ar[l], p)) <= 0:
+            if lc == 0:
                 break
-            continue
-        if lc2 < 0:
             # left element already on its final side
             l += 1
             if l == mid:
-                out = left_exhausted()
                 break
             if cl > tol:
                 # back to the standard initialization, progress kept
@@ -1249,94 +990,189 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
                 break
             cl += 1
             continue
-        # ar[l] equals the pivot: absorb equals below the center
-        ml = mid
-        inner = -1
+        while True:
+            ncmp += 1
+            if (rc := cmp3(ar[r], p)) <= 0:
+                break
+            # right element already on its final side
+            r -= 1
+            if r == mid:
+                break
+            if cr > tol:
+                fr.holdover = ar[l]
+                nws += 1
+                fr.l = l
+                fr.r = r
+                fr.m = fr.ml = fr.mr = mid
+                out = _R1
+                break
+            cr += 1
+        if rc >= 0:
+            break
+        t2 = ar[l]
+        nws += 1
+        ar[l] = ar[r]
+        nwa += 1
+        ar[r] = t2
+        nwa += 1
+        if l + 2 == r:
+            ar[mid] = p
+            nwa += 1
+            fr.new_l = l
+            fr.new_r = r
+            out = _DONE
+            break
+        l += 1
+        r -= 1
+        if l == mid or r == mid:
+            break
+
+    if lc == 0:
+        # ----- equals below: absorb equals below the center -----
         while True:
             ml -= 1
             if ml == l:
-                mr = mid
-                while True:
-                    mr += 1
-                    if mr == r:
-                        ncmp += 1
-                        if (lc := cmp3(ar[r], p)) < 0:
-                            t2 = ar[r]
-                            nws += 1
-                            ar[r] = ar[l]
-                            nwa += 1
-                            ar[l] = t2
-                            nwa += 1
-                            ar[mid] = p
-                            nwa += 1
-                            fr.new_l = l
-                            fr.new_r = r + 1
-                        else:
-                            ar[mid] = p
-                            nwa += 1
-                            fr.new_l = l - 1
-                            fr.new_r = r + 1 if lc == 0 else r
-                        inner = _DONE
-                        break
-                    ncmp += 1
-                    if (lc := cmp3(ar[mr], p)) != 0:
-                        break
-                if inner >= 0:
-                    break
-                while True:
-                    ncmp += 1
-                    if (lc2 := cmp3(ar[r], p)) <= 0:
-                        break
-                    r -= 1
-                    if mr == r:
-                        if lc < 0:
-                            t2 = ar[mr]
-                            nws += 1
-                            ar[mr] = ar[l]
-                            nwa += 1
-                            ar[l] = t2
-                            nwa += 1
-                            ar[mid] = p
-                            nwa += 1
-                            fr.new_l = l
-                            fr.new_r = r + 1
-                        else:
-                            ar[mid] = p
-                            nwa += 1
-                            fr.new_l = l - 1
-                            fr.new_r = r
-                        inner = _DONE
-                        break
-                if inner >= 0:
-                    break
-                fr.holdover = ar[r]
-                nws += 1
-                ar[mid] = ar[ml]
-                nwa += 1
-                fr.l = l
-                fr.r = r
-                fr.ml = ml
-                fr.mr = mr
-                fr.lc = lc
-                inner = _MRIGHT_NOSCAN
                 break
             ncmp += 1
-            if (lc2 := cmp3(ar[ml], p)) != 0:
+            if cmp3(ar[ml], p) != 0:
                 break
-        if inner >= 0:
-            out = inner
-            break
-        ar[mid] = ar[l]
-        nwa += 1
-        fr.holdover = ar[ml]
-        nws += 1
-        fr.l = l
-        fr.r = r
-        fr.m = ml
-        fr.ml = ml
-        fr.mr = mid
-        out = _R1
-        break
+        if ml != l:
+            ar[mid] = ar[l]
+            nwa += 1
+            fr.holdover = ar[ml]
+            nws += 1
+            fr.l = l
+            fr.r = r
+            fr.m = ml
+            fr.ml = ml
+            fr.mr = mid
+            out = _R1
+    elif rc == 0:
+        # ----- equals above: absorb equals above the center -----
+        while True:
+            mr += 1
+            if mr == r:
+                break
+            ncmp += 1
+            if (lc := cmp3(ar[mr], p)) != 0:
+                break
+        if mr != r:
+            fr.holdover = ar[l]
+            nws += 1
+            ar[mid] = ar[r]
+            nwa += 1
+            fr.l = l
+            fr.r = r
+            fr.ml = mid
+            fr.mr = mr
+            fr.m = mid
+            fr.lc = lc
+            out = _MR1_2
+
+    if ml == l:
+        # ----- left settled: grow the block up, scan r down -----
+        while True:
+            mr += 1
+            ncmp += 1
+            if (lc := cmp3(ar[mr], p)) != 0:
+                break
+            if mr == r:
+                break
+        if mr != r:
+            while True:
+                ncmp += 1
+                if cmp3(ar[r], p) <= 0:
+                    break
+                r -= 1
+                if mr == r:
+                    break
+        if mr == r:
+            # the cursors met; lc holds ar[r]'s comparison
+            if lc < 0:
+                if l < mid:
+                    t2 = ar[r]
+                    nws += 1
+                    ar[r] = ar[l]
+                    nwa += 1
+                    ar[l] = t2
+                    nwa += 1
+                    ar[mid] = p
+                    nwa += 1
+                else:
+                    ar[l] = ar[r]
+                    nwa += 1
+                    ar[r] = p
+                    nwa += 1
+                fr.new_l = l
+                fr.new_r = r + 1
+            else:
+                ar[mid] = p
+                nwa += 1
+                fr.new_l = l - 1
+                fr.new_r = r + 1 if lc == 0 else r
+            out = _DONE
+        else:
+            fr.holdover = ar[r]
+            nws += 1
+            if l < mid:
+                ar[mid] = ar[l]
+                nwa += 1
+            fr.l = l
+            fr.r = r
+            fr.ml = l
+            fr.mr = mr
+            fr.lc = lc
+            out = _MRIGHT_NOSCAN
+    elif mr == r:
+        # ----- right settled: grow the block down to l -----
+        # rc < 0 iff a swap just put an uncompared element at l
+        while True:
+            ml -= 1
+            if ml == l and rc >= 0:
+                lc = 1  # ar[l] compared above the pivot already
+                break
+            ncmp += 1
+            if (lc := cmp3(ar[ml], p)) != 0:
+                break
+            if ml == l:
+                break
+        if ml == l:
+            # the block reached l; lc holds ar[l]'s comparison
+            if lc > 0:
+                if r > mid:
+                    t2 = ar[l]
+                    nws += 1
+                    ar[l] = ar[r]
+                    nwa += 1
+                    ar[r] = t2
+                    nwa += 1
+                    ar[mid] = p
+                    nwa += 1
+                else:
+                    ar[mid] = ar[l]
+                    nwa += 1
+                    ar[l] = p
+                    nwa += 1
+                fr.new_l = l - 1
+                fr.new_r = r
+            else:
+                ar[mid] = p
+                nwa += 1
+                fr.new_l = l - 1 if lc == 0 else l
+                fr.new_r = r + 1
+            out = _DONE
+        else:
+            if r > mid:
+                ar[mid] = ar[r]
+                nwa += 1
+            fr.holdover = ar[l]
+            nws += 1
+            fr.l = l
+            fr.r = r
+            fr.ml = ml
+            fr.mr = r
+            fr.lc = lc
+            out = _MLEFT_NOSCAN
 
     ct[CT_CMP] += ncmp
     ct[CT_WA] += nwa
@@ -1443,7 +1279,6 @@ class Sorter:
             fr.a = a
             fr.b = b
             fr.mid = mid
-            fr.pi = dec.pi
             fr.pivot = dec.pivot
             ct[CT_WS] += 1  # pivot extraction into the held-out slot
             fr.l = a
@@ -1613,8 +1448,7 @@ def init_stage(ar, frame: PartitionFrame, decision: PivotDecision,
     return _state_after(frame, label)
 
 
-def run_state1(ar, frame: PartitionFrame, cmp=None, ct=None,
-               temp: TempStore | None = None) -> str:
+def run_state1(ar, frame: PartitionFrame, cmp=None, ct=None) -> str:
     """Run state 1 from the frame's current point until a side closes.
 
     The frame resumes at its saved entry when that is a state-1 label,
@@ -1622,9 +1456,7 @@ def run_state1(ar, frame: PartitionFrame, cmp=None, ct=None,
     else at the left scan.  Returns the follow-up StateId chosen by the
     gap test, or Exit2 when everything between the cursors turned out
     pivot-equal, or the stage's exit when the machine finished it.
-
-    ``temp`` is accepted for callers that still pass it and is not
-    used: state 1 and the closing scans never touch the equals buffer.
+    State 1 and the closing scans never touch the equals buffer.
     """
     cmp3 = cmp if cmp is not None else _default_cmp3
     if ct is None:

@@ -54,8 +54,12 @@ def handle_possibly_sorted(ar, frame: PartitionFrame, cmp=None, ct=None,
     """Run the sorted fast path for a stage whose pivot flag was +1.
 
     The pivot must already be extracted into ``frame.pivot`` with the
-    center slot logically empty.  With ``finish`` the fallback (if any)
-    is driven to stage completion so ``new_l``/``new_r`` are final.
+    center slot logically empty, and the frame's cursors at the stage's
+    start, as ``PartitionFrame(a, b)`` sets them.  The stage bypasses
+    when the pivot's equals span the two verify cursors; otherwise the
+    frame is stored once for the resume point.  With ``finish`` the
+    fallback (if any) is driven to stage completion so
+    ``new_l``/``new_r`` are final.
     """
     cmp3 = cmp if cmp is not None else _core._default_cmp3
     if ct is None:
@@ -71,6 +75,9 @@ def handle_possibly_reversed(ar, frame: PartitionFrame, cmp=None,
 
     ``tolerance`` bounds how many elements already sitting on their
     final side are skipped before giving up on the reversal hypothesis.
+    The swap loop ends in a phase that absorbs equals below or above
+    the center, or that finishes a side the cursors have settled; each
+    of these ends the stage or falls back at its own resume point.
     A frame of one or two elements, which a sort never hands to the
     handler, has no pair to swap: its scans would step past the range,
     so the sorted fast path ends that stage instead.

@@ -88,7 +88,7 @@ def staged(ar, pivot_value, cmp):
     trail = [init_stage(ar, fr, PivotDecision(pivot_value, mid, 0), cmp,
                         ct)]
     if trail[-1] == S1:
-        trail.append(run_state1(ar, fr, cmp, ct, temp))
+        trail.append(run_state1(ar, fr, cmp, ct))
         if trail[-1] in (S2L, S2R):
             trail.append(run_state2(ar, fr, trail[-1][-1], cmp, ct))
         elif trail[-1] in (S3L, S3R):

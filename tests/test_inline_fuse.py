@@ -223,15 +223,15 @@ def test_each_generated_test_is_fused(name):
 # (calls inlined as values, tests fused) in each decorated function
 PINNED = {
     core._run_machine: (0, 19),
-    core._sorted_handler: (0, 6),
-    core._reversed_handler: (0, 13),
+    core._sorted_handler: (0, 4),
+    core._reversed_handler: (0, 7),
     pivot.median_of_3: (0, 5),
     pivot.median_of_5: (0, 10),
     smallsort.insertion_sort: (0, 2),
     baselines.classic_qsort: (0, 5),
     baselines.fixed_pivot_qsort: (0, 2),
-    baselines.three_way_qsort: (4, 4),
-    baselines.dual_pivot_qsort: (1, 12),
+    baselines.three_way_qsort: (0, 8),
+    baselines.dual_pivot_qsort: (0, 13),
 }
 
 

@@ -14,15 +14,22 @@ digest.  The digests were captured before the verify scans became
 index loops; a change that does not mean to alter a count must leave
 every one of them as it is.  ``python tests/test_sorted_fast_path_sweep.py``
 prints the table for the code on the path.
+
+The Python-comparator pass runs the handler's original function, and
+under ``sys.settrace`` it must execute every one of its lines.  Runs of
+several pivot-equals are not among the digested variants, so that pass
+also takes, for the smaller n, every pivot-equal run [k..j] of a sorted
+input, alone and with one more pivot-equal right of it.
 """
 
 import hashlib
+import sys
 
-from tsqsort import Sorter
+from tsqsort import Sorter, core
 from tsqsort.core import CT_LEN, PartitionFrame
 from tsqsort.handlers import handle_possibly_sorted
 
-from conftest import cmp3
+from conftest import assert_stage_law, cmp3
 
 N_RANGE = range(17, 81)
 
@@ -49,6 +56,22 @@ def variants(n, k):
         collapsed = list(data)
         collapsed[mid + 1:] = [value] * (n - mid - 1)
         yield name + "+collapsed", collapsed
+
+
+def equal_runs(n):
+    """Sorted inputs with a pivot-equal run [k..j], alone and with one
+    more pivot-equal at some i > j + 1."""
+    base = list(range(0, 2 * n, 2))
+    pivot = base[(n - 1) >> 1]
+    for k in range(n):
+        for j in range(k, n):
+            data = list(base)
+            data[k:j + 1] = [pivot] * (j - k + 1)
+            yield data
+            for i in range(j + 2, n):
+                extra = list(data)
+                extra[i] = pivot
+                yield extra
 
 
 def run_handler(data, cmp):
@@ -150,6 +173,34 @@ def test_sorted_fast_path_sweep_matches_the_captured_counts():
     got = {n: sweep(n, seen) for n in N_RANGE}
     assert [n for n in N_RANGE if got[n] != GOLDEN_DIGESTS[n]] == []
     assert seen == {"bypass"} | SORTED_RESUME_LABELS
+
+
+def test_sorted_sweep_reaches_every_handler_line():
+    code = core._sorted_handler.__wrapped__.__code__
+    want = {line for _, _, line in code.co_lines() if line is not None}
+    reached = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        reached.add(frame.f_lineno)
+        return tracer
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for n in N_RANGE:
+            for k in range(n):
+                for _, data in variants(n, k):
+                    run_handler(data, cmp3)
+        finished = [(data, run_handler(data, cmp3))
+                    for n in N_RANGE[:8] for data in equal_runs(n)]
+    finally:
+        sys.settrace(old)
+    assert sorted(want - reached) == []
+    for data, (_, _, new_l, new_r, _, ar) in finished:
+        assert_stage_law(ar, 0, len(ar) - 1, new_l, new_r,
+                         data[(len(data) - 1) >> 1])
 
 
 if __name__ == "__main__":
