@@ -26,9 +26,9 @@ the state-1 cycle, the closing scan and state choice, one of states
 2L/2R/3L/3R, the state-3 drain and Exit2.  State 1 is a single loop of
 alternating left and right scans that also stores equals and grows the
 block over them; each of 2L/2R/3L/3R is a local loop over its scan
-steps.  Labels remain only as entry points into the pass: the
-fast-path handlers' resume points, where they fall back mid-stage, and
-the contract entry points' starts and stops at phase boundaries.
+steps.  Labels remain only as entry points into the pass: the pre-scan
+and the fast-path handlers' resume points, where they fall back
+mid-stage.  Every run of the machine ends the stage it enters.
 
 ``Sorter.stage_hook``, when set, is called once per partition stage,
 after the partition and before the recursion, with an
@@ -51,15 +51,13 @@ import threading
 from .config import DEFAULT_CONFIG, SortConfig
 from .inline import _default_cmp3, compare_inline
 from .instrument import StageRecord
-from .pivot import MitigationRng, PivotDecision, select_pivot
+from .pivot import MitigationRng, select_pivot
 from .smallsort import insertion_sort
 from .stats import (EXIT2, EXIT3L, EXIT3R, S1, S2L, S2R, S3L, S3R, SortStats)
 
 __all__ = [
     "PartitionFrame", "TempStore", "TempAllocationError", "Sorter",
     "sort", "sort_with_stats", "free_temp_storage", "default_sorter",
-    "init_stage", "run_state1", "choose_next_state", "run_state2",
-    "run_state3", "copy_back",
 ]
 
 
@@ -70,14 +68,13 @@ class TempAllocationError(MemoryError):
 class PartitionFrame:
     """Index set and held-out elements for one recursive stage."""
 
-    __slots__ = ("a", "b", "mid", "pi", "l", "r", "ml", "mr", "m", "lc",
-                 "pivot", "holdover", "new_l", "new_r", "entry", "last_exit")
+    __slots__ = ("a", "b", "mid", "l", "r", "ml", "mr", "m", "lc",
+                 "pivot", "holdover", "new_l", "new_r", "last_exit")
 
-    def __init__(self, a=0, b=-1, pi=None, pivot=None):
+    def __init__(self, a=0, b=-1, pivot=None):
         self.a = a
         self.b = b
         self.mid = (a + b) >> 1
-        self.pi = self.mid if pi is None else pi
         self.l = a
         self.r = b
         self.ml = self.mr = self.m = self.mid
@@ -86,7 +83,6 @@ class PartitionFrame:
         self.holdover = None
         self.new_l = a - 1
         self.new_r = b + 1
-        self.entry = None
         self.last_exit = None
 
 
@@ -133,9 +129,9 @@ class TempStore:
 
 # Machine labels, in the order of the machine's phases: the pre-scan,
 # the state-1 cycle, the closing scan and state choice, states
-# 2L/2R/3L/3R, the state-3 drains and Exit2.  Each is a point the
-# machine can be entered at: a fast-path handler's resume point, a
-# contract entry or stop, an exit, or _DONE.  The *_2 labels (and
+# 2L/2R/3L/3R, the state-3 drains and Exit2.  The machine is entered at
+# the pre-scan or at a fast-path handler's resume point; the other
+# labels are points it passes on its way to _DONE.  The *_2 labels (and
 # _R1_3) are post-comparison points: the element under the relevant
 # cursor is compared already, above the pivot at _L1_2, below it at
 # _R1_3, and with lc holding the result at the others.  _L1 and _R1
@@ -185,51 +181,36 @@ _STATE1_FAMILY = frozenset({_PRESCAN, _L1, _R1, _L1_2, _R1_3, _ML1_2,
 CT_CMP = 0
 CT_WA = 1       # array element writes
 CT_WS = 2       # scratch writes: holdover, pivot slot, swap temp, buffer
-CT_TI = 3       # current equals-buffer fill
-CT_TI_HW = 4    # buffer high water, updated when a state-3 run exits
-CT_S1 = 5
-CT_S2L = 6
-CT_S2R = 7
-CT_S3L = 8
-CT_S3R = 9
-CT_EXIT2 = 10
-CT_EXIT3L = 11
-CT_EXIT3R = 12
-CT_HSORT = 13
-CT_HREV = 14
-CT_HFALL = 15
-CT_STAGES = 16
-CT_DEPTH = 17
-CT_LEN = 18
-
-
-def choose_next_state(frame: PartitionFrame, closed_side: str) -> str:
-    """Pick the follow-up state when one side of the block closes.
-
-    With the right side closed (mr == r), few equals so far route to the
-    buffering state: S3L iff (mr - ml) <= (ml - l) // 4, else S2L.  With
-    the left side closed, S3R iff (mr - ml) <= (r - mr) // 4, else S2R.
-    """
-    if closed_side == "Right":
-        return S3L if frame.mr - frame.ml <= (frame.ml - frame.l) // 4 else S2L
-    if closed_side == "Left":
-        return S3R if frame.mr - frame.ml <= (frame.r - frame.mr) // 4 else S2R
-    raise ValueError("closed_side must be 'Left' or 'Right'")
+CT_TI_HW = 3    # equals-buffer high water, updated when a state-3 run exits
+CT_S1 = 4
+CT_S2L = 5
+CT_S2R = 6
+CT_S3L = 7
+CT_S3R = 8
+CT_EXIT2 = 9
+CT_EXIT3L = 10
+CT_EXIT3R = 11
+CT_HSORT = 12
+CT_HREV = 13
+CT_HFALL = 14
+CT_STAGES = 15
+CT_DEPTH = 16
+CT_LEN = 17
 
 
 @compare_inline()
-def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
-    """Run the partition machine from ``label`` until it finishes the
-    stage (returns _DONE with fr.new_l/new_r set) or reaches a label in
-    ``stop`` (frame state saved for resumption at fr.entry).
+def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, tar, ct):
+    """Run the partition machine from ``label`` to the end of the stage,
+    setting fr.new_l/new_r and fr.last_exit.
 
     The machine is one forward pass of phases: the pre-scan (with the
     case that collapses onto mid), the state-1 cycle, the closing scan
     and state choice, one of states 2L/2R/3L/3R, the state-3 drain and
     Exit2.  Each phase is entered at the label passed in or at the one
-    the phase before it ends on, and ``stop`` is tested only there,
-    between phases.  Only the state-1 cycle loops over more than one
-    state's code.
+    the phase before it ends on.  Only the state-1 cycle loops over more
+    than one state's code.  ``tar`` is the equals buffer, of at least
+    ceil(n/2) slots for the frame's n-element range; it is empty again
+    when the stage ends.
     """
     mid = fr.mid
     l = fr.l
@@ -243,9 +224,7 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
     ncmp = 0
     nwa = 0
     nws = 0
-    ti = ct[CT_TI]
-    if stop is None:
-        stop = ()
+    ti = 0
 
     # ----- pre-scan from the right, for the holdover -----
     if label == _PRESCAN:
@@ -295,7 +274,7 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
     # facing gap over the equals beyond its edge; the first non-equal
     # there leaves a new middle hole and is placed like a scan's find
     # (_ML1_2, _MR1_2).  The cycle ends when a cursor meets the block.
-    if _L1 <= label <= _MR1_2 and label not in stop:
+    if _L1 <= label <= _MR1_2:
         if label == _L1_2:
             k = l
             lc = 1
@@ -408,7 +387,7 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
             label = _MRIGHT
 
     # ----- closing scan and state choice: one side closed -----
-    if _MLEFT <= label <= _MRIGHT_NOSCAN and label not in stop:
+    if _MLEFT <= label <= _MRIGHT_NOSCAN:
         if label == _MLEFT:
             # Right side closed; absorb equals adjoining the block's
             # left edge.
@@ -456,7 +435,7 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
     # Each runs as its own loop.  _M* scans equals at m, _M*_2 acts on
     # the non-equal at m; every path that meets m == l (2L/3L) or
     # m == r (2R/3R) exits.
-    if _M2L <= label <= _M3R_2 and label not in stop:
+    if _M2L <= label <= _M3R_2:
         if label <= _M2L_2:
             # 2L: m moving left, equals left in place, the block rolled
             # one slot per element above the pivot
@@ -759,7 +738,7 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
             label = _EXIT3R
 
     # ----- state-3 drain: buffered equals back beside the block -----
-    if _EXIT3L <= label <= _EXIT3R and label not in stop:
+    if _EXIT3L <= label <= _EXIT3R:
         if ti > ct[CT_TI_HW]:
             ct[CT_TI_HW] = ti
         if label == _EXIT3L:
@@ -781,7 +760,7 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
         label = _EXIT2
 
     # ----- Exit2: place the holdover and the pivot -----
-    if label == _EXIT2 and label not in stop:
+    if label == _EXIT2:
         ct[CT_EXIT2] += 1
         ncmp += 1
         if (lc := cmp3(temp, p)) >= 0:
@@ -802,21 +781,10 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, stop, tar, ct):
         fr.new_r = r
         if fr.last_exit is None:
             fr.last_exit = EXIT2
-        label = _DONE
 
-    fr.l = l
-    fr.r = r
-    fr.ml = ml
-    fr.mr = mr
-    fr.m = m
-    fr.lc = lc
-    fr.holdover = temp
-    fr.entry = label
     ct[CT_CMP] += ncmp
     ct[CT_WA] += nwa
     ct[CT_WS] += nws
-    ct[CT_TI] = ti
-    return label
 
 
 # ---------------------------------------------------------------------------
@@ -838,9 +806,10 @@ def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
     matching resume point with all scan progress kept.
 
     The scans are index loops, long by design on ordered input, whose
-    comparisons are counted once, from where they stopped.  The frame
-    enters with its cursors at the stage's start, as ``Sorter._range``
-    and ``PartitionFrame`` set them.
+    comparisons are counted once, from where they stopped.  Only the
+    frame's range and pivot are read; a fallback stores every cursor,
+    lc and the holdover, so the frame it leaves does not depend on the
+    stage before.
     """
     a = fr.a
     b = fr.b
@@ -898,7 +867,6 @@ def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
             # right half above the pivot, ar[l] not below it
             hold = ar[l]
             if ml == mid:
-                lc = fr.lc  # kept: _MLEFT sets lc before reading it
                 out = _MLEFT
             else:
                 out = _MLEFT_NOSCAN
@@ -986,6 +954,7 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
                 # back to the standard initialization, progress kept
                 fr.l = l
                 fr.r = r
+                fr.lc = lc
                 out = _PRESCAN
                 break
             cl += 1
@@ -1004,6 +973,7 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
                 fr.l = l
                 fr.r = r
                 fr.m = fr.ml = fr.mr = mid
+                fr.lc = lc
                 out = _R1
                 break
             cr += 1
@@ -1046,6 +1016,7 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
             fr.m = ml
             fr.ml = ml
             fr.mr = mid
+            fr.lc = lc
             out = _R1
     elif rc == 0:
         # ----- equals above: absorb equals above the center -----
@@ -1283,8 +1254,6 @@ class Sorter:
             ct[CT_WS] += 1  # pivot extraction into the held-out slot
             fr.l = a
             fr.r = b
-            fr.ml = fr.mr = fr.m = mid
-            fr.holdover = None
             fr.last_exit = None
             label = _PRESCAN
             if dec.order_flag > 0:
@@ -1301,7 +1270,7 @@ class Sorter:
             if label != _DONE:
                 if label in _STATE1_FAMILY:
                     ct[CT_S1] += 1
-                _run_machine(ar, cmp3, fr, label, None, tar, ct)
+                _run_machine(ar, cmp3, fr, label, tar, ct)
             new_l = fr.new_l
             new_r = fr.new_r
             if hook is not None:
@@ -1372,135 +1341,3 @@ def free_temp_storage() -> None:
         default_sorter.free_temp_storage()
     finally:
         _default_lock.release()
-
-
-# ---------------------------------------------------------------------------
-# Contract-level entry points into the stage machine (test surface).
-
-_STATE_STOPS = frozenset({_M2L_2, _M2R_2, _M3L_2, _M3R_2, _EXIT2})
-# every label run_state1 resumes at: all that come before states 2/3
-_STATE1_RESUME = frozenset(range(_PRESCAN, _M2L))
-_LABEL_TO_STATE = {_L1: S1, _M2L_2: S2L, _M2R_2: S2R, _M3L_2: S3L,
-                   _M3R_2: S3R, _EXIT2: EXIT2, _EXIT3L: EXIT3L,
-                   _EXIT3R: EXIT3R}
-_STATE_ENTRY = {S2L: _M2L_2, S2R: _M2R_2, S3L: _M3L_2, S3R: _M3R_2}
-_STATE_FAMILY = {S2L: {_M2L, _M2L_2}, S2R: {_M2R, _M2R_2},
-                 S3L: {_M3L, _M3L_2}, S3R: {_M3R, _M3R_2}}
-_EXIT_ENTRY = {EXIT2: _EXIT2, EXIT3L: _EXIT3L, EXIT3R: _EXIT3R}
-
-
-def _stage_buffer(frame: PartitionFrame, temp: TempStore | None = None):
-    """An equals buffer of ceil(n/2) slots for the frame's n-element
-    range: ``temp``'s, grown to that size if smaller, or a fresh one."""
-    cap = (frame.b - frame.a + 2) // 2
-    if temp is None:
-        return [None] * cap
-    temp.ensure(cap)
-    return temp.buf
-
-
-def _state_after(frame: PartitionFrame, label: int) -> str:
-    """The StateId the machine stopped before, or the stage's exit once
-    the machine has finished it."""
-    return frame.last_exit if label == _DONE else _LABEL_TO_STATE[label]
-
-
-def _state_entry(frame: PartitionFrame, direction: str, left: str,
-                 right: str) -> int:
-    """The label run_state2/3 enter the ``direction`` state at: the
-    frame's saved entry if it lies in that state, else its start."""
-    if direction == "L":
-        state = left
-    elif direction == "R":
-        state = right
-    else:
-        raise ValueError("direction must be 'L' or 'R'")
-    if frame.entry in _STATE_FAMILY[state]:
-        return frame.entry
-    return _STATE_ENTRY[state]
-
-
-def init_stage(ar, frame: PartitionFrame, decision: PivotDecision,
-               cmp=None, ct=None) -> str:
-    """Extract the pivot, pre-scan from the right, fill the holdover.
-
-    Returns S1 normally.  When the pre-scan collapses onto the center
-    the degenerate stage is resolved immediately and the reached exit
-    is returned, with frame.new_l/new_r set.
-    """
-    cmp3 = cmp if cmp is not None else _default_cmp3
-    if ct is None:
-        ct = [0] * CT_LEN
-    frame.pivot = decision.pivot
-    frame.pi = decision.pi
-    ct[CT_WS] += 1
-    if frame.pi != frame.mid:
-        ar[frame.pi] = ar[frame.mid]
-        ct[CT_WA] += 1
-    frame.l = frame.a
-    frame.r = frame.b
-    frame.ml = frame.mr = frame.m = frame.mid
-    frame.holdover = None
-    frame.last_exit = None
-    # a pre-scan that collapses onto the center runs the stage to its end
-    label = _run_machine(ar, cmp3, frame, _PRESCAN, frozenset({_L1}),
-                         _stage_buffer(frame), ct)
-    return _state_after(frame, label)
-
-
-def run_state1(ar, frame: PartitionFrame, cmp=None, ct=None) -> str:
-    """Run state 1 from the frame's current point until a side closes.
-
-    The frame resumes at its saved entry when that is a state-1 label,
-    a closing scan or the pre-scan (as a fast-path fallback leaves it),
-    else at the left scan.  Returns the follow-up StateId chosen by the
-    gap test, or Exit2 when everything between the cursors turned out
-    pivot-equal, or the stage's exit when the machine finished it.
-    State 1 and the closing scans never touch the equals buffer.
-    """
-    cmp3 = cmp if cmp is not None else _default_cmp3
-    if ct is None:
-        ct = [0] * CT_LEN
-    entry = frame.entry if frame.entry in _STATE1_RESUME else _L1
-    label = _run_machine(ar, cmp3, frame, entry, _STATE_STOPS, (), ct)
-    return _state_after(frame, label)
-
-
-def run_state2(ar, frame: PartitionFrame, direction: str, cmp=None,
-               ct=None) -> str:
-    """Run state 2L or 2R (``direction`` "L" or "R") to completion;
-    returns Exit2."""
-    cmp3 = cmp if cmp is not None else _default_cmp3
-    if ct is None:
-        ct = [0] * CT_LEN
-    entry = _state_entry(frame, direction, S2L, S2R)
-    label = _run_machine(ar, cmp3, frame, entry, frozenset({_EXIT2}), [], ct)
-    return _LABEL_TO_STATE[label]
-
-
-def run_state3(ar, frame: PartitionFrame, direction: str,
-               temp: TempStore, cmp=None, ct=None) -> str:
-    """Run state 3L or 3R (``direction`` "L" or "R") to completion;
-    returns Exit3L or Exit3R."""
-    cmp3 = cmp if cmp is not None else _default_cmp3
-    if ct is None:
-        ct = [0] * CT_LEN
-    entry = _state_entry(frame, direction, S3L, S3R)
-    stop = frozenset({_EXIT3L, _EXIT3R})
-    label = _run_machine(ar, cmp3, frame, entry, stop,
-                         _stage_buffer(frame, temp), ct)
-    return _LABEL_TO_STATE[label]
-
-
-def copy_back(ar, frame: PartitionFrame, exit_id: str,
-              temp: TempStore | None = None, cmp=None, ct=None):
-    """Drain the equals buffer (state-3 exits), restore holdover and
-    pivot, and return the retracted (new_l, new_r) bounds.  A stage the
-    machine has already finished only returns its bounds."""
-    if frame.entry != _DONE:
-        cmp3 = cmp if cmp is not None else _default_cmp3
-        if ct is None:
-            ct = [0] * CT_LEN
-        _run_machine(ar, cmp3, frame, _EXIT_ENTRY[exit_id], None,
-                     _stage_buffer(frame, temp), ct)
-    return frame.new_l, frame.new_r

@@ -39,14 +39,14 @@ class HandlerOutcome:
 
 
 def _outcome(ar, frame, label, cmp3, ct, finish: bool) -> HandlerOutcome:
-    frame.entry = label
     if label == _core._DONE:
         return HandlerOutcome("bypass", frame.new_l, frame.new_r)
-    name = _core._LABEL_NAMES[label]
     if finish:
-        _core._run_machine(ar, cmp3, frame, label, None,
-                           _core._stage_buffer(frame), ct)
-    return HandlerOutcome("fallback", frame.new_l, frame.new_r, name, frame)
+        # an equals buffer of ceil(n/2) slots for the n-element range
+        _core._run_machine(ar, cmp3, frame, label,
+                           [None] * ((frame.b - frame.a + 2) // 2), ct)
+    return HandlerOutcome("fallback", frame.new_l, frame.new_r,
+                          _core._LABEL_NAMES[label], frame)
 
 
 def handle_possibly_sorted(ar, frame: PartitionFrame, cmp=None, ct=None,
@@ -54,12 +54,11 @@ def handle_possibly_sorted(ar, frame: PartitionFrame, cmp=None, ct=None,
     """Run the sorted fast path for a stage whose pivot flag was +1.
 
     The pivot must already be extracted into ``frame.pivot`` with the
-    center slot logically empty, and the frame's cursors at the stage's
-    start, as ``PartitionFrame(a, b)`` sets them.  The stage bypasses
-    when the pivot's equals span the two verify cursors; otherwise the
-    frame is stored once for the resume point.  With ``finish`` the
-    fallback (if any) is driven to stage completion so
-    ``new_l``/``new_r`` are final.
+    center slot logically empty; the handler reads only the frame's
+    range and pivot.  The stage bypasses when the pivot's equals span
+    the two verify cursors; otherwise the frame is stored once for the
+    resume point.  With ``finish`` the fallback (if any) is driven to
+    stage completion so ``new_l``/``new_r`` are final.
     """
     cmp3 = cmp if cmp is not None else _core._default_cmp3
     if ct is None:

@@ -1,17 +1,19 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsqsort
-from tsqsort import SortConfig, Sorter, TempAllocationError
-from tsqsort.core import (PartitionFrame, TempStore, choose_next_state,
-                          copy_back, init_stage, run_state1, run_state2,
-                          run_state3)
-from tsqsort.handlers import handle_possibly_sorted
-from tsqsort.pivot import PivotDecision
+from tsqsort import GenSpec, SortConfig, Sorter, TempAllocationError, generate
+from tsqsort.bench import BATTERY_REORDERS
+from tsqsort.core import (CT_CMP, CT_LEN, CT_S2L, CT_S2R, CT_S3L, CT_S3R,
+                          CT_TI_HW, CT_WA, CT_WS, PartitionFrame,
+                          _M2L, _M2L_2, _MLEFT_NOSCAN, _MRIGHT_NOSCAN,
+                          _PRESCAN, _run_machine)
+from tsqsort.datagen import DISTRIBUTIONS
 from tsqsort.stats import (EXIT2, EXIT3L, EXIT3R, S1, S2L, S2R, S3L, S3R)
 
 from conftest import assert_stage_law, cmp3, reference_sort
@@ -255,47 +257,109 @@ def test_sorter_not_reentrant():
     assert "raised" in err
 
 
-# --- contract-level machine entry points ---
+# --- single stages through the partition machine ---
+
+
+def _stage(ar, fr, label, cmp=cmp3):
+    """Run the machine from ``label`` to the end of the stage; returns
+    the counter vector."""
+    ct = [0] * CT_LEN
+    _run_machine(ar, cmp, fr, label, [None] * ((fr.b - fr.a + 2) // 2), ct)
+    return ct
+
+
+def _closed_right(l, ml, n=41, pivot=50):
+    """A stage at _MLEFT_NOSCAN: [a..l) below the pivot, a hole at l
+    whose element is the holdover, [l+1..ml) unscanned, ar[ml] above the
+    pivot, equals on [ml+1..mid) and the right side closed at the hole
+    r = mr = mid (still holding the extracted pivot), with everything
+    right of it above the pivot."""
+    mid = (n - 1) >> 1
+    ar = ([10 + i for i in range(l)]
+          + [(20, 90, pivot)[i % 3] for i in range(l, ml)]
+          + [95] + [pivot] * (mid - ml) + [100 + i for i in range(mid + 1, n)])
+    fr = PartitionFrame(0, n - 1, pivot)
+    fr.l, fr.ml, fr.m, fr.mr, fr.r = l, ml, mid, mid, mid
+    fr.lc = 1
+    fr.holdover = ar[l]
+    return ar, fr
+
+
+def _closed_left(r, mr, n=41, pivot=50):
+    """The mirror stage at _MRIGHT_NOSCAN: the left side closed at the
+    hole l = ml = mid, ar[mr] below the pivot, (mr..r] unscanned with a
+    hole at r, and (r..b] above the pivot."""
+    mid = (n - 1) >> 1
+    ar = (list(range(mid)) + [pivot] * (mr - mid) + [5]
+          + [(20, 90, pivot)[i % 3] for i in range(mr + 1, r + 1)]
+          + [100 + i for i in range(r + 1, n)])
+    fr = PartitionFrame(0, n - 1, pivot)
+    fr.l, fr.ml, fr.m, fr.mr, fr.r = mid, mid, mid, mr, r
+    fr.lc = -1
+    fr.holdover = ar[r]
+    return ar, fr
 
 
 def test_choose_next_state_boundaries():
-    fr = PartitionFrame(0, 100)
-    fr.l, fr.ml, fr.mr, fr.r = 0, 40, 50, 50
-    assert fr.mr - fr.ml == 10 and fr.ml - fr.l == 40
-    assert choose_next_state(fr, "Right") == S3L  # 10 <= 40 // 4
-    fr.ml = 39
-    assert choose_next_state(fr, "Right") == S2L  # 11 > 39 // 4
-    fr2 = PartitionFrame(0, 100)
-    fr2.l, fr2.ml, fr2.mr, fr2.r = 10, 10, 10, 18
-    assert choose_next_state(fr2, "Left") == S3R  # 0 <= 8 // 4
-    with pytest.raises(ValueError):
-        choose_next_state(fr, "Up")
+    # With the right side closed the machine moves ml onto the block,
+    # ml' = ml + 1, and picks 3L iff (mr - ml') <= (ml' - l) // 4, else
+    # 2L; with the left side closed, mr' = mr - 1 and 3R iff
+    # (mr' - ml) <= (r - mr') // 4, else 2R.  Each pair of stages sits
+    # on the two sides of that limit.
+    for l, s3_s2 in ((0, (1, 0)), (1, (0, 1))):
+        ar, fr = _closed_right(l, 15)
+        want = sorted(ar)
+        # mr - ml' = 20 - 16 = 4 against (16 - l) // 4 = 4 or 3
+        ct = _stage(ar, fr, _MLEFT_NOSCAN)
+        assert (ct[CT_S3L], ct[CT_S2L], ct[CT_S3R], ct[CT_S2R]) == \
+            s3_s2 + (0, 0), l
+        assert sorted(ar) == want
+        assert_stage_law(ar, 0, 40, fr.new_l, fr.new_r, 50)
+    for r, s3_s2 in ((40, (1, 0)), (39, (0, 1))):
+        ar, fr = _closed_left(r, 25)
+        want = sorted(ar)
+        # mr' - ml = 24 - 20 = 4 against (r - 24) // 4 = 4 or 3
+        ct = _stage(ar, fr, _MRIGHT_NOSCAN)
+        assert (ct[CT_S3R], ct[CT_S2R], ct[CT_S3L], ct[CT_S2L]) == \
+            s3_s2 + (0, 0), r
+        assert sorted(ar) == want
+        assert_stage_law(ar, 0, 40, fr.new_l, fr.new_r, 50)
 
 
 def test_init_stage_prescan_normal():
+    # the pre-scan runs from b down to the first element not above the
+    # pivot and holds it out; the holdover 0 found at index 3 ends up
+    # below the pivot
+    log = []
+
+    def logged(x, y):
+        log.append((x, y))
+        return cmp3(x, y)
+
     ar = [2, 1, 3, 0, 8]
-    fr = PartitionFrame(0, 4)
-    res = init_stage(ar, fr, PivotDecision(3, 2, 0))
-    assert res == S1
-    assert fr.r == 3  # pre-scan stopped at the first element <= pivot
-    assert fr.holdover == 0
-    assert fr.l == 0 and fr.m == fr.ml == fr.mr == fr.mid == 2
+    fr = PartitionFrame(0, 4, 3)  # pivot 3 extracted from mid
+    ct = _stage(ar, fr, _PRESCAN, logged)
+    assert log[:2] == [(8, 3), (0, 3)]
+    assert ar == [2, 1, 0, 3, 8]
+    assert (fr.new_l, fr.new_r, fr.last_exit) == (2, 4, EXIT2)
+    assert ct[:3] == [5, 2, 1]
 
 
 def test_init_stage_special_case_collapses():
     # everything right of mid exceeds the pivot; the special case must
     # still produce a lawful stage
     ar = [1, 9, 9, 9]
-    fr = PartitionFrame(0, 3)
-    res = init_stage(ar, fr, PivotDecision(1, 1, 0))
-    assert res in (EXIT2, EXIT3L, EXIT3R)
+    fr = PartitionFrame(0, 3, 1)
+    _stage(ar, fr, _PRESCAN)
+    assert fr.last_exit == EXIT2
     assert_stage_law(ar, 0, 3, fr.new_l, fr.new_r, 1)
     assert sorted(ar) == [1, 1, 9, 9]
 
-    ar = [2, 1, 3]
-    fr = PartitionFrame(0, 2)
-    res = init_stage(ar, fr, PivotDecision(2, 0, 0))
-    assert res in (EXIT2, EXIT3L, EXIT3R)
+    # the pivot 2 taken from index 0, the mid element 1 moved there
+    ar = [1, 1, 3]
+    fr = PartitionFrame(0, 2, 2)
+    _stage(ar, fr, _PRESCAN)
+    assert fr.last_exit == EXIT2
     assert ar == [1, 2, 3]
     assert_stage_law(ar, 0, 2, fr.new_l, fr.new_r, 2)
 
@@ -307,120 +371,106 @@ def test_full_stage_pipeline_matches_oracle():
         ar = [rnd.randint(0, rnd.choice([4, 1000]))
               for _ in range(n)]
         snapshot = list(ar)
-        mid = (n - 1) >> 1
-        pivot = ar[mid]
-        fr = PartitionFrame(0, n - 1)
-        temp = TempStore()
-        temp.ensure((n + 1) // 2)
-        ct = [0] * 32
-        state = init_stage(ar, fr, PivotDecision(pivot, mid, 0), ct=ct)
-        if state == S1:
-            state = run_state1(ar, fr, ct=ct)
-            if state in (S2L, S2R):
-                exit_id = run_state2(ar, fr, state[-1], ct=ct)
-            elif state in (S3L, S3R):
-                exit_id = run_state3(ar, fr, state[-1], temp, ct=ct)
-            else:
-                exit_id = state
-            new_l, new_r = copy_back(ar, fr, exit_id, temp, ct=ct)
-        else:
-            new_l, new_r = fr.new_l, fr.new_r
+        pivot = ar[(n - 1) >> 1]
+        fr = PartitionFrame(0, n - 1, pivot)
+        _stage(ar, fr, _PRESCAN)
         assert sorted(ar) == sorted(snapshot), trial
-        assert_stage_law(ar, 0, n - 1, new_l, new_r, pivot)
+        assert_stage_law(ar, 0, n - 1, fr.new_l, fr.new_r, pivot)
 
 
 def test_run_state2_roll_write_count():
     # One above-pivot element amid equals: the roll costs exactly two
-    # extra writes (export to r, backfill from r).  The frame is built
-    # directly in the state-2L entry geometry: left part settled, holes
-    # at l and r, the in-array equals block bordering r.
+    # writes (export to r, backfill from r), and Exit2 one comparison
+    # and two more (holdover and pivot).  The frame is built directly
+    # in the state-2L entry geometry: left part settled, holes at l and
+    # r, the in-array equals block bordering r.
     ar = [0, 0, 9, 5, 5, 5, 0, 8]
-    fr = PartitionFrame(0, 7)
-    fr.pivot = 5
+    fr = PartitionFrame(0, 7, 5)
     fr.holdover = 3
     fr.l, fr.r = 1, 6          # both holes
     fr.ml, fr.mr = 3, 6        # block [3..5], right side closed
     fr.m = 2                   # scan cursor on the lone > pivot element
     fr.lc = 1                  # its comparison is already known
-    ct = [0] * 32
-    from tsqsort.core import CT_WA, CT_WS
-    exit_id = run_state2(ar, fr, "L", ct=ct)
-    assert exit_id == EXIT2
-    assert ct[CT_WA] + ct[CT_WS] == 2
-    copy_back(ar, fr, exit_id, ct=ct)
+    ct = _stage(ar, fr, _M2L_2)
+    assert ct[CT_CMP] == 1
+    assert ct[CT_WA] + ct[CT_WS] == 2 + 2
     assert ar == [0, 3, 5, 5, 5, 5, 9, 8]
     assert_stage_law(ar, 0, 7, fr.new_l, fr.new_r, 5)
 
 
 def test_run_state2_all_equal_span_scans_only():
-    # a span that is entirely pivot-equal costs comparisons but no writes
+    # a span that is entirely pivot-equal costs comparisons but no
+    # writes; the two writes and the last comparison are Exit2's
     ar = [0, 0, 5, 5, 5, 5, 0, 8]
-    fr = PartitionFrame(0, 7)
-    fr.pivot = 5
+    fr = PartitionFrame(0, 7, 5)
     fr.holdover = 7
     fr.l, fr.r = 1, 6
     fr.ml, fr.mr = 4, 6
     fr.m = 3
     fr.lc = 0
-    ct = [0] * 32
-    from tsqsort.core import CT_WA, CT_WS, _M2L
-
-    fr.entry = _M2L
-    exit_id = run_state2(ar, fr, "L", ct=ct)
-    assert exit_id == EXIT2
-    assert ct[CT_WA] + ct[CT_WS] == 0
-    copy_back(ar, fr, exit_id, ct=ct)
+    ct = _stage(ar, fr, _M2L)
+    assert ct[CT_CMP] == 2 + 1
+    assert ct[CT_WA] + ct[CT_WS] == 0 + 2
     assert_stage_law(ar, 0, 7, fr.new_l, fr.new_r, 5)
 
 
 def test_run_state3_buffers_equals():
-    # few equals, far from mid: they travel through the buffer
-    ar = [0, 1, 2, 3, 5, 4, 9, 8, 7, 6, 5, 9]
-    n = len(ar)
-    fr = PartitionFrame(0, n - 1)
-    temp = TempStore()
-    temp.ensure(n)
-    ct = [0] * 32
-    state = init_stage(ar, fr, PivotDecision(5, (n - 1) >> 1, 0), ct=ct)
-    if state == S1:
-        state = run_state1(ar, fr, ct=ct)
-        if state in (S3L, S3R):
-            exit_id = run_state3(ar, fr, state[-1], temp, ct=ct)
-            assert exit_id in (EXIT3L, EXIT3R)
-            copy_back(ar, fr, exit_id, temp, ct=ct)
-        elif state in (S2L, S2R):
-            copy_back(ar, fr, run_state2(ar, fr, state[-1], ct=ct), ct=ct)
-        else:
-            copy_back(ar, fr, state, temp, ct=ct)
-    assert_stage_law(ar, 0, n - 1, fr.new_l, fr.new_r, 5)
+    # few equals, far from mid: they travel through the buffer, two at
+    # a time, and the stage ends at the state-3 exit
+    for ar, state, exit_id in (
+            ([9, 8, 5, 5, 7, 5, 6, 7, 7, 7, 6, 9], CT_S3L, EXIT3L),
+            ([7, 1, 2, 4, 5, 4, 3, 5, 5, 4], CT_S3R, EXIT3R)):
+        n = len(ar)
+        want = sorted(ar)
+        fr = PartitionFrame(0, n - 1, 5)  # extracted from mid
+        ct = _stage(ar, fr, _PRESCAN)
+        assert ct[state] == 1 and ct[CT_TI_HW] == 2
+        assert fr.last_exit == exit_id
+        assert sorted(ar) == want
+        assert_stage_law(ar, 0, n - 1, fr.new_l, fr.new_r, 5)
 
 
-def test_run_state2_3_reject_unknown_direction():
-    fr = PartitionFrame(0, 7)
-    with pytest.raises(ValueError):
-        run_state2([0] * 8, fr, "Left")
-    with pytest.raises(ValueError):
-        run_state3([0] * 8, fr, "", TempStore())
+def test_sorts_reach_every_machine_line():
+    # Sorter sorts alone, through the Python-comparator path, execute
+    # every line of the machine: the 7x6 battery at n = 600 and 300
+    # random, sorted, reversed and near-sorted inputs, at insertion
+    # thresholds 16 and 3
+    code = _run_machine.__wrapped__.__code__
+    want = {line for _, _, line in code.co_lines() if line is not None}
+    inputs = [generate(GenSpec(distribution=dist, reorder=kind, n=600,
+                               arange=arange, seed=3))
+              for dist in DISTRIBUTIONS for kind in BATTERY_REORDERS
+              for arange in (600, 7)]
+    rnd = random.Random(41)
+    for trial in range(300):
+        n = rnd.randint(2, 300)
+        data = [rnd.randint(0, rnd.choice([3, 30, 10**6])) for _ in range(n)]
+        shape = trial % 4
+        if shape:
+            data.sort(reverse=shape == 2)
+        if shape == 3:
+            for _ in range(rnd.randint(1, 3)):
+                i, j = rnd.randrange(n), rnd.randrange(n)
+                data[i], data[j] = data[j], data[i]
+        inputs.append(data)
+    reached = set()
 
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        reached.add(frame.f_lineno)
+        return tracer
 
-def test_copy_back_after_finished_stage_returns_bounds():
-    # a pre-scan that collapses onto the center, or a fast-path bypass,
-    # finishes the stage, so copy_back must not run the exit again
-    ar = [1, 9, 9, 9]
-    fr = PartitionFrame(0, 3)
-    exit_id = init_stage(ar, fr, PivotDecision(1, 1, 0))
-    done = list(ar)
-    ct = [0] * 32
-    assert copy_back(ar, fr, exit_id, ct=ct) == (fr.new_l, fr.new_r)
-    assert ar == done and not any(ct)
-
-    ar = [1, 2, 3, 4, 5]
-    fr = PartitionFrame(0, 4)
-    fr.pivot = 3
-    out = handle_possibly_sorted(ar, fr)
-    assert out.bypassed
-    assert copy_back(ar, fr, EXIT2, ct=ct) == (out.new_l, out.new_r)
-    assert ar == [1, 2, 3, 4, 5] and not any(ct)
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for threshold in (16, 3):
+            sorter = Sorter(SortConfig(insertion_threshold=threshold), seed=5)
+            for data in inputs:
+                sorter.sort(list(data), cmp3)
+    finally:
+        sys.settrace(old)
+    assert sorted(want - reached) == []
 
 
 def test_all_equal_single_stage():
@@ -435,7 +485,6 @@ def test_all_equal_single_stage():
 def test_two_empty_slot_law():
     # during states 1 and 2 at most two array slots hold stale values;
     # buffered equals raise the bound by the buffer fill
-    from tsqsort.core import CT_TI
 
     class Shadow:
         def __init__(self, data, sorter, multiset):

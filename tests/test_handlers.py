@@ -2,14 +2,12 @@ import itertools
 import random
 
 from tsqsort import SortConfig, Sorter, handlers
-from tsqsort.core import (CT_CMP, CT_LEN, CT_WA, CT_WS, PartitionFrame,
-                          TempStore, copy_back, run_state1, run_state2,
-                          run_state3)
+from tsqsort.core import CT_CMP, CT_LEN, CT_WA, CT_WS, PartitionFrame
 from tsqsort.handlers import handle_possibly_reversed, handle_possibly_sorted
-from tsqsort.stats import S2L, S2R, S3L, S3R
 
 from conftest import assert_stage_law, cmp3
-from test_golden_counts import HANDLER_RESUME_LABELS
+from test_reversed_fast_path_sweep import REVERSED_RESUME_LABELS
+from test_sorted_fast_path_sweep import SORTED_RESUME_LABELS
 
 
 def _frame_for(ar, pivot):
@@ -169,47 +167,41 @@ def test_fallback_comparison_budget():
         assert ct[CT_CMP] <= 2 * n + 4
 
 
-def _fallback_staged(data, pivot, handle):
-    """A handler fallback resumed through run_state1/2/3 and copy_back."""
+def _fallback_frame(data, pivot, handle, lc):
+    """A handler's fallback, entered with ``fr.lc = lc``: its resume
+    point, array, counters and every frame slot."""
     ar = list(data)
     fr = _frame_for(ar, pivot)
+    fr.lc = lc
     ct = [0] * CT_LEN
-    temp = TempStore()
     out = handle(ar, fr, ct=ct)
-    state = run_state1(ar, fr, ct=ct)
-    if state in (S2L, S2R):
-        state = run_state2(ar, fr, state[-1], ct=ct)
-    elif state in (S3L, S3R):
-        state = run_state3(ar, fr, state[-1], temp, ct=ct)
-    new_l, new_r = copy_back(ar, fr, state, temp, ct=ct)
-    return out.resume_point, ar, new_l, new_r, ct[:3]
+    return (out.resume_point, ar, ct,
+            [getattr(fr, name) for name in PartitionFrame.__slots__])
 
 
-def _fallback_finished(data, pivot, handle):
-    ar = list(data)
-    fr = _frame_for(ar, pivot)
-    ct = [0] * CT_LEN
-    out = handle(ar, fr, ct=ct, finish=True)
-    return out.resume_point, ar, out.new_l, out.new_r, ct[:3]
-
-
-def test_fallback_resumes_through_contract_api():
-    # from every resume point, the staged contract path ends the stage
-    # exactly as finish=True does: same array, bounds and counts
+def test_fallback_frame_does_not_depend_on_the_stage_before():
+    # a sort hands each stage the frame the stage before left, so a
+    # fallback must store every slot the machine reads: entered with two
+    # different lc values, each handler leaves equal frames at every
+    # resume point it has
     rnd = random.Random(20)
-    seen = set()
+    seen = {handle_possibly_sorted: set(), handle_possibly_reversed: set()}
     for trial in range(3000):
         n = rnd.randint(5, 60)
         data = [rnd.randint(0, rnd.choice([3, 20, 1000])) for _ in range(n)]
         if trial % 3:
             data.sort(reverse=trial % 3 == 2)
         pivot = data[(n - 1) >> 1]
-        for handle in (handle_possibly_sorted, handle_possibly_reversed):
-            want = _fallback_finished(data, pivot, handle)
-            if want[0]:
-                assert _fallback_staged(data, pivot, handle) == want, trial
-                seen.add(want[0])
-    assert seen == HANDLER_RESUME_LABELS
+        if trial % 4 == 0:
+            data[rnd.randrange(n)] = pivot
+        for handle, labels in seen.items():
+            first = _fallback_frame(data, pivot, handle, -7)
+            if first[0]:
+                assert _fallback_frame(data, pivot, handle, 7) == first, \
+                    (trial, handle.__name__, first[0])
+                labels.add(first[0])
+    assert seen[handle_possibly_sorted] == SORTED_RESUME_LABELS
+    assert seen[handle_possibly_reversed] == REVERSED_RESUME_LABELS
 
 
 def test_reversed_default_tolerance_is_the_config_default(monkeypatch):

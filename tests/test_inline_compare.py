@@ -25,12 +25,9 @@ import tsqsort
 from tsqsort import (SortConfig, Sorter, baselines, core, generate, pivot,
                      smallsort)
 from tsqsort.baselines import REGISTRY, fixed_pivot_qsort
-from tsqsort.core import (CT_LEN, PartitionFrame, TempStore, copy_back,
-                          init_stage, run_state1, run_state2, run_state3)
+from tsqsort.core import CT_LEN, PartitionFrame
 from tsqsort.handlers import handle_possibly_reversed, handle_possibly_sorted
 from tsqsort.inline import _default_cmp3, compare_inline
-from tsqsort.pivot import PivotDecision
-from tsqsort.stats import S1, S2L, S2R, S3L, S3R
 
 import conftest
 from test_golden_counts import CASES
@@ -76,27 +73,6 @@ def frame_state(fr):
     return tuple(getattr(fr, s) for s in PartitionFrame.__slots__)
 
 
-def staged(ar, pivot_value, cmp):
-    """One stage through the contract entry points; returns everything
-    it left behind."""
-    n = len(ar)
-    mid = (n - 1) >> 1
-    fr = PartitionFrame(0, n - 1)
-    temp = TempStore()
-    temp.ensure((n + 1) // 2)
-    ct = [0] * CT_LEN
-    trail = [init_stage(ar, fr, PivotDecision(pivot_value, mid, 0), cmp,
-                        ct)]
-    if trail[-1] == S1:
-        trail.append(run_state1(ar, fr, cmp, ct))
-        if trail[-1] in (S2L, S2R):
-            trail.append(run_state2(ar, fr, trail[-1][-1], cmp, ct))
-        elif trail[-1] in (S3L, S3R):
-            trail.append(run_state3(ar, fr, trail[-1][-1], temp, cmp, ct))
-        trail.append(copy_back(ar, fr, trail[-1], temp, cmp, ct))
-    return ar, trail, ct, frame_state(fr)
-
-
 def handled(ar, pivot_value, cmp, reversed_):
     fr = PartitionFrame(0, len(ar) - 1)
     fr.pivot = pivot_value
@@ -108,6 +84,7 @@ def handled(ar, pivot_value, cmp, reversed_):
 
 
 def test_contract_entry_points_agree():
+    # both public handlers, each fallback run to the end of the stage
     rnd = random.Random(11)
     for trial in range(300):
         n = rnd.randint(5, 60)
@@ -119,8 +96,6 @@ def test_contract_entry_points_agree():
         elif shape == 2:
             data.sort(reverse=True)
         pv = data[(n - 1) >> 1]
-        assert staged(list(data), pv, None) == \
-            staged(list(data), pv, generic), trial
         for reversed_ in (False, True):
             assert handled(list(data), pv, None, reversed_) == \
                 handled(list(data), pv, generic, reversed_), trial
