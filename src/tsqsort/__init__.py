@@ -13,8 +13,8 @@ from .bigelem import Permutation, apply_permutation, sort_indirect
 from .baselines import (REGISTRY, classic_qsort, dual_pivot_qsort,
                         get_algorithm, three_way_qsort)
 from .config import DEFAULT_CONFIG, SortConfig
-from .core import (PartitionFrame, Sorter, TempAllocationError, TempStore,
-                   free_temp_storage, sort, sort_with_stats)
+from .core import (Sorter, TempAllocationError, TempStore, free_temp_storage,
+                   sort, sort_with_stats)
 from .datagen import (GenSpec, KillerAdversary, ParkMillerGen, cook_input,
                       generate, killer_comparator, reorder)
 from .handlers import (HandlerOutcome, handle_possibly_reversed,
@@ -30,9 +30,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CountingComparator", "DEFAULT_CONFIG", "GenSpec", "HandlerOutcome",
-    "KillerAdversary", "MitigationRng", "ParkMillerGen", "PartitionFrame",
-    "Permutation", "PivotDecision", "REGISTRY", "ShadowWriteMonitor",
-    "SortConfig", "SortStats", "Sorter", "StageRecord", "TempAllocationError",
+    "KillerAdversary", "MitigationRng", "ParkMillerGen", "Permutation",
+    "PivotDecision", "REGISTRY", "ShadowWriteMonitor", "SortConfig",
+    "SortStats", "Sorter", "StageRecord", "TempAllocationError",
     "TempStore", "apply_permutation", "classic_qsort", "cook_input",
     "counting_comparator", "dual_pivot_qsort", "fifteenth",
     "free_temp_storage", "generate", "get_algorithm",

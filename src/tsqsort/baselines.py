@@ -22,10 +22,7 @@ implementations of the classic schemes, not ports of any C library.
 
 from __future__ import annotations
 
-import sys
-
 from .core import Sorter, _default_cmp3
-from .datagen import ParkMillerGen
 from .inline import compare_inline
 from .smallsort import insertion_sort
 from .stats import SortStats

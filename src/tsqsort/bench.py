@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .baselines import REGISTRY, get_algorithm
-from .datagen import DISTRIBUTIONS, REORDERINGS, GenSpec, generate
+from .datagen import DISTRIBUTIONS, GenSpec, generate
 
 CSV_HEADER = ("algorithm,distribution,reorder,n,arange,seed,comparisons,"
               "element_writes,virtual_swaps,temp_high_water,max_depth,"

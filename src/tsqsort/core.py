@@ -21,6 +21,12 @@ an order flag; flagged stages first try the possibly-sorted or
 possibly-reversed fast paths, falling back into the machine mid-stage
 with their scan progress kept.
 
+A stage's state lives in locals of the function running it, as in one
+C function: a fast-path handler returns its resume label, the cursors
+(l, r, ml, mr, m), lc and the holdover as one tuple; ``Sorter._range``
+unpacks it and passes it to the machine, which returns the stage's new
+bounds and its exit.  Nothing of a stage outlives it.
+
 The machine runs a stage as one forward pass of phases: the pre-scan,
 the state-1 cycle, the closing scan and state choice, one of states
 2L/2R/3L/3R, the state-3 drain and Exit2.  State 1 is a single loop of
@@ -56,34 +62,13 @@ from .smallsort import insertion_sort
 from .stats import (EXIT2, EXIT3L, EXIT3R, S1, S2L, S2R, S3L, S3R, SortStats)
 
 __all__ = [
-    "PartitionFrame", "TempStore", "TempAllocationError", "Sorter",
-    "sort", "sort_with_stats", "free_temp_storage", "default_sorter",
+    "TempStore", "TempAllocationError", "Sorter", "sort",
+    "sort_with_stats", "free_temp_storage", "default_sorter",
 ]
 
 
 class TempAllocationError(MemoryError):
     """The ceil(n/2) temporary buffer could not be allocated."""
-
-
-class PartitionFrame:
-    """Index set and held-out elements for one recursive stage."""
-
-    __slots__ = ("a", "b", "mid", "l", "r", "ml", "mr", "m", "lc",
-                 "pivot", "holdover", "new_l", "new_r", "last_exit")
-
-    def __init__(self, a=0, b=-1, pivot=None):
-        self.a = a
-        self.b = b
-        self.mid = (a + b) >> 1
-        self.l = a
-        self.r = b
-        self.ml = self.mr = self.m = self.mid
-        self.lc = 0
-        self.pivot = pivot
-        self.holdover = None
-        self.new_l = a - 1
-        self.new_r = b + 1
-        self.last_exit = None
 
 
 class TempStore:
@@ -136,7 +121,8 @@ class TempStore:
 # cursor is compared already, above the pivot at _L1_2, below it at
 # _R1_3, and with lc holding the result at the others.  _L1 and _R1
 # come first among the state-1 labels: the cycle enters them with a
-# scan, the others with a placement.
+# scan, the others with a placement.  A stage entered at a label up to
+# _MR1_2 runs state 1.
 _PRESCAN = 0
 _L1 = 1
 _R1 = 2
@@ -172,9 +158,6 @@ _LABEL_NAMES = {
     _EXIT3L: "exit3L", _EXIT3R: "exit3R", _EXIT2: "exit2", _DONE: "done",
 }
 
-_STATE1_FAMILY = frozenset({_PRESCAN, _L1, _R1, _L1_2, _R1_3, _ML1_2,
-                            _MR1_2})
-
 # Counter vector indices (a plain list is the cheapest mutable record).
 # The first three are the [comparisons, array writes, scratch writes]
 # tally of select_pivot and insertion_sort, so ct is passed to them as is.
@@ -199,36 +182,34 @@ CT_LEN = 17
 
 
 @compare_inline()
-def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, tar, ct):
-    """Run the partition machine from ``label`` to the end of the stage,
-    setting fr.new_l/new_r and fr.last_exit.
+def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
+                 ct):
+    """Run the partition machine from ``label`` to the end of the stage
+    and return its new bounds and exit, ``(new_l, new_r, last_exit)``.
 
     The machine is one forward pass of phases: the pre-scan (with the
     case that collapses onto mid), the state-1 cycle, the closing scan
     and state choice, one of states 2L/2R/3L/3R, the state-3 drain and
     Exit2.  Each phase is entered at the label passed in or at the one
     the phase before it ends on.  Only the state-1 cycle loops over more
-    than one state's code.  ``tar`` is the equals buffer, of at least
-    ceil(n/2) slots for the frame's n-element range; it is empty again
+    than one state's code.
+
+    ``mid`` is the stage's center and ``p`` its extracted pivot.  The
+    cursors, ``lc`` (the last comparison) and the holdover ``temp`` are
+    the ones a fast-path handler returns with its resume label; the
+    pre-scan is entered with l, r at the range's ends and
+    ml = mr = m = mid.  ``tar`` is the equals buffer, of at least
+    ceil(n/2) slots for the stage's n-element range; it is empty again
     when the stage ends.
     """
-    mid = fr.mid
-    l = fr.l
-    r = fr.r
-    ml = fr.ml
-    mr = fr.mr
-    m = fr.m
-    lc = fr.lc
-    p = fr.pivot
-    temp = fr.holdover
     ncmp = 0
     nwa = 0
     nws = 0
     ti = 0
+    last_exit = EXIT2
 
     # ----- pre-scan from the right, for the holdover -----
     if label == _PRESCAN:
-        m = ml = mr = mid
         while True:
             ncmp += 1
             if (lc := cmp3(ar[r], p)) <= 0:
@@ -256,9 +237,8 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, tar, ct):
             if lc < 0:
                 ar[mid] = p
                 nwa += 1
-                fr.new_l = mid - 1
-                fr.new_r = mid + 1
-                fr.last_exit = EXIT2
+                l = mid - 1
+                r = mid + 1
                 label = _DONE
             else:
                 temp = ar[l]
@@ -743,7 +723,7 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, tar, ct):
             ct[CT_TI_HW] = ti
         if label == _EXIT3L:
             ct[CT_EXIT3L] += 1
-            fr.last_exit = EXIT3L
+            last_exit = EXIT3L
             while ti > 0:
                 ti -= 1
                 m += 1
@@ -751,7 +731,7 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, tar, ct):
                 nwa += 1
         else:
             ct[CT_EXIT3R] += 1
-            fr.last_exit = EXIT3R
+            last_exit = EXIT3R
             while ti > 0:
                 ti -= 1
                 m -= 1
@@ -777,14 +757,11 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, tar, ct):
             ar[r] = p
             nwa += 1
             r += 1
-        fr.new_l = l
-        fr.new_r = r
-        if fr.last_exit is None:
-            fr.last_exit = EXIT2
 
     ct[CT_CMP] += ncmp
     ct[CT_WA] += nwa
     ct[CT_WS] += nws
+    return l, r, last_exit
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +769,7 @@ def _run_machine(ar, cmp3, fr: PartitionFrame, label: int, tar, ct):
 
 
 @compare_inline()
-def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
+def _sorted_handler(ar, cmp3, a, b, p, ct):
     """Verify left-below/right-above around the extracted pivot.
 
     Two verify scans run first: from a for the first element not below
@@ -806,15 +783,12 @@ def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
     matching resume point with all scan progress kept.
 
     The scans are index loops, long by design on ordered input, whose
-    comparisons are counted once, from where they stopped.  Only the
-    frame's range and pivot are read; a fallback stores every cursor,
-    lc and the holdover, so the frame it leaves does not depend on the
-    stage before.
+    comparisons are counted once, from where they stopped.  Returns
+    ``(label, l, r, ml, mr, m, lc, holdover)``: the resume label and the
+    machine's entry state, or _DONE with the stage's new bounds in l
+    and r.
     """
-    a = fr.a
-    b = fr.b
-    mid = fr.mid
-    p = fr.pivot
+    mid = (a + b) >> 1
     nwa = 0
     lc = -1
     rc = 1
@@ -847,12 +821,13 @@ def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
             mr = r
         ncmp += mr - mid - 1 + (mr != r)
 
+    hold = None
     if ml == l and mr == r:
         # [l..r] holds only the pivot's equals
         ar[mid] = p
         nwa += 1
-        fr.new_l = l - 1
-        fr.new_r = r + 1
+        l -= 1
+        r += 1
         out = _DONE
     else:
         if l == mid:
@@ -886,22 +861,15 @@ def _sorted_handler(ar, cmp3, fr: PartitionFrame, ct) -> int:
             hold = ar[r]
             lc = rc
             out = _L1_2
-        fr.holdover = hold
         ct[CT_WS] += 1
-        fr.l = l
-        fr.r = r
-        fr.ml = ml
-        fr.mr = mr
-        fr.m = mid
-        fr.lc = lc
 
     ct[CT_CMP] += ncmp
     ct[CT_WA] += nwa
-    return out
+    return out, l, r, ml, mr, mid, lc, hold
 
 
 @compare_inline()
-def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
+def _reversed_handler(ar, cmp3, a, b, p, ct, tol):
     """Swap outermost pairs inward while both sides look reversed.
 
     Misplaced elements that already sit on their final side are skipped
@@ -927,15 +895,20 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
     mid settles its side with an empty block.  In the settled phases
     only two write patterns depend on whether that block is empty
     (l == mid, r == mid) or holds equals.
+
+    Returns ``(label, l, r, ml, mr, m, lc, holdover)`` as the sorted
+    handler does.  Once a fallback, or the swap loop's bypass, sets the
+    label, no later phase runs: each one's test fails on the cursors
+    left.
     """
-    mid = fr.mid
-    p = fr.pivot
+    mid = (a + b) >> 1
     ncmp = 0
     nwa = 0
     nws = 0
-    l = fr.a
-    r = fr.b
-    ml = mr = mid
+    l = a
+    r = b
+    m = ml = mr = mid
+    hold = None
     rc = 1
     cl = 1
     cr = 1
@@ -952,9 +925,6 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
                 break
             if cl > tol:
                 # back to the standard initialization, progress kept
-                fr.l = l
-                fr.r = r
-                fr.lc = lc
                 out = _PRESCAN
                 break
             cl += 1
@@ -968,12 +938,8 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
             if r == mid:
                 break
             if cr > tol:
-                fr.holdover = ar[l]
+                hold = ar[l]
                 nws += 1
-                fr.l = l
-                fr.r = r
-                fr.m = fr.ml = fr.mr = mid
-                fr.lc = lc
                 out = _R1
                 break
             cr += 1
@@ -988,8 +954,6 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
         if l + 2 == r:
             ar[mid] = p
             nwa += 1
-            fr.new_l = l
-            fr.new_r = r
             out = _DONE
             break
         l += 1
@@ -1009,14 +973,9 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
         if ml != l:
             ar[mid] = ar[l]
             nwa += 1
-            fr.holdover = ar[ml]
+            hold = ar[ml]
             nws += 1
-            fr.l = l
-            fr.r = r
-            fr.m = ml
-            fr.ml = ml
-            fr.mr = mid
-            fr.lc = lc
+            m = ml
             out = _R1
     elif rc == 0:
         # ----- equals above: absorb equals above the center -----
@@ -1028,16 +987,10 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
             if (lc := cmp3(ar[mr], p)) != 0:
                 break
         if mr != r:
-            fr.holdover = ar[l]
+            hold = ar[l]
             nws += 1
             ar[mid] = ar[r]
             nwa += 1
-            fr.l = l
-            fr.r = r
-            fr.ml = mid
-            fr.mr = mr
-            fr.m = mid
-            fr.lc = lc
             out = _MR1_2
 
     if ml == l:
@@ -1074,25 +1027,20 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
                     nwa += 1
                     ar[r] = p
                     nwa += 1
-                fr.new_l = l
-                fr.new_r = r + 1
+                r += 1
             else:
                 ar[mid] = p
                 nwa += 1
-                fr.new_l = l - 1
-                fr.new_r = r + 1 if lc == 0 else r
+                l -= 1
+                if lc == 0:
+                    r += 1
             out = _DONE
         else:
-            fr.holdover = ar[r]
+            hold = ar[r]
             nws += 1
             if l < mid:
                 ar[mid] = ar[l]
                 nwa += 1
-            fr.l = l
-            fr.r = r
-            fr.ml = l
-            fr.mr = mr
-            fr.lc = lc
             out = _MRIGHT_NOSCAN
     elif mr == r:
         # ----- right settled: grow the block down to l -----
@@ -1124,31 +1072,26 @@ def _reversed_handler(ar, cmp3, fr: PartitionFrame, ct, tol: int) -> int:
                     nwa += 1
                     ar[l] = p
                     nwa += 1
-                fr.new_l = l - 1
-                fr.new_r = r
+                l -= 1
             else:
                 ar[mid] = p
                 nwa += 1
-                fr.new_l = l - 1 if lc == 0 else l
-                fr.new_r = r + 1
+                if lc == 0:
+                    l -= 1
+                r += 1
             out = _DONE
         else:
             if r > mid:
                 ar[mid] = ar[r]
                 nwa += 1
-            fr.holdover = ar[l]
+            hold = ar[l]
             nws += 1
-            fr.l = l
-            fr.r = r
-            fr.ml = ml
-            fr.mr = r
-            fr.lc = lc
             out = _MLEFT_NOSCAN
 
     ct[CT_CMP] += ncmp
     ct[CT_WA] += nwa
     ct[CT_WS] += nws
-    return out
+    return out, l, r, ml, mr, m, lc, hold
 
 
 # ---------------------------------------------------------------------------
@@ -1195,8 +1138,7 @@ class Sorter:
             try:
                 self.rng.next()
                 ct = [0] * CT_LEN
-                fr = PartitionFrame()
-                self._range(ar, cmp3, 0, n - 1, 1, fr, self.temp.buf, ct)
+                self._range(ar, cmp3, 0, n - 1, 1, self.temp.buf, ct)
                 self._fill_stats(stats, ct)
             finally:
                 self._active = False
@@ -1229,7 +1171,7 @@ class Sorter:
             "fallbacks": ct[CT_HFALL],
         }
 
-    def _range(self, ar, cmp3, a, b, depth, fr, tar, ct) -> None:
+    def _range(self, ar, cmp3, a, b, depth, tar, ct) -> None:
         cfg = self.config
         thr = cfg.insertion_threshold
         rng = self.rng
@@ -1245,52 +1187,48 @@ class Sorter:
             if hook is not None:
                 cmp0 = ct[CT_CMP]
                 writes0 = ct[CT_WA] + ct[CT_WS]
-            dec = select_pivot(ar, a, b, cfg, rng, cmp3, ct)
+            p, _, flag = select_pivot(ar, a, b, cfg, rng, cmp3, ct)
             mid = (a + b) >> 1
-            fr.a = a
-            fr.b = b
-            fr.mid = mid
-            fr.pivot = dec.pivot
             ct[CT_WS] += 1  # pivot extraction into the held-out slot
-            fr.l = a
-            fr.r = b
-            fr.last_exit = None
-            label = _PRESCAN
-            if dec.order_flag > 0:
+            if flag == 0:
+                label, l, r, ml, mr, m, lc, hold = (
+                    _PRESCAN, a, b, mid, mid, mid, 0, None)
+            elif flag > 0:
                 ct[CT_HSORT] += 1
-                label = _sorted_handler(ar, cmp3, fr, ct)
-                if label != _DONE:
-                    ct[CT_HFALL] += 1
-            elif dec.order_flag < 0:
+                label, l, r, ml, mr, m, lc, hold = _sorted_handler(
+                    ar, cmp3, a, b, p, ct)
+            else:
                 ct[CT_HREV] += 1
-                label = _reversed_handler(ar, cmp3, fr, ct,
-                                          cfg.reverse_tolerance)
-                if label != _DONE:
+                label, l, r, ml, mr, m, lc, hold = _reversed_handler(
+                    ar, cmp3, a, b, p, ct, cfg.reverse_tolerance)
+            if label == _DONE:
+                new_l, new_r, last_exit = l, r, None
+            else:
+                if flag:
                     ct[CT_HFALL] += 1
-            if label != _DONE:
-                if label in _STATE1_FAMILY:
+                if label <= _MR1_2:
                     ct[CT_S1] += 1
-                _run_machine(ar, cmp3, fr, label, tar, ct)
-            new_l = fr.new_l
-            new_r = fr.new_r
+                new_l, new_r, last_exit = _run_machine(
+                    ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, hold, tar,
+                    ct)
             if hook is not None:
                 hook(StageRecord(
-                    a, b, fr.pivot, dec.order_flag,
+                    a, b, p, flag,
                     None if label == _DONE else _LABEL_NAMES[label],
-                    fr.last_exit, new_l, new_r, ct[CT_CMP] - cmp0,
+                    last_exit, new_l, new_r, ct[CT_CMP] - cmp0,
                     ct[CT_WA] + ct[CT_WS] - writes0))
             left_n = new_l - a + 1
             right_n = b - new_r + 1
             # recurse into the smaller side, loop on the larger
             if left_n <= right_n:
                 if left_n > 1:
-                    self._range(ar, cmp3, a, new_l, depth + 1, fr, tar, ct)
+                    self._range(ar, cmp3, a, new_l, depth + 1, tar, ct)
                 if right_n <= 1:
                     return
                 a = new_r
             else:
                 if right_n > 1:
-                    self._range(ar, cmp3, new_r, b, depth + 1, fr, tar, ct)
+                    self._range(ar, cmp3, new_r, b, depth + 1, tar, ct)
                 if left_n <= 1:
                     return
                 b = new_l

@@ -20,7 +20,7 @@ work for any sorter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 DISTRIBUTIONS = (
     "sawtooth",

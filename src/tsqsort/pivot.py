@@ -21,14 +21,19 @@ from .inline import compare_inline
 
 R_A = 16807
 R_M = 2147483648
+# the state a seed whose residue mod R_M is 0 starts from, since state 0
+# is absorbing; datagen.ParkMillerGen maps a zero seed to the same state
+_ZERO_SEED_STATE = 123456789
 
 
 class MitigationRng:
     """Park-Miller-style generator driving sample-position jitter.
 
     ``dran`` is uniform in [0.5, 1.5) and scales interior sample
-    offsets; ``dran2 = 1 + dran``.  A zero state would be absorbing, so
-    zero seeds are replaced from the wall clock.
+    offsets; ``dran2 = 1 + dran``.  Only ``seed=None`` reads the wall
+    clock, so every given seed is reproducible.  A zero state would be
+    absorbing, so a seed whose residue mod 2**31 is 0 (0, 2**31, ...)
+    starts from a fixed nonzero state instead.
     """
 
     __slots__ = ("zgen", "dran", "dran2")
@@ -36,10 +41,7 @@ class MitigationRng:
     def __init__(self, seed: int | None = None):
         if seed is None:
             seed = time.time_ns()
-        seed = int(seed) % R_M
-        while seed == 0:
-            seed = time.time_ns() % R_M
-        self.zgen = seed
+        self.zgen = int(seed) % R_M or _ZERO_SEED_STATE
         self.dran = 1.0
         self.dran2 = 2.0
 

@@ -10,8 +10,7 @@ import tsqsort
 from tsqsort import GenSpec, SortConfig, Sorter, TempAllocationError, generate
 from tsqsort.bench import BATTERY_REORDERS
 from tsqsort.core import (CT_CMP, CT_LEN, CT_S2L, CT_S2R, CT_S3L, CT_S3R,
-                          CT_TI_HW, CT_WA, CT_WS, PartitionFrame,
-                          _M2L, _M2L_2, _MLEFT_NOSCAN, _MRIGHT_NOSCAN,
+                          CT_TI_HW, CT_WA, CT_WS, _M2L, _M2L_2, _MLEFT_NOSCAN, _MRIGHT_NOSCAN,
                           _PRESCAN, _run_machine)
 from tsqsort.datagen import DISTRIBUTIONS
 from tsqsort.stats import (EXIT2, EXIT3L, EXIT3R, S1, S2L, S2R, S3L, S3R)
@@ -260,12 +259,19 @@ def test_sorter_not_reentrant():
 # --- single stages through the partition machine ---
 
 
-def _stage(ar, fr, label, cmp=cmp3):
-    """Run the machine from ``label`` to the end of the stage; returns
-    the counter vector."""
+def _stage(ar, pivot, label=_PRESCAN, *entry, cmp=cmp3):
+    """Run the machine on the stage over all of ``ar`` from ``label`` to
+    the end of the stage.  ``entry`` is the machine's entry state
+    (l, r, ml, mr, m, lc, holdover), by default the pre-scan's; returns
+    (new_l, new_r, last_exit, counter vector)."""
+    n = len(ar)
+    mid = (n - 1) >> 1
     ct = [0] * CT_LEN
-    _run_machine(ar, cmp, fr, label, [None] * ((fr.b - fr.a + 2) // 2), ct)
-    return ct
+    new_l, new_r, last_exit = _run_machine(
+        ar, cmp, mid, pivot, label,
+        *(entry or (0, n - 1, mid, mid, mid, 0, None)),
+        [None] * ((n + 1) // 2), ct)
+    return new_l, new_r, last_exit, ct
 
 
 def _closed_right(l, ml, n=41, pivot=50):
@@ -278,11 +284,7 @@ def _closed_right(l, ml, n=41, pivot=50):
     ar = ([10 + i for i in range(l)]
           + [(20, 90, pivot)[i % 3] for i in range(l, ml)]
           + [95] + [pivot] * (mid - ml) + [100 + i for i in range(mid + 1, n)])
-    fr = PartitionFrame(0, n - 1, pivot)
-    fr.l, fr.ml, fr.m, fr.mr, fr.r = l, ml, mid, mid, mid
-    fr.lc = 1
-    fr.holdover = ar[l]
-    return ar, fr
+    return ar, (l, mid, ml, mid, mid, 1, ar[l])
 
 
 def _closed_left(r, mr, n=41, pivot=50):
@@ -293,11 +295,7 @@ def _closed_left(r, mr, n=41, pivot=50):
     ar = (list(range(mid)) + [pivot] * (mr - mid) + [5]
           + [(20, 90, pivot)[i % 3] for i in range(mr + 1, r + 1)]
           + [100 + i for i in range(r + 1, n)])
-    fr = PartitionFrame(0, n - 1, pivot)
-    fr.l, fr.ml, fr.m, fr.mr, fr.r = mid, mid, mid, mr, r
-    fr.lc = -1
-    fr.holdover = ar[r]
-    return ar, fr
+    return ar, (mid, r, mid, mr, mid, -1, ar[r])
 
 
 def test_choose_next_state_boundaries():
@@ -307,23 +305,23 @@ def test_choose_next_state_boundaries():
     # (mr' - ml) <= (r - mr') // 4, else 2R.  Each pair of stages sits
     # on the two sides of that limit.
     for l, s3_s2 in ((0, (1, 0)), (1, (0, 1))):
-        ar, fr = _closed_right(l, 15)
+        ar, entry = _closed_right(l, 15)
         want = sorted(ar)
         # mr - ml' = 20 - 16 = 4 against (16 - l) // 4 = 4 or 3
-        ct = _stage(ar, fr, _MLEFT_NOSCAN)
+        new_l, new_r, _, ct = _stage(ar, 50, _MLEFT_NOSCAN, *entry)
         assert (ct[CT_S3L], ct[CT_S2L], ct[CT_S3R], ct[CT_S2R]) == \
             s3_s2 + (0, 0), l
         assert sorted(ar) == want
-        assert_stage_law(ar, 0, 40, fr.new_l, fr.new_r, 50)
+        assert_stage_law(ar, 0, 40, new_l, new_r, 50)
     for r, s3_s2 in ((40, (1, 0)), (39, (0, 1))):
-        ar, fr = _closed_left(r, 25)
+        ar, entry = _closed_left(r, 25)
         want = sorted(ar)
         # mr' - ml = 24 - 20 = 4 against (r - 24) // 4 = 4 or 3
-        ct = _stage(ar, fr, _MRIGHT_NOSCAN)
+        new_l, new_r, _, ct = _stage(ar, 50, _MRIGHT_NOSCAN, *entry)
         assert (ct[CT_S3R], ct[CT_S2R], ct[CT_S3L], ct[CT_S2L]) == \
             s3_s2 + (0, 0), r
         assert sorted(ar) == want
-        assert_stage_law(ar, 0, 40, fr.new_l, fr.new_r, 50)
+        assert_stage_law(ar, 0, 40, new_l, new_r, 50)
 
 
 def test_init_stage_prescan_normal():
@@ -337,11 +335,11 @@ def test_init_stage_prescan_normal():
         return cmp3(x, y)
 
     ar = [2, 1, 3, 0, 8]
-    fr = PartitionFrame(0, 4, 3)  # pivot 3 extracted from mid
-    ct = _stage(ar, fr, _PRESCAN, logged)
+    # pivot 3 extracted from mid
+    new_l, new_r, last_exit, ct = _stage(ar, 3, cmp=logged)
     assert log[:2] == [(8, 3), (0, 3)]
     assert ar == [2, 1, 0, 3, 8]
-    assert (fr.new_l, fr.new_r, fr.last_exit) == (2, 4, EXIT2)
+    assert (new_l, new_r, last_exit) == (2, 4, EXIT2)
     assert ct[:3] == [5, 2, 1]
 
 
@@ -349,19 +347,17 @@ def test_init_stage_special_case_collapses():
     # everything right of mid exceeds the pivot; the special case must
     # still produce a lawful stage
     ar = [1, 9, 9, 9]
-    fr = PartitionFrame(0, 3, 1)
-    _stage(ar, fr, _PRESCAN)
-    assert fr.last_exit == EXIT2
-    assert_stage_law(ar, 0, 3, fr.new_l, fr.new_r, 1)
+    new_l, new_r, last_exit, _ = _stage(ar, 1)
+    assert last_exit == EXIT2
+    assert_stage_law(ar, 0, 3, new_l, new_r, 1)
     assert sorted(ar) == [1, 1, 9, 9]
 
     # the pivot 2 taken from index 0, the mid element 1 moved there
     ar = [1, 1, 3]
-    fr = PartitionFrame(0, 2, 2)
-    _stage(ar, fr, _PRESCAN)
-    assert fr.last_exit == EXIT2
+    new_l, new_r, last_exit, _ = _stage(ar, 2)
+    assert last_exit == EXIT2
     assert ar == [1, 2, 3]
-    assert_stage_law(ar, 0, 2, fr.new_l, fr.new_r, 2)
+    assert_stage_law(ar, 0, 2, new_l, new_r, 2)
 
 
 def test_full_stage_pipeline_matches_oracle():
@@ -372,46 +368,40 @@ def test_full_stage_pipeline_matches_oracle():
               for _ in range(n)]
         snapshot = list(ar)
         pivot = ar[(n - 1) >> 1]
-        fr = PartitionFrame(0, n - 1, pivot)
-        _stage(ar, fr, _PRESCAN)
+        new_l, new_r, _, _ = _stage(ar, pivot)
         assert sorted(ar) == sorted(snapshot), trial
-        assert_stage_law(ar, 0, n - 1, fr.new_l, fr.new_r, pivot)
+        assert_stage_law(ar, 0, n - 1, new_l, new_r, pivot)
 
 
 def test_run_state2_roll_write_count():
     # One above-pivot element amid equals: the roll costs exactly two
     # writes (export to r, backfill from r), and Exit2 one comparison
-    # and two more (holdover and pivot).  The frame is built directly
+    # and two more (holdover and pivot).  The stage is entered directly
     # in the state-2L entry geometry: left part settled, holes at l and
     # r, the in-array equals block bordering r.
     ar = [0, 0, 9, 5, 5, 5, 0, 8]
-    fr = PartitionFrame(0, 7, 5)
-    fr.holdover = 3
-    fr.l, fr.r = 1, 6          # both holes
-    fr.ml, fr.mr = 3, 6        # block [3..5], right side closed
-    fr.m = 2                   # scan cursor on the lone > pivot element
-    fr.lc = 1                  # its comparison is already known
-    ct = _stage(ar, fr, _M2L_2)
+    new_l, new_r, _, ct = _stage(
+        ar, 5, _M2L_2,
+        1, 6,     # l, r: both holes
+        3, 6,     # ml, mr: block [3..5], right side closed
+        2,        # m: scan cursor on the lone > pivot element
+        1,        # lc: its comparison is already known
+        3)        # the holdover
     assert ct[CT_CMP] == 1
     assert ct[CT_WA] + ct[CT_WS] == 2 + 2
     assert ar == [0, 3, 5, 5, 5, 5, 9, 8]
-    assert_stage_law(ar, 0, 7, fr.new_l, fr.new_r, 5)
+    assert_stage_law(ar, 0, 7, new_l, new_r, 5)
 
 
 def test_run_state2_all_equal_span_scans_only():
     # a span that is entirely pivot-equal costs comparisons but no
     # writes; the two writes and the last comparison are Exit2's
     ar = [0, 0, 5, 5, 5, 5, 0, 8]
-    fr = PartitionFrame(0, 7, 5)
-    fr.holdover = 7
-    fr.l, fr.r = 1, 6
-    fr.ml, fr.mr = 4, 6
-    fr.m = 3
-    fr.lc = 0
-    ct = _stage(ar, fr, _M2L)
+    # l, r, ml, mr, m, lc and the holdover, as in the test above
+    new_l, new_r, _, ct = _stage(ar, 5, _M2L, 1, 6, 4, 6, 3, 0, 7)
     assert ct[CT_CMP] == 2 + 1
     assert ct[CT_WA] + ct[CT_WS] == 0 + 2
-    assert_stage_law(ar, 0, 7, fr.new_l, fr.new_r, 5)
+    assert_stage_law(ar, 0, 7, new_l, new_r, 5)
 
 
 def test_run_state3_buffers_equals():
@@ -422,12 +412,12 @@ def test_run_state3_buffers_equals():
             ([7, 1, 2, 4, 5, 4, 3, 5, 5, 4], CT_S3R, EXIT3R)):
         n = len(ar)
         want = sorted(ar)
-        fr = PartitionFrame(0, n - 1, 5)  # extracted from mid
-        ct = _stage(ar, fr, _PRESCAN)
+        # the pivot 5 extracted from mid
+        new_l, new_r, last_exit, ct = _stage(ar, 5)
         assert ct[state] == 1 and ct[CT_TI_HW] == 2
-        assert fr.last_exit == exit_id
+        assert last_exit == exit_id
         assert sorted(ar) == want
-        assert_stage_law(ar, 0, n - 1, fr.new_l, fr.new_r, 5)
+        assert_stage_law(ar, 0, n - 1, new_l, new_r, 5)
 
 
 def test_sorts_reach_every_machine_line():

@@ -207,9 +207,9 @@ def test_golden_cases_enter_every_handler_resume_label(monkeypatch):
     seen = set()
     run_machine = core._run_machine
 
-    def spy(ar, cmp3, fr, label, tar, ct):
+    def spy(ar, cmp3, mid, p, label, *entry):
         seen.add(core._LABEL_NAMES[label])
-        return run_machine(ar, cmp3, fr, label, tar, ct)
+        return run_machine(ar, cmp3, mid, p, label, *entry)
 
     monkeypatch.setattr(core, "_run_machine", spy)
     for spec in CASES.values():

@@ -1,26 +1,21 @@
+import dataclasses
 import itertools
 import random
 
 from tsqsort import SortConfig, Sorter, handlers
-from tsqsort.core import CT_CMP, CT_LEN, CT_WA, CT_WS, PartitionFrame
+from tsqsort.core import CT_CMP, CT_LEN, CT_WA, CT_WS
 from tsqsort.handlers import handle_possibly_reversed, handle_possibly_sorted
 
 from conftest import assert_stage_law, cmp3
-from test_reversed_fast_path_sweep import REVERSED_RESUME_LABELS
-from test_sorted_fast_path_sweep import SORTED_RESUME_LABELS
 
-
-def _frame_for(ar, pivot):
-    fr = PartitionFrame(0, len(ar) - 1)
-    fr.pivot = pivot  # extracted; center slot logically empty
-    return fr
+# Each handler runs on the whole array, ar[0..len(ar) - 1], with the
+# pivot extracted and the center slot logically empty.
 
 
 def test_sorted_bypass_zero_migration_writes():
     ar = [1, 2, 3, 4, 5, 6, 7]
-    fr = _frame_for(ar, 4)
     ct = [0] * CT_LEN
-    out = handle_possibly_sorted(ar, fr, ct=ct)
+    out = handle_possibly_sorted(ar, 0, 6, 4, ct=ct)
     assert out.bypassed
     assert (out.new_l, out.new_r) == (2, 4)
     # the only write is the pivot restore into the center slot
@@ -30,20 +25,18 @@ def test_sorted_bypass_zero_migration_writes():
 
 def test_sorted_all_equal_absorption():
     ar = [1, 1, 1, 1, 1]
-    fr = _frame_for(ar, 1)
-    out = handle_possibly_sorted(ar, fr)
+    out = handle_possibly_sorted(ar, 0, 4, 1)
     assert out.bypassed
     assert out.new_l < 0 and out.new_r > 4
 
 
 def test_sorted_mismatch_falls_back_and_stage_completes():
     ar = [1, 2, 7, 4, 5]
-    fr = _frame_for(ar, ar[2])
-    fr.pivot = 7  # wrong-looking pivot from "sorted" samples
-    out = handle_possibly_sorted(ar, fr, finish=True)
+    # wrong-looking pivot 7 from "sorted" samples
+    out = handle_possibly_sorted(ar, 0, 4, 7, finish=True)
     if not out.bypassed:
         assert out.resume_point
-    assert_stage_law(ar, 0, 4, fr.new_l, fr.new_r, 7)
+    assert_stage_law(ar, 0, 4, out.new_l, out.new_r, 7)
 
 
 def test_sorted_handler_random_inputs_transparent():
@@ -54,31 +47,29 @@ def test_sorted_handler_random_inputs_transparent():
         mid = (n - 1) >> 1
         pivot = ar[mid]
         snapshot = list(ar)
-        fr = _frame_for(ar, pivot)
-        out = handle_possibly_sorted(ar, fr, finish=True)
+        out = handle_possibly_sorted(ar, 0, n - 1, pivot, finish=True)
         assert sorted(ar) == sorted(snapshot)
-        assert_stage_law(ar, 0, n - 1, fr.new_l, fr.new_r, pivot)
+        assert_stage_law(ar, 0, n - 1, out.new_l, out.new_r, pivot)
         assert out.kind in ("bypass", "fallback")
 
 
 def test_equal_fallbacks_compare_equal():
-    # the frame is left out of equality: two runs of the same fallback
-    # give equal outcomes although each carries its own frame
+    # two runs of the same fallback give equal outcomes: the resume
+    # state they carry is a tuple, compared by value
     def attempt():
         ar = [1, 6, 3, 4, 2]
-        return handle_possibly_sorted(ar, _frame_for(ar, 3))
+        return handle_possibly_sorted(ar, 0, 4, 3)
 
     first, second = attempt(), attempt()
     assert first.kind == "fallback" and first.resume_point == "l_scan1_2"
-    assert first.frame is not second.frame
     assert first == second
+    assert first != dataclasses.replace(first, resume=None)
 
 
 def test_reversed_full_bypass_swap_count():
     ar = [9, 8, 7, 6, 5, 4, 3, 2, 1]
-    fr = _frame_for(ar, 5)
     ct = [0] * CT_LEN
-    out = handle_possibly_reversed(ar, fr, tolerance=3, ct=ct)
+    out = handle_possibly_reversed(ar, 0, 8, 5, tolerance=3, ct=ct)
     assert out.bypassed
     # floor(9/2) = 4 pairwise swaps plus the pivot restore
     assert ct[CT_WA] + ct[CT_WS] == 3 * 4 + 1
@@ -87,18 +78,17 @@ def test_reversed_full_bypass_swap_count():
 
 def test_reversed_even_length():
     ar = [8, 7, 6, 5, 4, 3, 2, 1]
-    fr = _frame_for(ar, ar[3])  # pivot 5 extracted from the center slot
-    handle_possibly_reversed(ar, fr, finish=True)
+    # pivot 5 extracted from the center slot
+    out = handle_possibly_reversed(ar, 0, 7, ar[3], finish=True)
     assert sorted(ar) == list(range(1, 9))
-    assert_stage_law(ar, 0, 7, fr.new_l, fr.new_r, 5)
+    assert_stage_law(ar, 0, 7, out.new_l, out.new_r, 5)
 
 
 def test_reversed_with_few_misplaced_within_tolerance():
     ar = [9, 8, 7, 6, 5, 4, 3, 2, 1]
     ar[1], ar[7] = ar[7], ar[1]  # two misplaced elements
-    fr = _frame_for(ar, 5)
-    out = handle_possibly_reversed(ar, fr, tolerance=3, finish=True)
-    assert_stage_law(ar, 0, 8, fr.new_l, fr.new_r, 5)
+    out = handle_possibly_reversed(ar, 0, 8, 5, tolerance=3, finish=True)
+    assert_stage_law(ar, 0, 8, out.new_l, out.new_r, 5)
     assert sorted(ar) == list(range(1, 10))
 
 
@@ -110,10 +100,10 @@ def test_reversed_random_mislabel_falls_back():
         mid = (n - 1) >> 1
         pivot = ar[mid]
         snapshot = list(ar)
-        fr = _frame_for(ar, pivot)
-        out = handle_possibly_reversed(ar, fr, tolerance=3, finish=True)
+        out = handle_possibly_reversed(ar, 0, n - 1, pivot, tolerance=3,
+                                       finish=True)
         assert sorted(ar) == sorted(snapshot)
-        assert_stage_law(ar, 0, n - 1, fr.new_l, fr.new_r, pivot)
+        assert_stage_law(ar, 0, n - 1, out.new_l, out.new_r, pivot)
 
 
 def test_handler_transparency_full_sort():
@@ -155,53 +145,15 @@ def test_fallback_comparison_budget():
         n = rnd.randint(8, 200)
         ar = [rnd.randint(0, 30) for _ in range(n)]
         pivot = ar[(n - 1) >> 1]
-        fr = _frame_for(list(ar), pivot)
         ct = [0] * CT_LEN
         arr = list(ar)
-        handle_possibly_sorted(arr, fr, ct=ct, finish=True)
+        handle_possibly_sorted(arr, 0, n - 1, pivot, ct=ct, finish=True)
         assert ct[CT_CMP] <= 2 * n + 4
-        fr = _frame_for(list(ar), pivot)
         ct = [0] * CT_LEN
         arr = list(ar)
-        handle_possibly_reversed(arr, fr, tolerance=3, ct=ct, finish=True)
+        handle_possibly_reversed(arr, 0, n - 1, pivot, tolerance=3, ct=ct,
+                                 finish=True)
         assert ct[CT_CMP] <= 2 * n + 4
-
-
-def _fallback_frame(data, pivot, handle, lc):
-    """A handler's fallback, entered with ``fr.lc = lc``: its resume
-    point, array, counters and every frame slot."""
-    ar = list(data)
-    fr = _frame_for(ar, pivot)
-    fr.lc = lc
-    ct = [0] * CT_LEN
-    out = handle(ar, fr, ct=ct)
-    return (out.resume_point, ar, ct,
-            [getattr(fr, name) for name in PartitionFrame.__slots__])
-
-
-def test_fallback_frame_does_not_depend_on_the_stage_before():
-    # a sort hands each stage the frame the stage before left, so a
-    # fallback must store every slot the machine reads: entered with two
-    # different lc values, each handler leaves equal frames at every
-    # resume point it has
-    rnd = random.Random(20)
-    seen = {handle_possibly_sorted: set(), handle_possibly_reversed: set()}
-    for trial in range(3000):
-        n = rnd.randint(5, 60)
-        data = [rnd.randint(0, rnd.choice([3, 20, 1000])) for _ in range(n)]
-        if trial % 3:
-            data.sort(reverse=trial % 3 == 2)
-        pivot = data[(n - 1) >> 1]
-        if trial % 4 == 0:
-            data[rnd.randrange(n)] = pivot
-        for handle, labels in seen.items():
-            first = _fallback_frame(data, pivot, handle, -7)
-            if first[0]:
-                assert _fallback_frame(data, pivot, handle, 7) == first, \
-                    (trial, handle.__name__, first[0])
-                labels.add(first[0])
-    assert seen[handle_possibly_sorted] == SORTED_RESUME_LABELS
-    assert seen[handle_possibly_reversed] == REVERSED_RESUME_LABELS
 
 
 def test_reversed_default_tolerance_is_the_config_default(monkeypatch):
@@ -210,7 +162,7 @@ def test_reversed_default_tolerance_is_the_config_default(monkeypatch):
 
     def attempt(**kw):
         arr = list(ar)
-        out = handle_possibly_reversed(arr, _frame_for(arr, 5), **kw)
+        out = handle_possibly_reversed(arr, 0, 8, 5, **kw)
         return out.kind, out.resume_point, arr
 
     assert attempt() == attempt(tolerance=3) != attempt(tolerance=0)
@@ -220,7 +172,7 @@ def test_reversed_default_tolerance_is_the_config_default(monkeypatch):
 
 
 def test_handlers_end_tiny_stages_by_the_stage_law():
-    # frames of one to three elements, every array over three values
+    # ranges of one to three elements, every array over three values
     # and every pivot taken from the center slot, on both comparator
     # paths: each handler ends the stage with a permutation of its input
     # and bounds that satisfy the stage law
@@ -230,11 +182,9 @@ def test_handlers_end_tiny_stages_by_the_stage_law():
             for handle in (handle_possibly_sorted, handle_possibly_reversed):
                 for cmp in (None, cmp3):
                     ar = list(data)
-                    fr = _frame_for(ar, pivot)
-                    out = handle(ar, fr, cmp, finish=True)
+                    out = handle(ar, 0, n - 1, pivot, cmp, finish=True)
                     case = (n, data, handle.__name__, cmp)
                     assert sorted(ar) == sorted(data), case
                     assert -1 <= out.new_l < out.new_r <= n, case
-                    assert (out.new_l, out.new_r) == (fr.new_l, fr.new_r)
-                    assert_stage_law(ar, 0, n - 1, fr.new_l, fr.new_r,
+                    assert_stage_law(ar, 0, n - 1, out.new_l, out.new_r,
                                      pivot)

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 import pytest
 
 from tsqsort.baselines import REGISTRY
-from tsqsort.core import PartitionFrame
 from tsqsort.handlers import handle_possibly_reversed, handle_possibly_sorted
 
 
@@ -57,15 +56,14 @@ HOSTILE = {
 
 
 def handle_sorted(ar, cmp):
-    fr = PartitionFrame(0, len(ar) - 1)
-    fr.pivot = ar[fr.mid]  # extracted; center slot logically empty
-    handle_possibly_sorted(ar, fr, cmp=cmp, finish=True)
+    b = len(ar) - 1
+    # the pivot extracted; the center slot logically empty
+    handle_possibly_sorted(ar, 0, b, ar[b >> 1], cmp=cmp, finish=True)
 
 
 def handle_reversed(ar, cmp):
-    fr = PartitionFrame(0, len(ar) - 1)
-    fr.pivot = ar[fr.mid]
-    handle_possibly_reversed(ar, fr, cmp=cmp, finish=True)
+    b = len(ar) - 1
+    handle_possibly_reversed(ar, 0, b, ar[b >> 1], cmp=cmp, finish=True)
 
 
 RUNNERS = {name: (lambda algo: lambda ar, cmp: algo(ar, cmp, seed=3))(algo)

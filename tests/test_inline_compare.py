@@ -25,7 +25,7 @@ import tsqsort
 from tsqsort import (SortConfig, Sorter, baselines, core, generate, pivot,
                      smallsort)
 from tsqsort.baselines import REGISTRY, fixed_pivot_qsort
-from tsqsort.core import CT_LEN, PartitionFrame
+from tsqsort.core import CT_LEN
 from tsqsort.handlers import handle_possibly_reversed, handle_possibly_sorted
 from tsqsort.inline import _default_cmp3, compare_inline
 
@@ -69,18 +69,12 @@ def test_default_and_generic_paths_agree(case):
         assert run(algo, data, None) == run(algo, data, generic), name
 
 
-def frame_state(fr):
-    return tuple(getattr(fr, s) for s in PartitionFrame.__slots__)
-
-
 def handled(ar, pivot_value, cmp, reversed_):
-    fr = PartitionFrame(0, len(ar) - 1)
-    fr.pivot = pivot_value
     ct = [0] * CT_LEN
     handle = handle_possibly_reversed if reversed_ else handle_possibly_sorted
-    out = handle(ar, fr, cmp, ct=ct, finish=True)
+    out = handle(ar, 0, len(ar) - 1, pivot_value, cmp, ct=ct, finish=True)
     return (ar, out.kind, out.new_l, out.new_r, out.resume_point, ct,
-            frame_state(fr))
+            out.resume)
 
 
 def test_contract_entry_points_agree():

@@ -30,7 +30,7 @@ import sys
 from itertools import combinations
 
 from tsqsort import core
-from tsqsort.core import CT_LEN, PartitionFrame
+from tsqsort.core import CT_LEN
 from tsqsort.handlers import handle_possibly_reversed
 
 from conftest import assert_stage_law, cmp3
@@ -86,11 +86,10 @@ def variants(n):
 
 def run_handler(data, pivot, tol, cmp):
     ar = list(data)
-    fr = PartitionFrame(0, len(ar) - 1)
-    fr.pivot = pivot  # extracted; center slot logically empty
     ct = [0] * CT_LEN
-    out = handle_possibly_reversed(ar, fr, cmp=cmp, tolerance=tol, ct=ct,
-                                   finish=True)
+    # the pivot extracted; the center slot logically empty
+    out = handle_possibly_reversed(ar, 0, len(ar) - 1, pivot, cmp=cmp,
+                                   tolerance=tol, ct=ct, finish=True)
     return out.kind, out.resume_point, out.new_l, out.new_r, ct[:3], ar
 
 

@@ -26,7 +26,7 @@ import hashlib
 import sys
 
 from tsqsort import Sorter, core
-from tsqsort.core import CT_LEN, PartitionFrame
+from tsqsort.core import CT_LEN
 from tsqsort.handlers import handle_possibly_sorted
 
 from conftest import assert_stage_law, cmp3
@@ -76,10 +76,11 @@ def equal_runs(n):
 
 def run_handler(data, cmp):
     ar = list(data)
-    fr = PartitionFrame(0, len(ar) - 1)
-    fr.pivot = ar[fr.mid]  # extracted; center slot logically empty
+    b = len(ar) - 1
     ct = [0] * CT_LEN
-    out = handle_possibly_sorted(ar, fr, cmp=cmp, ct=ct, finish=True)
+    # the pivot extracted; the center slot logically empty
+    out = handle_possibly_sorted(ar, 0, b, ar[b >> 1], cmp=cmp, ct=ct,
+                                 finish=True)
     return out.kind, out.resume_point, out.new_l, out.new_r, ct[:3], ar
 
 
