@@ -44,10 +44,9 @@ The machine, both fast-path handlers, the pivot medians and the
 insertion sort are decorated with ``inline.compare_inline``: an ``ast``
 transformer compiles them once more from their own source with every
 ``cmp3(x, y)`` call inlined, and that variant runs whenever the
-comparator is the default one.  The scans are written as
-``ncmp += 1`` then ``if (lc := cmp3(ar[l], p)) >= 0: break``: a test of
-that shape compiles to branches on ``<`` and ``>`` themselves, with no
-three-way value built and tested again.
+comparator is the default one.  A scan's test, written as
+``if (lc := cmp3(ar[l], p)) >= 0: break``, compiles to branches on
+``<`` and ``>`` themselves, with no three-way value built or re-tested.
 """
 
 from __future__ import annotations
@@ -158,6 +157,10 @@ _LABEL_NAMES = {
     _EXIT3L: "exit3L", _EXIT3R: "exit3R", _EXIT2: "exit2", _DONE: "done",
 }
 
+# Per entry label, the elements of [l..r] outside [ml..mr] compared at
+# entry: the holdover's but at _PRESCAN, and the cursor's at *_2, _R1_3.
+_PRECOMPARED = (0,) + (1,) * 2 + (2,) * 4 + (1,) * 4 + (1, 2) * 4
+
 # Counter vector indices (a plain list is the cheapest mutable record).
 # The first three are the [comparisons, array writes, scratch writes]
 # tally of select_pivot and insertion_sort, so ct is passed to them as is.
@@ -201,8 +204,19 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
     ml = mr = m = mid.  ``tar`` is the equals buffer, of at least
     ceil(n/2) slots for the stage's n-element range; it is empty again
     when the stage ends.
+
+    Comparisons are counted once, by law: the machine compares each
+    element of [l..r] outside [ml..mr] (entry cursors) once, but for the
+    ``_PRECOMPARED[label]`` its entry compared, and Exit2 the holdover
+    again.  Each comparison is of a position a cursor steps onto, and no
+    position is stepped onto twice: the pre-scan and state 1 move l, r
+    inward and ml, mr outward until they meet, the block edges stopping
+    short of the holes at l and r, and the closing scan carries a block
+    edge on to its hole; states 2L/3L compare each element strictly
+    between l and m once as m steps down and l up until they meet (a
+    state-3 run is scanned by m); 2R/3R mirror this.
     """
-    ncmp = 0
+    ct[CT_CMP] += r - l - (mr - ml) - _PRECOMPARED[label]
     nwa = 0
     nws = 0
     ti = 0
@@ -211,7 +225,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
     # ----- pre-scan from the right, for the holdover -----
     if label == _PRESCAN:
         while True:
-            ncmp += 1
             if (lc := cmp3(ar[r], p)) <= 0:
                 break
             r -= 1
@@ -228,7 +241,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
             # the hole.  Otherwise hold that element out and continue
             # as a closed-right-side stage with an empty middle block.
             while True:
-                ncmp += 1
                 if (lc := cmp3(ar[l], p)) >= 0:
                     break
                 l += 1
@@ -288,7 +300,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
             while True:
                 if label == _L1:
                     while True:
-                        ncmp += 1
                         if (lc := cmp3(ar[l], p)) >= 0:
                             break
                         l += 1
@@ -305,7 +316,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                 else:
                     label = _L1  # entered at the right scan
                 while True:
-                    ncmp += 1
                     if (lc := cmp3(ar[r], p)) <= 0:
                         break
                     r -= 1
@@ -330,7 +340,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                     mr += 1
                     if mr == r:
                         break
-                    ncmp += 1
                     if (lc := cmp3(ar[mr], p)) != 0:
                         break
                 if lc == 0:
@@ -342,7 +351,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                     ml -= 1
                     if ml == l:
                         break
-                    ncmp += 1
                     if (lc := cmp3(ar[ml], p)) != 0:
                         break
                 if lc == 0:
@@ -377,7 +385,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                 if ml == l:
                     label = _EXIT2
                     break
-                ncmp += 1
                 if (lc := cmp3(ar[ml], p)) != 0:
                     break
         elif label == _MRIGHT:
@@ -387,7 +394,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                 if mr == r:
                     label = _EXIT2
                     break
-                ncmp += 1
                 if (lc := cmp3(ar[mr], p)) != 0:
                     break
         # ml (mr) sits on the first non-equal below (above) the block
@@ -422,7 +428,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
             while True:
                 if label == _M2L:
                     while True:
-                        ncmp += 1
                         if (lc := cmp3(ar[m], p)) != 0:
                             break
                         m -= 1
@@ -448,7 +453,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                     break
                 # scan from l for an element not below the pivot
                 while True:
-                    ncmp += 1
                     if (lc := cmp3(ar[l], p)) >= 0:
                         break
                     l += 1
@@ -476,7 +480,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
             while True:
                 if label == _M2R:
                     while True:
-                        ncmp += 1
                         if (lc := cmp3(ar[m], p)) != 0:
                             break
                         m += 1
@@ -501,7 +504,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                 if m == r:
                     break
                 while True:
-                    ncmp += 1
                     if (lc := cmp3(ar[r], p)) <= 0:
                         break
                     r -= 1
@@ -531,7 +533,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
             while True:
                 if label == _M3L:
                     while True:
-                        ncmp += 1
                         if (lc := cmp3(ar[m], p)) != 0:
                             break
                         tar[ti] = ar[m]
@@ -549,7 +550,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                         m -= 1
                         if m == l:
                             break
-                        ncmp += 1
                         if (lc := cmp3(ar[m], p)) <= 0:
                             break
                     k2 = m + 1
@@ -597,7 +597,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                 if m == l:
                     break
                 while True:
-                    ncmp += 1
                     if (lc := cmp3(ar[l], p)) >= 0:
                         break
                     l += 1
@@ -628,7 +627,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
             while True:
                 if label == _M3R:
                     while True:
-                        ncmp += 1
                         if (lc := cmp3(ar[m], p)) != 0:
                             break
                         tar[ti] = ar[m]
@@ -645,7 +643,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                         m += 1
                         if m == r:
                             break
-                        ncmp += 1
                         if (lc := cmp3(ar[m], p)) >= 0:
                             break
                     k2 = m - 1
@@ -691,7 +688,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                 if m == r:
                     break
                 while True:
-                    ncmp += 1
                     if (lc := cmp3(ar[r], p)) <= 0:
                         break
                     r -= 1
@@ -742,7 +738,7 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
     # ----- Exit2: place the holdover and the pivot -----
     if label == _EXIT2:
         ct[CT_EXIT2] += 1
-        ncmp += 1
+        ct[CT_CMP] += 1  # the holdover, compared a second time
         if (lc := cmp3(temp, p)) >= 0:
             ar[r] = temp
             nwa += 1
@@ -758,7 +754,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
             nwa += 1
             r += 1
 
-    ct[CT_CMP] += ncmp
     ct[CT_WA] += nwa
     ct[CT_WS] += nws
     return l, r, last_exit
@@ -894,7 +889,10 @@ def _reversed_handler(ar, cmp3, a, b, p, ct, tol):
     ml == l and mr == r mark the settled sides, so a cursor that reached
     mid settles its side with an empty block.  In the settled phases
     only two write patterns depend on whether that block is empty
-    (l == mid, r == mid) or holds equals.
+    (l == mid, r == mid) or holds equals.  Comparisons are counted per
+    step: the right-settled phase reuses the swap loop's comparison of
+    ar[l] (``lc = 1``), so no law over the cursors, like the machine's,
+    holds for every stage.
 
     Returns ``(label, l, r, ml, mr, m, lc, holdover)`` as the sorted
     handler does.  Once a fallback, or the swap loop's bypass, sets the

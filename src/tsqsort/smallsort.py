@@ -4,6 +4,10 @@ A displaced element is held out once, the gap is shifted over it, and
 it is stored once at its target: (shift distance + 2) writes instead of
 three writes per adjacent exchange.  Elements already in place cost one
 comparison and no writes.
+
+The counts are kept per displaced element, not per shift: its shift
+distance, and whether a comparison (rather than reaching ``lo``)
+stopped its scan.
 """
 
 from __future__ import annotations
@@ -17,34 +21,38 @@ def insertion_sort(ar, lo: int, hi: int, cmp3, tally) -> None:
 
     ``tally`` is [comparisons, array writes, scratch writes]; holding a
     displaced element out is the one scratch write per displacement.
+    ``y`` is the largest element of the sorted prefix ar[lo..k-1], the
+    one ar[k] is compared with first: a displaced element leaves it in
+    place at ar[k], so it changes only when ar[k] stays.
     """
     if hi <= lo:
         return
     # the outer pass compares each ar[k] with ar[k - 1] once
     ncmp = hi - lo
-    nwa = 0
     nws = 0
+    shifts = 0
+    y = ar[lo]
     for k in range(lo + 1, hi + 1):
-        if cmp3(ar[k], ar[k - 1]) < 0:
-            j = k
-            temp = ar[j]
+        x = ar[k]
+        if cmp3(x, y) < 0:
+            ar[k] = y
+            j = k - 1
+            while j > lo:
+                z = ar[j - 1]
+                if cmp3(x, z) >= 0:
+                    break
+                ar[j] = z
+                j -= 1
+            ar[j] = x
+            shifts += k - j
             nws += 1
-            ar[j] = ar[j - 1]
-            nwa += 1
-            j -= 1
             if j > lo:
-                while True:
-                    ncmp += 1
-                    if cmp3(temp, ar[j - 1]) < 0:
-                        ar[j] = ar[j - 1]
-                        nwa += 1
-                        j -= 1
-                        if j == lo:
-                            break
-                    else:
-                        break
-            ar[j] = temp
-            nwa += 1
-    tally[0] += ncmp
-    tally[1] += nwa
+                # a comparison, not lo, stopped the scan
+                ncmp += 1
+        else:
+            y = x
+    # each displaced element wrote its k - j shifts and itself once, and
+    # compared once per shift after the first
+    tally[0] += ncmp + shifts - nws
+    tally[1] += shifts + nws
     tally[2] += nws
