@@ -29,12 +29,15 @@ bounds and its exit.  Nothing of a stage outlives it.
 
 The machine runs a stage as one forward pass of phases: the pre-scan,
 the state-1 cycle, the closing scan and state choice, one of states
-2L/2R/3L/3R, the state-3 drain and Exit2.  State 1 is a single loop of
-alternating left and right scans that also stores equals and grows the
-block over them; each of 2L/2R/3L/3R is a local loop over its scan
-steps.  Labels remain only as entry points into the pass: the pre-scan
-and the fast-path handlers' resume points, where they fall back
-mid-stage.  Every run of the machine ends the stage it enters.
+2L/2R/3L/3R, the state-3 drain and Exit2.  State 1 is a single
+straight-line cycle, left scan, place, right scan, place, that reads no
+label; a prologue before it makes the placement an entry or an equal
+left pending, and an equals detour after it stores the equal and grows
+the block over the equals beyond it.  Each of 2L/2R/3L/3R is a local
+loop over its scan steps.  Labels remain only as entry points into the
+pass: the pre-scan and the fast-path handlers' resume points, where
+they fall back mid-stage.  Every run of the machine ends the stage it
+enters.
 
 ``Sorter.stage_hook``, when set, is called once per partition stage,
 after the partition and before the recursion, with an
@@ -119,7 +122,7 @@ class TempStore:
 # _R1_3) are post-comparison points: the element under the relevant
 # cursor is compared already, above the pivot at _L1_2, below it at
 # _R1_3, and with lc holding the result at the others.  _L1 and _R1
-# come first among the state-1 labels: the cycle enters them with a
+# come first among the state-1 labels: state 1 enters them with a
 # scan, the others with a placement.  A stage entered at a label up to
 # _MR1_2 runs state 1.
 _PRESCAN = 0
@@ -194,8 +197,8 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
     case that collapses onto mid), the state-1 cycle, the closing scan
     and state choice, one of states 2L/2R/3L/3R, the state-3 drain and
     Exit2.  Each phase is entered at the label passed in or at the one
-    the phase before it ends on.  Only the state-1 cycle loops over more
-    than one state's code.
+    the phase before it ends on.  Only state 1 loops over more than one
+    scan's code: its prologue, cycle and equals detour.
 
     ``mid`` is the stage's center and ``p`` its extracted pivot.  The
     cursors, ``lc`` (the last comparison) and the holdover ``temp`` are
@@ -215,6 +218,16 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
     edge on to its hole; states 2L/3L compare each element strictly
     between l and m once as m steps down and l up until they meet (a
     state-3 run is scanned by m); 2R/3R mirror this.
+
+    Writes are counted by law where one holds.  A state-1 turn places
+    two elements and adds 2 once; a turn that leaves between its
+    placements, when the r hole meets the block or the right scan stops
+    on an element not below the pivot, adds 1 there.  In states 3L/3R a
+    run copy writes its length, added after the copy (``k - m`` or
+    ``r - m`` in 3L, ``m - k`` or ``m - l`` in 3R).  Every buffered
+    equal is pushed once and drained back once, so the drain adds
+    ``ti`` to both the scratch and the array writes.  The other writes,
+    a placement each, count one by one.
     """
     ct[CT_CMP] += r - l - (mr - ml) - _PRECOMPARED[label]
     nwa = 0
@@ -260,14 +273,21 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
 
     # ----- state 1: both sides open -----
     # Hoare-style scans alternate: from l for an element not below the
-    # pivot, written into the hole at r (_L1), then from r for one not
-    # above, written into the hole at l (_R1).  An equal found at k goes
-    # into the middle hole at m, and the block grows toward the larger
-    # facing gap over the equals beyond its edge; the first non-equal
-    # there leaves a new middle hole and is placed like a scan's find
-    # (_ML1_2, _MR1_2).  The cycle ends when a cursor meets the block.
+    # pivot, written into the hole at r, then from r for one not above,
+    # written into the hole at l.  An equal found at k goes into the
+    # middle hole at m, and the block grows toward the larger facing
+    # gap over the equals beyond its edge; the first non-equal there
+    # leaves a new middle hole and is placed like a scan's find.  The
+    # phase ends when a cursor meets the block: lc < 0 once l == ml,
+    # lc > 0 once mr == r, or lc == 0 when the block grows onto one.
     if _L1 <= label <= _MR1_2:
-        if label == _L1_2:
+        # from here lc > 0 iff the right scan comes next, after the
+        # pending placement into the hole at r if there is one
+        if label == _L1:
+            lc = -1
+        elif label == _R1:
+            lc = 1
+        elif label == _L1_2:
             k = l
             lc = 1
         elif label == _R1_3:
@@ -275,46 +295,19 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
             lc = -1
         elif label == _ML1_2:
             m = k = ml
-        elif label == _MR1_2:
+        else:
             m = k = mr
         while True:
-            if label > _R1:
-                # place the non-equal found at k into a side hole
-                if lc > 0:
+            # prologue, once per entry and per equal: place the
+            # non-equal found at k into a side hole, and run the right
+            # scan when it is next
+            if lc > 0:
+                if label > _R1:
                     ar[r] = ar[k]
                     nwa += 1
                     r -= 1
                     if mr == r:
                         break
-                    label = _R1
-                else:
-                    ar[l] = ar[k]
-                    nwa += 1
-                    l += 1
-                    if ml == l:
-                        break
-                    label = _L1
-            # the scans; they leave on an equal under cursor k
-            # (lc == 0) or when a cursor meets the block: lc < 0 once
-            # l == ml, lc > 0 once mr == r
-            while True:
-                if label == _L1:
-                    while True:
-                        if (lc := cmp3(ar[l], p)) >= 0:
-                            break
-                        l += 1
-                        if l == ml:
-                            break
-                    if lc <= 0:
-                        k = l
-                        break
-                    ar[r] = ar[l]
-                    nwa += 1
-                    r -= 1
-                    if mr == r:
-                        break
-                else:
-                    label = _L1  # entered at the right scan
                 while True:
                     if (lc := cmp3(ar[r], p)) <= 0:
                         break
@@ -323,16 +316,55 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                         break
                 if lc >= 0:
                     k = r
-                    break
-                ar[l] = ar[r]
+                else:
+                    ar[l] = ar[r]
+                    nwa += 1
+                    l += 1
+                    if ml == l:
+                        break
+            elif label > _R1:
+                ar[l] = ar[k]
                 nwa += 1
                 l += 1
                 if ml == l:
                     break
+            # the cycle: a left scan step, or a turn of both scans and
+            # both placements, whose two writes count once
+            if lc < 0:
+                while True:
+                    if (lc := cmp3(ar[l], p)) < 0:
+                        l += 1
+                        if l == ml:
+                            break
+                    else:
+                        if lc == 0:
+                            k = l
+                            break
+                        ar[r] = ar[l]
+                        r -= 1
+                        if mr == r:
+                            nwa += 1
+                            break
+                        while True:
+                            if (lc := cmp3(ar[r], p)) <= 0:
+                                break
+                            r -= 1
+                            if mr == r:
+                                break
+                        if lc >= 0:
+                            nwa += 1
+                            k = r
+                            break
+                        ar[l] = ar[r]
+                        nwa += 2
+                        l += 1
+                        if ml == l:
+                            break
             if lc != 0:
                 break
-            # store the equal into the middle hole and grow the block
-            # toward the larger facing gap, over the equals beyond it
+            # the equals detour: store the equal into the middle hole
+            # and grow the block toward the larger facing gap, over the
+            # equals beyond it
             ar[m] = ar[k]
             nwa += 1
             if r - mr > ml - l:
@@ -536,7 +568,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                         if (lc := cmp3(ar[m], p)) != 0:
                             break
                         tar[ti] = ar[m]
-                        nws += 1
                         ti += 1
                         m -= 1
                         if m == l:
@@ -558,33 +589,30 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                     if k - m < r - k:
                         while True:
                             ar[r] = ar[k2]
-                            nwa += 1
                             r -= 1
                             if r >= ml:
                                 tar[ti] = ar[r]
-                                nws += 1
                                 ti += 1
                             k2 += 1
                             if k2 > k:
                                 break
+                        nwa += k - m
                     else:
                         while True:
                             ar[r] = ar[k2]
-                            nwa += 1
                             r -= 1
                             if r >= ml:
                                 tar[ti] = ar[r]
-                                nws += 1
                                 ti += 1
                             elif r <= k:
                                 r = k2
                                 break
                             k2 += 1
+                        nwa += r - m
                     if m == l:
                         break
                     if lc == 0:
                         tar[ti] = ar[m]
-                        nws += 1
                         ti += 1
                         m -= 1
                         if m == l:
@@ -606,7 +634,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                     break
                 if lc == 0:
                     tar[ti] = ar[l]
-                    nws += 1
                     ti += 1
                 else:
                     ar[r] = ar[l]
@@ -614,7 +641,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                     r -= 1
                     if r >= ml:
                         tar[ti] = ar[r]
-                        nws += 1
                         ti += 1
                 m -= 1
                 if m == l:
@@ -630,7 +656,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                         if (lc := cmp3(ar[m], p)) != 0:
                             break
                         tar[ti] = ar[m]
-                        nws += 1
                         ti += 1
                         m += 1
                         if m == r:
@@ -649,33 +674,30 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                     if m - k < k - l:
                         while True:
                             ar[l] = ar[k2]
-                            nwa += 1
                             l += 1
                             if l <= mr:
                                 tar[ti] = ar[l]
-                                nws += 1
                                 ti += 1
                             k2 -= 1
                             if k2 < k:
                                 break
+                        nwa += m - k
                     else:
                         while True:
                             ar[l] = ar[k2]
-                            nwa += 1
                             l += 1
                             if l <= mr:
                                 tar[ti] = ar[l]
-                                nws += 1
                                 ti += 1
                             elif l >= k:
                                 l = k2
                                 break
                             k2 -= 1
+                        nwa += m - l
                     if m == r:
                         break
                     if lc == 0:
                         tar[ti] = ar[m]
-                        nws += 1
                         ti += 1
                         m += 1
                         if m == r:
@@ -697,7 +719,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                     break
                 if lc == 0:
                     tar[ti] = ar[r]
-                    nws += 1
                     ti += 1
                 else:
                     ar[l] = ar[r]
@@ -705,7 +726,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                     l += 1
                     if l <= mr:
                         tar[ti] = ar[l]
-                        nws += 1
                         ti += 1
                 m += 1
                 if m == r:
@@ -717,6 +737,8 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
     if _EXIT3L <= label <= _EXIT3R:
         if ti > ct[CT_TI_HW]:
             ct[CT_TI_HW] = ti
+        nws += ti
+        nwa += ti
         if label == _EXIT3L:
             ct[CT_EXIT3L] += 1
             last_exit = EXIT3L
@@ -724,7 +746,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                 ti -= 1
                 m += 1
                 ar[m] = tar[ti]
-                nwa += 1
         else:
             ct[CT_EXIT3R] += 1
             last_exit = EXIT3R
@@ -732,7 +753,6 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                 ti -= 1
                 m -= 1
                 ar[m] = tar[ti]
-                nwa += 1
         label = _EXIT2
 
     # ----- Exit2: place the holdover and the pivot -----

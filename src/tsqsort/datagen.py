@@ -74,6 +74,26 @@ class ParkMillerGen:
     def gen_random2(self, smallest: int, largest: int) -> int:
         return int(self.gen_rand() * (largest - smallest + 1) + smallest)
 
+    def draws(self, n: int, smallest: int, largest: int) -> list:
+        """``n`` successive ``gen_random2(smallest, largest)`` draws,
+        leaving the state where they would.
+
+        The loop keeps the state in a local.  It is exact: with C = 0
+        the step is a multiply and a mask, and M is a power of two, so
+        ``z * ((largest - smallest + 1) / M)`` rounds exactly where
+        ``(z / M) * (largest - smallest + 1)`` does.
+        """
+        a = self.A
+        mask = self.M - 1
+        scale = (largest - smallest + 1) / self.M
+        z = self.zgen
+        out = [0] * n
+        for i in range(n):
+            z = z * a & mask
+            out[i] = int(z * scale + smallest)
+        self.zgen = z
+        return out
+
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -111,7 +131,7 @@ def generate(spec: GenSpec) -> list:
     if dist == "sawtooth":
         ar = [i % m for i in range(n)]
     elif dist == "random":
-        ar = [rng.gen_random2(1, m) for _ in range(n)]
+        ar = rng.draws(n, 1, m)
     elif dist == "stagger":
         ar = [(i * m + i) % n for i in range(n)] if n else []
     elif dist == "plateau":

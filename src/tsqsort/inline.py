@@ -19,6 +19,17 @@ comparison, count and result is the same on either path:
   follows ``name = 1 if x > y else 0``; a ``while`` becomes
   ``while True:`` led by the fused test, whose exit arm runs the
   loop's ``else`` and breaks.
+* In such a fused test with a ``name``, an arm that opens with
+  ``if name OP 0:`` (an int 0, any of the six OPs) is folded: each
+  branch that assigned ``name`` goes on with the branch of that test
+  its value selects, and the fold repeats on what the arm then opens
+  with.  Statements after a selected branch that ends in ``break``,
+  ``continue``, ``return`` or ``raise`` are dropped.  A shared arm of
+  1 and 0 that folds differently for them is split into ``elif x > y:
+  name = 1 ...`` and ``else: name = 0 ...``.  So
+  ``if (lc := cmp3(ar[l], p)) < 0: ... else: if lc == 0: break ...``
+  leaves the scan on ``x < y`` and then ``x > y`` alone.  The original
+  function keeps the test.
 * Any other call is the expression ``-1 if x < y else (1 if x > y
   else 0)``.
 
@@ -276,15 +287,9 @@ def _fusable_test(stmt):
     kind = stmt.__class__
     if kind is not ast.If and kind is not ast.While:
         return None
-    test = stmt.test
-    if (test.__class__ is not ast.Compare or len(test.ops) != 1
-            or test.ops[0].__class__ not in _OUTCOMES):
+    left, op = _against_zero(stmt.test)
+    if left is None:
         return None
-    zero = test.comparators[0]
-    if (zero.__class__ is not ast.Constant or zero.value.__class__ is not int
-            or zero.value != 0):
-        return None
-    left = test.left
     name = None
     if left.__class__ is ast.NamedExpr:
         name = left.target.id
@@ -295,7 +300,20 @@ def _fusable_test(stmt):
             isinstance(n, (ast.Break, ast.Continue))
             for s in stmt.orelse for n in ast.walk(s)):
         return None
-    return name, left, _OUTCOMES[test.ops[0].__class__]
+    return name, left, _OUTCOMES[op]
+
+
+def _against_zero(test):
+    """(left operand, OP class) when ``test`` is ``<left> OP 0`` with OP
+    one of ``< <= > >= == !=`` and an int 0, else (None, None)."""
+    if (test.__class__ is not ast.Compare or len(test.ops) != 1
+            or test.ops[0].__class__ not in _OUTCOMES):
+        return None, None
+    zero = test.comparators[0]
+    if (zero.__class__ is not ast.Constant or zero.value.__class__ is not int
+            or zero.value != 0):
+        return None, None
+    return test.left, test.ops[0].__class__
 
 
 def _fuse(stmt, test, call_lines: list):
@@ -322,16 +340,21 @@ def _fuse(stmt, test, call_lines: list):
 def _branches(name, call, outcomes, true_arm, false_arm, loc) -> ast.If:
     """``if x < y: [name = -1] ARM(-1)`` followed by, when 1 and 0 share
     an arm, ``else: [name = 1 if x > y else 0] ARM(1)``, and otherwise
-    ``elif x > y: [name = 1] ARM(1) else: [name = 0] ARM(0)``.  An arm
-    that the ``x < y`` branch takes too is deep-copied for the other."""
+    ``elif x > y: [name = 1] ARM(1) else: [name = 0] ARM(0)``.  Each arm
+    is folded (:func:`_fold`) on the value it assigns ``name``; a shared
+    arm of 1 and 0 that folds differently for them is split.  An arm
+    that an earlier branch takes too is deep-copied."""
     x, xs = _operand(call.args[0], _TMP_X, loc)
     y, ys = _operand(call.args[1], _TMP_Y, loc)
     arms = [true_arm if t else false_arm for t in outcomes]
+    folds = [_fold(a, name, k) for k, a in enumerate(arms)]
+    shared = arms[1] is arms[2] and folds[1][1] == folds[2][1]
 
     def arm(k):
-        if k and arms[k] is arms[0]:
-            return copy.deepcopy(arms[k])
-        return arms[k]
+        body = folds[k][0]
+        if any(arms[k] is arms[j] for j in range(k)):
+            return copy.deepcopy(body)
+        return body
 
     def set_name(value):
         if name is None:
@@ -344,7 +367,7 @@ def _branches(name, call, outcomes, true_arm, false_arm, loc) -> ast.If:
 
     above = ast.Compare(x, [ast.Gt()], [y], **loc)
     below = set_name(const(-1)) + arm(0) or [ast.Pass(**loc)]
-    if arms[1] is arms[2]:
+    if shared:
         if name is None:
             # the > result is truth-tested as _default_cmp3 does
             rest = [ast.If(above, [ast.Pass(**loc)], [], **loc)]
@@ -357,6 +380,33 @@ def _branches(name, call, outcomes, true_arm, false_arm, loc) -> ast.If:
                        set_name(const(0)) + arm(2), **loc)]
     return ast.If(ast.Compare(xs, [ast.Lt()], [ys], **loc), below, rest,
                   **loc)
+
+
+# statements after which the rest of their block never runs
+_TERMINAL = (ast.Break, ast.Continue, ast.Return, ast.Raise)
+
+
+def _fold(arm, name, k):
+    """(arm, choices): ``arm`` with each test ``if <name> OP 0:`` that
+    opens it replaced by the branch taken when ``name`` holds the value
+    of outcome ``k`` (0: -1, 1: 1, 2: 0), and the truth of each test
+    folded; nothing is folded when ``name`` is None.  The statements
+    after a branch that ends in a ``break``, ``continue``, ``return``
+    or ``raise`` are dropped."""
+    choices = []
+    while arm and arm[0].__class__ is ast.If:
+        stmt = arm[0]
+        left, op = _against_zero(stmt.test)
+        if left.__class__ is not ast.Name or left.id != name:
+            break
+        truth = _OUTCOMES[op][k]
+        choices.append(truth)
+        taken = stmt.body if truth else stmt.orelse
+        if taken and taken[-1].__class__ in _TERMINAL:
+            arm = taken
+        else:
+            arm = taken + arm[1:]
+    return arm, choices
 
 
 def _inline_expr(call: ast.Call) -> ast.IfExp:

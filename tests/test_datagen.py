@@ -22,6 +22,23 @@ def test_park_miller_range():
         assert 0.0 <= g.gen_rand() < 1.0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**31, 987654321])
+@pytest.mark.parametrize("smallest,largest",
+                         [(1, 1), (1, 2), (1, 100), (1, 2**31 - 1),
+                          (-50, 49)])
+def test_draws_match_per_element_draws(seed, smallest, largest):
+    batch = ParkMillerGen(seed)
+    each = ParkMillerGen(seed)
+    got = batch.draws(2000, smallest, largest)
+    assert got == [each.gen_random2(smallest, largest) for _ in range(2000)]
+    assert batch.zgen == each.zgen
+    # the next draws go on from the same state
+    assert batch.draws(3, smallest, largest) == \
+        [each.gen_random2(smallest, largest) for _ in range(3)]
+    assert batch.draws(0, smallest, largest) == []
+    assert batch.zgen == each.zgen
+
+
 def test_zero_seed_replaced():
     a = ParkMillerGen(0)
     b = ParkMillerGen(0)

@@ -8,18 +8,23 @@ and without the walrus, in ``if``, ``elif`` and ``while`` with an
 ``else`` arm, that the compiled function returns what the original
 does and makes the same ``<``, ``>`` and truth-test calls in the same
 order, and that a comparison raising at any point is reported at the
-``cmp3(`` line on both paths.  The number of fused tests in each
+``cmp3(`` line on both paths.  The same checks run on arms that open
+with tests of the walrus name, which the compiled variant folds into
+its branches; separate tests check that the folded tests are gone and
+that tests of another name, against another constant or further into
+an arm are left.  The number of fused tests in each
 decorated function of the package is pinned, so that a source edit
 which falls back to the value form fails here.
 """
 
+import ast
 import linecache
 import traceback
 
 import pytest
 
 from tsqsort import baselines, core, pivot, smallsort
-from tsqsort.inline import (_call_lines, _default_cmp3, _inline_calls,
+from tsqsort.inline import (_call_lines, _default_cmp3, _fold, _inline_calls,
                             _source_def, compare_inline)
 
 OPS = ("<", "<=", ">", ">=", "==", "!=")
@@ -80,12 +85,62 @@ def {name}(cmp3, xs, y):
 """,
 }
 
+# Arms that open with tests of the walrus name, which the compiled
+# variant folds into the fused branches: OP2 opens both arms of the
+# `if` and the `else` of the `while`, and OP3 opens the branches OP2
+# selects, so a fold repeats on what a folded test leaves first.
+FOLD_TEMPLATES = {
+    "if_fold": """
+def {name}(cmp3, xs, y):
+    out = []
+    for x in xs:
+        if (r := cmp3(x, y)) {op} 0:
+            if r {op2} 0:
+                if r {op3} 0:
+                    out.append(("body", 1, r))
+                    continue
+                out.append(("body", 2, r))
+            elif r {op3} 0:
+                out.append(("body", 3, r))
+            out.append(("body", r))
+        else:
+            if r {op2} 0:
+                out.append(("else", 1, r))
+                continue
+            out.append(("else", r))
+    return out
+""",
+    "while_fold": """
+def {name}(cmp3, xs, y):
+    out = []
+    i = 0
+    x = xs[0]
+    while (r := cmp3(x, y)) {op} 0:
+        if r {op2} 0:
+            out.append(("body", 1, i, r))
+        out.append(("body", i, r))
+        i += 1
+        if i == len(xs):
+            break
+        x = xs[i]
+    else:
+        if r {op2} 0:
+            if r {op3} 0:
+                out.append(("else", 1, i, r))
+            else:
+                out.append(("else", 2, i, r))
+        out.append(("else", i, r))
+    return out
+""",
+}
+
 FILENAME = "<fused tests>"
 
 
 def _build():
-    """Compile every (form, OP, walrus) function from one generated
-    module whose source linecache serves, as a source file would."""
+    """Compile every (form, OP, walrus) function, and every (form, OP,
+    OP2) function with folded arms, from one generated module whose
+    source linecache serves, as a source file would."""
     src = []
     names = {}
     for form in FORMS:
@@ -97,6 +152,13 @@ def _build():
                 src.append(TEMPLATES[form].format(
                     name=name, test=test, value="r" if named else "None"))
                 names[name] = (form, op, named)
+    for form, template in FOLD_TEMPLATES.items():
+        for k, op in enumerate(OPS):
+            for j, op2 in enumerate(OPS):
+                name = f"{form}_{k}_{j}"
+                src.append(template.format(name=name, op=op, op2=op2,
+                                           op3=OPS[(j + 2) % len(OPS)]))
+                names[name] = (form, op, True)
     text = "".join(src)
     lines = text.splitlines(keepends=True)
     linecache.cache[FILENAME] = (len(text), None, lines, FILENAME)
@@ -220,9 +282,129 @@ def test_each_generated_test_is_fused(name):
     assert fuse_counts(FUNCS[name][0]) == (0, 1)
 
 
+def compiled_def(fn):
+    """``fn``'s def as ``compare_inline`` compiles it."""
+    _, fdef, src = _source_def(fn)
+    _inline_calls(fdef, _call_lines(src, fn.__code__.co_firstlineno))
+    return fdef
+
+
+def zero_tests(tree, name):
+    """The tests ``<name> OP 0`` under ``tree``."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Name) and node.left.id == name
+            and isinstance(node.comparators[0], ast.Constant)
+            and node.comparators[0].value == 0]
+
+
+@pytest.mark.parametrize("form", sorted(FOLD_TEMPLATES))
+def test_folded_arms_no_longer_test_the_name(form):
+    for name, (original, _, _) in FUNCS.items():
+        if name.startswith(form):
+            _, fdef, _ = _source_def(original)
+            assert len(zero_tests(fdef, "r")) == 4 - (form == "while_fold")
+            # the `while` body's test follows the fused test; it opens
+            # no arm of it
+            left = zero_tests(compiled_def(original), "r")
+            assert len(left) == (form == "while_fold"), name
+
+
+def assigned_then_tested(tree):
+    """Statements ``if <name> OP 0:`` that directly follow an
+    assignment to ``name`` in the same block."""
+    found = []
+    for node in ast.walk(tree):
+        for field in ("body", "orelse"):
+            block = getattr(node, field, None)
+            if not isinstance(block, list):
+                continue
+            for prev, stmt in zip(block, block[1:]):
+                if (isinstance(prev, ast.Assign) and isinstance(stmt, ast.If)
+                        and isinstance(prev.targets[0], ast.Name)
+                        and zero_tests(stmt.test, prev.targets[0].id)):
+                    found.append(ast.unparse(stmt.test))
+    return found
+
+
+def arms_opening_with_a_test(tree, name):
+    """Arms of ``if (<name> := ...) OP 0:`` that open with a test of
+    ``name`` against 0."""
+    return [arm for node in ast.walk(tree) if isinstance(node, ast.If)
+            and isinstance(node.test, ast.Compare)
+            and isinstance(node.test.left, ast.NamedExpr)
+            and node.test.left.target.id == name
+            for arm in (node.body, node.orelse)
+            if arm and isinstance(arm[0], ast.If)
+            and zero_tests(arm[0].test, name)]
+
+
+@pytest.mark.parametrize("fn", [core._run_machine, core._reversed_handler],
+                         ids=lambda fn: fn.__name__)
+def test_package_arms_fold_their_test(fn):
+    # the state-1 left scan and the reversed swap loop open an arm with
+    # `if lc == 0:`; compiled, every branch that assigns lc goes on
+    # without testing it
+    original = fn.__wrapped__
+    _, fdef, _ = _source_def(original)
+    assert len(arms_opening_with_a_test(fdef, "lc")) == 1
+    assert assigned_then_tested(compiled_def(original)) == []
+
+
+def _not_folded(cmp3, xs, y):
+    out = []
+    s = 0
+    for x in xs:
+        if (c := cmp3(x, y)) <= 0:
+            # a test of another name
+            if s == 0:
+                out.append(("s", c))
+            # a test of the name that does not open the arm
+            if c == 0:
+                out.append(("eq", c))
+        # a test against a non-zero constant
+        elif c > 1:
+            out.append(("big", c))
+        s += 1
+    return out
+
+
+@pytest.mark.parametrize("src", [
+    "if s == 0:\n    a()",
+    "if c > 1:\n    a()",
+    "if c == 0.0:\n    a()",
+    "if 0 == c:\n    a()",
+    "if c == 0 == s:\n    a()",
+    "a()\nif c == 0:\n    b()",
+])
+def test_other_tests_are_not_folded(src):
+    arm = ast.parse(src).body
+    for k in range(3):
+        assert _fold(arm, "c", k) == (arm, [])
+
+
+def test_fold_takes_the_branch_and_drops_what_follows_a_break():
+    arm = ast.parse("if c == 0:\n    a()\n    break\nb()").body
+    for k, (want, choice) in enumerate((("b()", False), ("b()", False),
+                                        ("a()\nbreak", True))):
+        folded, choices = _fold(arm, "c", k)
+        assert (ast.unparse(folded), choices) == (want, [choice])
+
+
+def test_tests_left_unfolded_keep_their_result():
+    compiled = compare_inline()(_not_folded)
+    _, fdef, _ = _source_def(_not_folded)
+    # the `<=` body is copied for -1 and 0, with its test of c
+    assert len(zero_tests(fdef, "c")) == 1
+    assert len(zero_tests(compiled_def(_not_folded), "c")) == 2
+    for vs in ([0, 1, 2], [1, 1], [2, 0], [1]):
+        want = _not_folded(generic, vs, 1)
+        assert compiled(_default_cmp3, vs, 1) == want
+
+
 # (calls inlined as values, tests fused) in each decorated function
 PINNED = {
-    core._run_machine: (0, 19),
+    core._run_machine: (0, 20),
     core._sorted_handler: (0, 4),
     core._reversed_handler: (0, 7),
     pivot.median_of_3: (0, 5),
