@@ -1,6 +1,6 @@
-"""Triple-state quicksort: recursion driver and the partition machine.
+"""Triple-state quicksort: explicit-stack driver and the partition machine.
 
-One recursive stage keeps two elements outside the array (the pivot and
+One stage keeps two elements outside the array (the pivot and
 a holdover), so two slots are logically empty at any instant and every
 element move is a single copy instead of a three-copy swap.  Elements
 equal to the pivot collect in a middle block grown outward from the
@@ -16,7 +16,7 @@ center.  A stage runs as a small state machine:
   copied into the gap, then the buffer drains back into the middle.
 
 Exits place the holdover and pivot and retract the subrange bounds so
-recursion never revisits pivot-equal elements.  Pivot selection returns
+no later stage revisits pivot-equal elements.  Pivot selection returns
 an order flag; flagged stages first try the possibly-sorted or
 possibly-reversed fast paths, falling back into the machine mid-stage
 with their scan progress kept.
@@ -26,6 +26,18 @@ C function: a fast-path handler returns its resume label, the cursors
 (l, r, ml, mr, m), lc and the holdover as one tuple; ``Sorter._range``
 unpacks it and passes it to the machine, which returns the stage's new
 bounds and its exit.  Nothing of a stage outlives it.
+
+``Sorter._range`` is one loop over an explicit stack of pending ranges:
+after a stage it goes on with the smaller side and pushes the larger,
+so the stack holds at most floor(log2 n) ranges however deep the stages
+nest, and ranges of at most ``insertion_threshold`` elements are leaves
+it insertion-sorts in the same loop.  Its own tallies (stages, depth,
+fast-path activations, fallbacks, state-1 entries) live in locals and
+reach the counter vector once per sort; the pivot extraction's write,
+one per stage, is counted by law, from the stage count, in
+``Sorter._fill_stats``.  It calls every layer (pivot selection, the
+insertion sort, both handlers, the machine) through this module's
+globals, so a wrapper set on one of them sees every call.
 
 The machine runs a stage as one forward pass of phases: the pre-scan,
 the state-1 cycle, the closing scan and state choice, one of states
@@ -40,7 +52,7 @@ they fall back mid-stage.  Every run of the machine ends the stage it
 enters.
 
 ``Sorter.stage_hook``, when set, is called once per partition stage,
-after the partition and before the recursion, with an
+after the partition and before the driver goes on to its sides, with an
 ``instrument.StageRecord``; unset, it costs one test per stage.
 
 The machine, both fast-path handlers, the pivot medians and the
@@ -798,7 +810,13 @@ def _sorted_handler(ar, cmp3, a, b, p, ct):
     matching resume point with all scan progress kept.
 
     The scans are index loops, long by design on ordered input, whose
-    comparisons are counted once, from where they stopped.  Returns
+    comparisons are counted once, from where they stopped.  Three of
+    them directly follow the value their name keeps while they go on
+    (``lc = -1``, ``rc = 1``, ``lc = 0``), so their compiled steps store
+    nothing (see ``inline``).  The scan for equals above keeps its
+    store: after a left scan that reached mid, lc is -1, and a ``lc =
+    0`` before a scan that runs zero times would change the lc
+    returned.  Returns
     ``(label, l, r, ml, mr, m, lc, holdover)``: the resume label and the
     machine's entry state, or _DONE with the stage's new bounds in l
     and r.
@@ -806,12 +824,12 @@ def _sorted_handler(ar, cmp3, a, b, p, ct):
     mid = (a + b) >> 1
     nwa = 0
     lc = -1
-    rc = 1
     for l in range(a, mid):
         if (lc := cmp3(ar[l], p)) >= 0:
             break
     else:
         l = mid
+    rc = 1
     for r in range(b, mid, -1):
         if (rc := cmp3(ar[r], p)) <= 0:
             break
@@ -820,7 +838,9 @@ def _sorted_handler(ar, cmp3, a, b, p, ct):
     ncmp = l - a + (lc >= 0) + b - r + (rc <= 0)
     ml = mr = mid
     if lc == 0 and rc >= 0:
-        # equals bordering the block from below
+        # equals bordering the block from below; lc is 0 already, and
+        # saying so lets the compiled scan skip its store of 0
+        lc = 0
         for ml in range(mid - 1, l, -1):
             if (lc := cmp3(ar[ml], p)) != 0:
                 break
@@ -1123,6 +1143,10 @@ class Sorter:
     buffer is per-instance state); distinct instances are independent.
     The buffer is kept after a sort so later calls reuse it; call
     :meth:`free_temp_storage` to release it explicitly.
+
+    A sort runs :meth:`_range`, the explicit-stack driver, and
+    :meth:`_fill_stats` turns its counter vector into ``SortStats``,
+    adding the pivot extractions' writes, one per stage, by law.
     """
 
     def __init__(self, config: SortConfig | None = None,
@@ -1140,7 +1164,12 @@ class Sorter:
 
     def sort_with_stats(self, ar, cmp=None,
                         element_size: int | None = None) -> SortStats:
-        """Sort ``ar`` in place; returns the run's counters."""
+        """Sort ``ar`` in place; returns the run's counters.
+
+        Raises ValueError, as ``list.sort`` does, when the comparator
+        changed the list's length: a shorter list shows as an IndexError
+        in the middle of a stage, a longer one only at the end.
+        """
         if self._active:
             raise RuntimeError("sorter instance is not reentrant")
         cmp3 = cmp if cmp is not None else _default_cmp3
@@ -1156,7 +1185,14 @@ class Sorter:
             try:
                 self.rng.next()
                 ct = [0] * CT_LEN
-                self._range(ar, cmp3, 0, n - 1, 1, self.temp.buf, ct)
+                try:
+                    self._range(ar, cmp3, 0, n - 1, 1, self.temp.buf, ct)
+                except IndexError as exc:
+                    if len(ar) != n:
+                        raise ValueError("list modified during sort") from exc
+                    raise
+                if len(ar) != n:
+                    raise ValueError("list modified during sort")
                 self._fill_stats(stats, ct)
             finally:
                 self._active = False
@@ -1171,10 +1207,12 @@ class Sorter:
     # -- internals --
 
     def _fill_stats(self, stats: SortStats, ct) -> None:
+        # each stage's pivot extraction writes the held-out slot once
+        scratch = ct[CT_WS] + ct[CT_STAGES]
         stats.comparisons = ct[CT_CMP]
         stats.array_writes = ct[CT_WA]
-        stats.scratch_writes = ct[CT_WS]
-        stats.element_writes = ct[CT_WA] + ct[CT_WS]
+        stats.scratch_writes = scratch
+        stats.element_writes = ct[CT_WA] + scratch
         stats.temp_high_water = ct[CT_TI_HW]
         stats.max_depth = ct[CT_DEPTH]
         stats.stages = ct[CT_STAGES]
@@ -1190,67 +1228,105 @@ class Sorter:
         }
 
     def _range(self, ar, cmp3, a, b, depth, tar, ct) -> None:
+        """Sort ar[a..b], whose depth is ``depth``, with an explicit stack.
+
+        After a stage the loop goes on with the smaller side and pushes
+        the larger one, ``(a, b, depth)``, on ``pending``; a side of at
+        most one element is dropped, and a range of at most
+        ``insertion_threshold`` elements is a leaf, sorted in place.  The
+        smaller side of a range holds at most half of it, so ``pending``
+        never holds more than floor(log2 n) ranges, and the stages run in
+        the order a recursion into the smaller side would run them.  A
+        popped range never deepens ``max_depth``: its sibling, at the
+        same depth, ran first.  The tallies reach ``ct`` once, at the
+        end.
+        """
         cfg = self.config
         thr = cfg.insertion_threshold
+        tol = cfg.reverse_tolerance
         rng = self.rng
         hook = self.stage_hook
+        pending = []
+        maxd = depth
+        stages = nsort = nrev = nfall = ns1 = 0
         while True:
-            if depth > ct[CT_DEPTH]:
-                ct[CT_DEPTH] = depth
-            n = b - a + 1
-            if n <= thr:
+            if b - a < thr:
                 insertion_sort(ar, a, b, cmp3, ct)
-                return
-            ct[CT_STAGES] += 1
+                if not pending:
+                    break
+                a, b, depth = pending.pop()
+                continue
+            stages += 1
             if hook is not None:
                 cmp0 = ct[CT_CMP]
                 writes0 = ct[CT_WA] + ct[CT_WS]
             p, _, flag = select_pivot(ar, a, b, cfg, rng, cmp3, ct)
             mid = (a + b) >> 1
-            ct[CT_WS] += 1  # pivot extraction into the held-out slot
             if flag == 0:
-                label, l, r, ml, mr, m, lc, hold = (
-                    _PRESCAN, a, b, mid, mid, mid, 0, None)
-            elif flag > 0:
-                ct[CT_HSORT] += 1
-                label, l, r, ml, mr, m, lc, hold = _sorted_handler(
-                    ar, cmp3, a, b, p, ct)
-            else:
-                ct[CT_HREV] += 1
-                label, l, r, ml, mr, m, lc, hold = _reversed_handler(
-                    ar, cmp3, a, b, p, ct, cfg.reverse_tolerance)
-            if label == _DONE:
-                new_l, new_r, last_exit = l, r, None
-            else:
-                if flag:
-                    ct[CT_HFALL] += 1
-                if label <= _MR1_2:
-                    ct[CT_S1] += 1
+                label = _PRESCAN
+                ns1 += 1
                 new_l, new_r, last_exit = _run_machine(
-                    ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, hold, tar,
-                    ct)
+                    ar, cmp3, mid, p, label, a, b, mid, mid, mid, 0, None,
+                    tar, ct)
+            else:
+                if flag > 0:
+                    nsort += 1
+                    label, l, r, ml, mr, m, lc, hold = _sorted_handler(
+                        ar, cmp3, a, b, p, ct)
+                else:
+                    nrev += 1
+                    label, l, r, ml, mr, m, lc, hold = _reversed_handler(
+                        ar, cmp3, a, b, p, ct, tol)
+                if label == _DONE:
+                    new_l = l
+                    new_r = r
+                    last_exit = None
+                else:
+                    nfall += 1
+                    if label <= _MR1_2:
+                        ns1 += 1
+                    new_l, new_r, last_exit = _run_machine(
+                        ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, hold,
+                        tar, ct)
             if hook is not None:
                 hook(StageRecord(
                     a, b, p, flag,
                     None if label == _DONE else _LABEL_NAMES[label],
                     last_exit, new_l, new_r, ct[CT_CMP] - cmp0,
-                    ct[CT_WA] + ct[CT_WS] - writes0))
-            left_n = new_l - a + 1
-            right_n = b - new_r + 1
-            # recurse into the smaller side, loop on the larger
-            if left_n <= right_n:
-                if left_n > 1:
-                    self._range(ar, cmp3, a, new_l, depth + 1, tar, ct)
-                if right_n <= 1:
-                    return
-                a = new_r
-            else:
-                if right_n > 1:
-                    self._range(ar, cmp3, new_r, b, depth + 1, tar, ct)
-                if left_n <= 1:
-                    return
-                b = new_l
+                    ct[CT_WA] + ct[CT_WS] - writes0 + 1))
+            # go on with the smaller side (the left one on a tie), push
+            # the larger; the sides are ar[a..new_l] and ar[new_r..b]
             depth += 1
+            if new_l - a <= b - new_r:
+                if new_l > a:
+                    if new_r < b:
+                        pending.append((new_r, b, depth))
+                    b = new_l
+                elif new_r < b:
+                    a = new_r
+                elif pending:
+                    a, b, depth = pending.pop()
+                    continue
+                else:
+                    break
+            elif new_r < b:
+                pending.append((a, new_l, depth))
+                a = new_r
+            elif new_l > a:
+                b = new_l
+            elif pending:
+                a, b, depth = pending.pop()
+                continue
+            else:
+                break
+            if depth > maxd:
+                maxd = depth
+        ct[CT_STAGES] += stages
+        ct[CT_DEPTH] = max(ct[CT_DEPTH], maxd)
+        ct[CT_HSORT] += nsort
+        ct[CT_HREV] += nrev
+        ct[CT_HFALL] += nfall
+        ct[CT_S1] += ns1
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,14 @@ comparison, count and result is the same on either path:
   ``if (lc := cmp3(ar[l], p)) < 0: ... else: if lc == 0: break ...``
   leaves the scan on ``x < y`` and then ``x > y`` alone.  The original
   function keeps the test.
+* A fused test's store of a value its ``name`` provably holds already
+  is dropped: the test is a ``while`` loop's, or an ``if`` directly in
+  a loop's body; the loop directly follows ``name = C`` (C an int
+  literal) in its block; the test is the only assignment to ``name``
+  in the loop; and every arm of another value leaves the loop by
+  ``break``, ``return`` or ``raise``, with no ``continue`` on the way.
+  So ``lc = -1`` before ``for l in ...: if (lc := cmp3(ar[l], p)) >=
+  0: break`` leaves a scan step with no store at all.
 * Any other call is the expression ``-1 if x < y else (1 if x > y
   else 0)``.
 
@@ -232,13 +240,17 @@ def _holds_call(stmt, call_lines: list) -> bool:
     return i < len(call_lines) and call_lines[i] <= stmt.end_lineno
 
 
-def _inline_calls(root, call_lines: list) -> tuple:
+def _inline_calls(root, call_lines: list, held=None) -> tuple:
     """Compile every ``cmp3(x, y)`` call under ``root`` inline, in place;
     returns (calls made inline expressions, ``if``/``while`` tests
     fused).  ``call_lines`` lists the lines on which a ``cmp3(`` starts
     (:func:`_call_lines`); a statement spanning none of them is not
-    walked.  An explicit-stack walk: ``ast.NodeTransformer`` costs
-    about five times as much, which shows in the import time."""
+    walked.  ``held`` is :func:`_held_constants` of the whole def, which
+    is taken as ``root`` when it is None.  An explicit-stack walk:
+    ``ast.NodeTransformer`` costs about five times as much, which shows
+    in the import time."""
+    if held is None:
+        held = _held_constants(root)
     inlined = fused = 0
     stack = [root]
     while stack:
@@ -254,7 +266,8 @@ def _inline_calls(root, call_lines: list) -> tuple:
                         if test is None:
                             stack.append(c)
                             continue
-                        v[i], n_inl, n_fus = _fuse(c, test, call_lines)
+                        v[i], n_inl, n_fus = _fuse(c, test, call_lines,
+                                                   held)
                         inlined += n_inl
                         fused += n_fus + 1
                     elif (isinstance(c, ast.AST)
@@ -316,39 +329,145 @@ def _against_zero(test):
     return test.left, test.ops[0].__class__
 
 
-def _fuse(stmt, test, call_lines: list):
+def _fuse(stmt, test, call_lines: list, held: dict):
     """(fused statement, calls inlined, tests fused) for an ``if`` or
     ``while`` that :func:`_fusable_test` accepted; its operands and arms
     are compiled first, so a copied arm needs no second walk."""
     name, call, outcomes = test
-    inlined, fused = _inline_calls(call, call_lines)
+    inlined, fused = _inline_calls(call, call_lines, held)
     for arm in (stmt.body, stmt.orelse):
-        n_inl, n_fus = _inline_calls(ast.Module(arm, []), call_lines)
+        n_inl, n_fus = _inline_calls(ast.Module(arm, []), call_lines, held)
         inlined += n_inl
         fused += n_fus
     loc = _loc(call)
+    value = held.get(id(stmt))
     if stmt.__class__ is ast.If:
-        return (_branches(name, call, outcomes, stmt.body, stmt.orelse, loc),
-                inlined, fused)
+        return (_branches(name, call, outcomes, stmt.body, stmt.orelse, loc,
+                          value), inlined, fused)
     # while TEST: BODY else: ORELSE
     #   -> while True: <if TEST: pass else: ORELSE; break>; BODY
     leave = stmt.orelse + [ast.Break(**loc)]
-    loop = [_branches(name, call, outcomes, [], leave, loc)] + stmt.body
+    loop = [_branches(name, call, outcomes, [], leave, loc, value)] + stmt.body
     return ast.While(ast.Constant(True, **loc), loop, [], **loc), inlined, fused
 
 
-def _branches(name, call, outcomes, true_arm, false_arm, loc) -> ast.If:
+# the value a fused test's name takes on outcome k (x < y, x > y, else)
+_VALUES = (-1, 1, 0)
+# statements that leave the loop an ``if`` directly in its body is in
+_LEAVE = (ast.Break, ast.Return, ast.Raise)
+
+
+def _held_constants(root) -> dict:
+    """{id of a fusable test: the int its walrus name holds whenever the
+    test runs}.  The test is a ``while`` loop's, or an ``if`` directly
+    in a loop's body; the loop directly follows ``name = C`` in its
+    block, with C an int literal of -1, 0 or 1; and nothing in the loop
+    but the test binds or deletes ``name``, which no ``global`` or
+    ``nonlocal`` under ``root`` names.  The name then holds C at every
+    test that one of the test's own arms did not leave the loop after.
+    Only statement blocks are walked, and every node of a loop only when
+    it is a candidate, which keeps the pass cheap at import.
+    """
+    shared = set()
+    found = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.__class__ in (ast.Global, ast.Nonlocal):
+            shared.update(node.names)
+        for field in ("body", "orelse", "finalbody", "handlers", "cases"):
+            block = getattr(node, field, None)
+            if block.__class__ is not list:
+                continue
+            stack.extend(block)
+            for prev, loop in zip(block, block[1:]):
+                if loop.__class__ is ast.For or loop.__class__ is ast.While:
+                    name, value = _int_assign(prev)
+                    if value in _VALUES:
+                        found.append((loop, name, value))
+    held = {}
+    for loop, name, value in found:
+        for stmt in [loop] + loop.body:
+            test = _fusable_test(stmt)
+            if test is not None and test[0] == name:
+                if name not in shared and _binds(loop, name) == 1:
+                    held[id(stmt)] = value
+                break
+    return held
+
+
+def _int_assign(stmt):
+    """(name, C) when ``stmt`` is ``name = C`` with C an int literal,
+    else (None, None)."""
+    if stmt.__class__ is not ast.Assign or len(stmt.targets) != 1 or \
+            stmt.targets[0].__class__ is not ast.Name:
+        return None, None
+    value = stmt.value
+    sign = 1
+    if value.__class__ is ast.UnaryOp and value.op.__class__ is ast.USub:
+        value = value.operand
+        sign = -1
+    if value.__class__ is not ast.Constant or value.value.__class__ is not int:
+        return None, None
+    return stmt.targets[0].id, sign * value.value
+
+
+def _binds(tree, name) -> int:
+    """How many nodes under ``tree`` bind or delete ``name``."""
+    n = 0
+    for node in ast.walk(tree):
+        k = node.__class__
+        if k is ast.Name:
+            n += node.id == name and node.ctx.__class__ is not ast.Load
+        elif k in (ast.ExceptHandler, ast.MatchAs, ast.MatchStar):
+            n += node.name == name
+        elif k is ast.MatchMapping:
+            n += node.rest == name
+        elif k is ast.alias:
+            n += (node.asname or node.name) == name
+        elif k in (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef):
+            n += node.name == name
+    return n
+
+
+def _held_outcome(held, folds):
+    """The outcome whose store of the name can go: the one whose value
+    ``held`` is, when every other outcome's folded arm leaves the loop;
+    None if there is none."""
+    if held is None:
+        return None
+    k = _VALUES.index(held)
+    for j, (arm, _) in enumerate(folds):
+        if j != k and not _leaves(arm):
+            return None
+    return k
+
+
+def _leaves(arm) -> bool:
+    """Whether every way through ``arm`` leaves the loop: it ends in a
+    ``break``, ``return`` or ``raise`` and holds no ``continue``."""
+    return (bool(arm) and arm[-1].__class__ in _LEAVE
+            and not any(n.__class__ is ast.Continue
+                        for stmt in arm for n in ast.walk(stmt)))
+
+
+def _branches(name, call, outcomes, true_arm, false_arm, loc,
+              held=None) -> ast.If:
     """``if x < y: [name = -1] ARM(-1)`` followed by, when 1 and 0 share
     an arm, ``else: [name = 1 if x > y else 0] ARM(1)``, and otherwise
     ``elif x > y: [name = 1] ARM(1) else: [name = 0] ARM(0)``.  Each arm
     is folded (:func:`_fold`) on the value it assigns ``name``; a shared
     arm of 1 and 0 that folds differently for them is split.  An arm
-    that an earlier branch takes too is deep-copied."""
+    that an earlier branch takes too is deep-copied.  ``held`` is the
+    value ``name`` holds when the test runs (:func:`_held_constants`),
+    or None; the store of that value is dropped when
+    :func:`_held_outcome` allows it."""
     x, xs = _operand(call.args[0], _TMP_X, loc)
     y, ys = _operand(call.args[1], _TMP_Y, loc)
     arms = [true_arm if t else false_arm for t in outcomes]
     folds = [_fold(a, name, k) for k, a in enumerate(arms)]
     shared = arms[1] is arms[2] and folds[1][1] == folds[2][1]
+    skip = _held_outcome(held, folds)
 
     def arm(k):
         body = folds[k][0]
@@ -356,8 +475,10 @@ def _branches(name, call, outcomes, true_arm, false_arm, loc) -> ast.If:
             return copy.deepcopy(body)
         return body
 
-    def set_name(value):
-        if name is None:
+    def set_name(value, k):
+        # k is the outcome that stores value; None for a shared arm of 1
+        # and 0, whose store picks either value and so always stays
+        if name is None or (k is not None and k == skip):
             return []
         return [ast.Assign([ast.Name(name, ast.Store(), **loc)], value,
                            **loc)]
@@ -366,18 +487,19 @@ def _branches(name, call, outcomes, true_arm, false_arm, loc) -> ast.If:
         return ast.Constant(c, **loc)
 
     above = ast.Compare(x, [ast.Gt()], [y], **loc)
-    below = set_name(const(-1)) + arm(0) or [ast.Pass(**loc)]
+    below = set_name(const(-1), 0) + arm(0) or [ast.Pass(**loc)]
     if shared:
         if name is None:
             # the > result is truth-tested as _default_cmp3 does
             rest = [ast.If(above, [ast.Pass(**loc)], [], **loc)]
         else:
-            rest = set_name(ast.IfExp(above, const(1), const(0), **loc))
+            rest = set_name(ast.IfExp(above, const(1), const(0), **loc),
+                            None)
         rest += arm(1)
     else:
-        rest = [ast.If(above, set_name(const(1)) + arm(1) or
+        rest = [ast.If(above, set_name(const(1), 1) + arm(1) or
                        [ast.Pass(**loc)],
-                       set_name(const(0)) + arm(2), **loc)]
+                       set_name(const(0), 2) + arm(2), **loc)]
     return ast.If(ast.Compare(xs, [ast.Lt()], [ys], **loc), below, rest,
                   **loc)
 

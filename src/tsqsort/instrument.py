@@ -66,7 +66,7 @@ class StageRecord:
     """One partition stage, as ``Sorter.stage_hook`` receives it.
 
     ``a``..``b`` is the stage's subrange and ``new_l``/``new_r`` the
-    bounds it leaves for recursion: ``ar[a..new_l]`` and
+    bounds of the two sides it leaves to sort: ``ar[a..new_l]`` and
     ``ar[new_r..b]``.  ``pivot`` and ``order_flag`` come from pivot
     selection (> 0 tried the possibly-sorted fast path, < 0 the
     possibly-reversed one).  ``entry`` names the machine label the

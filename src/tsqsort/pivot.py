@@ -78,56 +78,53 @@ def median_of_3(ar, i0: int, i1: int, i2: int, cmp3, tally) -> PivotDecision:
 
     Returns flag +1 when the samples were already nondecreasing, -1 when
     nonincreasing.  At most 3 comparisons; 0, 3 or 4 element writes.
+    Each outcome adds its comparisons once, after its last one.
     """
-    tally[0] += 1
     if cmp3(ar[i1], ar[i0]) >= 0:
-        tally[0] += 1
         if cmp3(ar[i2], ar[i0]) >= 0:
-            tally[0] += 1
             if cmp3(ar[i2], ar[i1]) >= 0:
                 # already 0 1 2
+                tally[0] += 3
                 return tuple.__new__(PivotDecision, (ar[i1], i1, 1))
             # 0 2 1: swap the upper pair
             temp = ar[i1]
             ar[i1] = ar[i2]
             ar[i2] = temp
+            tally[0] += 3
             tally[1] += 2
-            tally[2] += 1
         else:
             # 2 0 1: rotate right
             temp = ar[i0]
             ar[i0] = ar[i2]
             ar[i2] = ar[i1]
             ar[i1] = temp
+            tally[0] += 2
             tally[1] += 3
-            tally[2] += 1
-    else:
-        tally[0] += 1
-        if cmp3(ar[i2], ar[i1]) >= 0:
-            tally[0] += 1
-            if cmp3(ar[i2], ar[i0]) >= 0:
-                # 1 0 2: swap the lower pair
-                temp = ar[i0]
-                ar[i0] = ar[i1]
-                ar[i1] = temp
-                tally[1] += 2
-                tally[2] += 1
-            else:
-                # 1 2 0: rotate left
-                temp = ar[i0]
-                ar[i0] = ar[i1]
-                ar[i1] = ar[i2]
-                ar[i2] = temp
-                tally[1] += 3
-                tally[2] += 1
-        else:
-            # 2 1 0: reversed; swap the ends
+    elif cmp3(ar[i2], ar[i1]) >= 0:
+        if cmp3(ar[i2], ar[i0]) >= 0:
+            # 1 0 2: swap the lower pair
             temp = ar[i0]
-            ar[i0] = ar[i2]
-            ar[i2] = temp
+            ar[i0] = ar[i1]
+            ar[i1] = temp
             tally[1] += 2
-            tally[2] += 1
-            return tuple.__new__(PivotDecision, (ar[i1], i1, -1))
+        else:
+            # 1 2 0: rotate left
+            temp = ar[i0]
+            ar[i0] = ar[i1]
+            ar[i1] = ar[i2]
+            ar[i2] = temp
+            tally[1] += 3
+        tally[0] += 3
+    else:
+        # 2 1 0: reversed; swap the ends
+        temp = ar[i0]
+        ar[i0] = ar[i2]
+        ar[i2] = temp
+        tally[0] += 2
+        tally[1] += 2
+        tally[2] += 1
+        return tuple.__new__(PivotDecision, (ar[i1], i1, -1))
+    tally[2] += 1
     return tuple.__new__(PivotDecision, (ar[i1], i1, 0))
 
 
@@ -228,15 +225,15 @@ def fifteenth(ar, idx15, cmp3, tally) -> PivotDecision:
     centers = [idx15[1], idx15[4], idx15[7], idx15[10], idx15[13]]
     outer = median_of_5(ar, centers[0], centers[1], centers[2],
                         centers[3], centers[4], cmp3, tally)
-    flag = _combine_flags(tuple(g.order_flag for g in groups),
-                          outer.order_flag)
+    flag = _combine_flags([g.order_flag for g in groups], outer.order_flag)
     return tuple.__new__(PivotDecision, (outer.pivot, centers[2], flag))
 
 
 def _combine_flags(group_flags, outer_flag) -> int:
+    """The flag every group and the outer median agree on, else 0."""
     first = group_flags[0]
-    if first != 0 and outer_flag == first \
-            and all(f == first for f in group_flags):
+    if outer_flag == first and \
+            group_flags.count(first) == len(group_flags):
         return first
     return 0
 
@@ -252,11 +249,11 @@ def select_pivot(ar, a: int, b: int, config: SortConfig,
     """
     n = b - a + 1
     mid = (a + b) >> 1
-    mitigate = config.mitigation_enabled
-    dran = rng.dran if mitigate else 1.0
-
     if n <= config.medof3_max_n and (config.medof3_small_enabled or n < 5):
         return median_of_3(ar, a, mid, b, cmp3, tally)
+
+    mitigate = config.mitigation_enabled
+    dran = rng.dran if mitigate else 1.0
 
     if n <= config.medof5_max_n:
         gap = int((n >> 2) * dran) if mitigate else (n >> 2)

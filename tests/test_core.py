@@ -256,6 +256,95 @@ def test_sorter_not_reentrant():
     assert "raised" in err
 
 
+# --- a comparator that changes the list's length ---
+
+# each changes the length at the 300th comparison of a 500-element sort
+MUTATIONS = {
+    "append": lambda ar: ar.append(-1),
+    "extend": lambda ar: ar.extend([-1, -2, -3]),
+    "pop": lambda ar: ar.pop(),
+    "clear": lambda ar: ar.clear(),
+}
+MUTATE_AT = 300
+
+
+def _shuffled(n=500, seed=5):
+    ar = list(range(n))
+    random.Random(seed).shuffle(ar)
+    return ar
+
+
+def _mutating_cmp(ar, how):
+    calls = 0
+
+    def cmp(x, y):
+        nonlocal calls
+        calls += 1
+        if calls == MUTATE_AT:
+            MUTATIONS[how](ar)
+        return cmp3(x, y)
+    return cmp
+
+
+class _Mutating:
+    """An int whose rich comparisons change ``target`` at the
+    ``MUTATE_AT``-th call, as a comparator would."""
+
+    __slots__ = ("v",)
+    target = []
+    how = "append"
+    calls = 0
+
+    def __init__(self, v):
+        self.v = v
+
+    def _tick(self):
+        _Mutating.calls += 1
+        if _Mutating.calls == MUTATE_AT:
+            MUTATIONS[_Mutating.how](_Mutating.target)
+
+    def __lt__(self, other):
+        self._tick()
+        return self.v < other.v
+
+    def __gt__(self, other):
+        self._tick()
+        return self.v > other.v
+
+
+@pytest.mark.parametrize("how", sorted(MUTATIONS))
+def test_sorter_raises_when_the_comparator_changes_the_length(how):
+    s = Sorter(seed=1)
+    ar = _shuffled()
+    with pytest.raises(ValueError, match="list modified during sort"):
+        s.sort(ar, _mutating_cmp(ar, how))
+    # the instance is free for the next sort
+    ar = _shuffled()
+    s.sort(ar)
+    assert ar == sorted(ar)
+
+
+@pytest.mark.parametrize("how", sorted(MUTATIONS))
+def test_module_sort_raises_when_the_comparator_changes_the_length(how):
+    ar = _shuffled()
+    with pytest.raises(ValueError, match="list modified during sort"):
+        tsqsort.sort(ar, _mutating_cmp(ar, how))
+    ar = _shuffled()
+    tsqsort.sort(ar)
+    assert ar == sorted(ar)
+
+
+@pytest.mark.parametrize("how", sorted(MUTATIONS))
+def test_elements_that_change_the_length_raise(how):
+    ar = [_Mutating(v) for v in _shuffled()]
+    _Mutating.target, _Mutating.how, _Mutating.calls = ar, how, 0
+    try:
+        with pytest.raises(ValueError, match="list modified during sort"):
+            Sorter(seed=1).sort(ar)
+    finally:
+        _Mutating.target = []
+
+
 # --- single stages through the partition machine ---
 
 

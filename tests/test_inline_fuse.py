@@ -18,7 +18,9 @@ which falls back to the value form fails here.
 """
 
 import ast
+import dis
 import linecache
+import sys
 import traceback
 
 import pytest
@@ -245,7 +247,7 @@ def test_fused_test_matches_the_value_form(name):
     assert {"body", "else"} <= ran, (name, ran)
 
 
-def innermost_frame(fn, cmp, xs, y, k):
+def innermost_frame(fn, cmp, xs, y, k, filename=FILENAME):
     Logged.raise_at = k
     try:
         with pytest.raises(ValueError, match="comparison refused") as info:
@@ -253,7 +255,7 @@ def innermost_frame(fn, cmp, xs, y, k):
     finally:
         Logged.raise_at = 0
     frames = [f for f in traceback.extract_tb(info.value.__traceback__)
-              if f.filename == FILENAME]
+              if f.filename == filename]
     return frames[-1]
 
 
@@ -452,3 +454,247 @@ def test_other_tests_keep_the_value_form():
     compiled = compare_inline()(_not_fused)
     for vs in ([0, 1, 2], [1, 1], [2, 0]):
         assert compiled(_default_cmp3, vs, 1) == _not_fused(generic, vs, 1)
+
+
+# --- a store of the value the name holds already ---
+#
+# A loop right after ``r = C`` whose fused test is its only assignment
+# to r, and whose other outcomes leave it, drops the test's store of C.
+# Each case is built for C = -1, 1 and 0, with the OP under which C is
+# the one outcome that stays in the loop; ``drops`` says whether the
+# compiled loop still stores C.
+
+# OP per C for an ``if`` in the loop body (C goes on, the rest leave),
+# and for a fused ``while`` test (C stays, the rest run the else)
+IF_OPS = {-1: ">=", 1: "<=", 0: "!="}
+WHILE_OPS = {-1: "<", 1: ">", 0: "=="}
+
+CONST_CASES = {
+    # dropped: a `for` left by `break`
+    "for": (True, IF_OPS, """
+def {name}(cmp3, xs, y):
+    out = []
+    r = {c}
+    for x in xs:
+        if (r := cmp3(x, y)) {op} 0:
+            out.append(("stop", r))
+            break
+        out.append(("step", r))
+    else:
+        out.append(("end", r))
+    return out, r
+"""),
+    # dropped: a `while True` left by `return`
+    "while_true": (True, IF_OPS, """
+def {name}(cmp3, xs, y):
+    out = []
+    i = 0
+    r = {c}
+    while True:
+        if i == len(xs):
+            return out, r
+        if (r := cmp3(xs[i], y)) {op} 0:
+            out.append(("stop", i, r))
+            return out, r
+        out.append(("step", i, r))
+        i += 1
+"""),
+    # dropped: a fused `while` test, whose else leaves the loop
+    "while_test": (True, WHILE_OPS, """
+def {name}(cmp3, xs, y):
+    out = []
+    i = 0
+    x = xs[0] if xs else y
+    r = {c}
+    while (r := cmp3(x, y)) {op} 0:
+        out.append(("step", i, r))
+        i += 1
+        if i >= len(xs):
+            break
+        x = xs[i]
+    else:
+        out.append(("end", i, r))
+    return out, r
+"""),
+    # kept: another statement between the constant and the loop
+    "not_preceded": (False, IF_OPS, """
+def {name}(cmp3, xs, y):
+    r = {c}
+    out = []
+    for x in xs:
+        if (r := cmp3(x, y)) {op} 0:
+            out.append(("stop", r))
+            break
+        out.append(("step", r))
+    return out, r
+"""),
+    # kept: a second assignment of r in the loop
+    "second_assignment": (False, IF_OPS, """
+def {name}(cmp3, xs, y):
+    out = []
+    r = {c}
+    for x in xs:
+        if (r := cmp3(x, y)) {op} 0:
+            out.append(("stop", r))
+            break
+        out.append(("step", r))
+        r = 7
+    return out, r
+"""),
+    # kept: the other outcomes fall through to the next step
+    "falls_through": (False, IF_OPS, """
+def {name}(cmp3, xs, y):
+    out = []
+    r = {c}
+    for x in xs:
+        if (r := cmp3(x, y)) {op} 0:
+            out.append(("other", r))
+        out.append(("step", r))
+    return out, r
+"""),
+    # kept: the other outcomes' arm ends in `break` but may `continue`
+    "continues": (False, IF_OPS, """
+def {name}(cmp3, xs, y):
+    out = []
+    r = {c}
+    for x in xs:
+        if (r := cmp3(x, y)) {op} 0:
+            if len(out) % 2 == 0:
+                out.append(("skip", r))
+                continue
+            out.append(("stop", r))
+            break
+        out.append(("step", r))
+    return out, r
+"""),
+}
+
+CONST_FILENAME = "<constant-store tests>"
+
+
+def _build_const_cases():
+    src = []
+    cases = {}
+    for case, (drops, ops, template) in CONST_CASES.items():
+        for k, c in enumerate((-1, 1, 0)):
+            name = f"{case}_{k}"
+            src.append(template.format(name=name, c=c, op=ops[c]))
+            cases[name] = (drops, c)
+    text = "".join(src)
+    linecache.cache[CONST_FILENAME] = (
+        len(text), None, text.splitlines(keepends=True), CONST_FILENAME)
+    ns = {}
+    exec(compile(text, CONST_FILENAME, "exec"), ns)
+    return {name: (ns[name], compare_inline()(ns[name]), drops, c)
+            for name, (drops, c) in cases.items()}
+
+
+CONST_FUNCS = _build_const_cases()
+
+
+def const_inputs():
+    """Element lists that stop the loop at each outcome, run it to the
+    end, and run it zero times."""
+    for vs in ([0, 0, 2, 1], [2, 2, 0], [1, 1, 0, 2], [0, 1, 2, 1, 0],
+               [1], [0], [2], []):
+        yield [Logged(v) for v in vs], Logged(1)
+
+
+def loop_stores(tree, name, c):
+    """Stores of ``c`` into ``name`` inside the loops under ``tree``: an
+    assignment of the constant, or of an ``IfExp`` choosing it."""
+    found = 0
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if (isinstance(node, ast.Assign)
+                    and isinstance(node.targets[0], ast.Name)
+                    and node.targets[0].id == name
+                    and any(isinstance(v, ast.Constant) and v.value == c
+                            and v.value.__class__ is int
+                            for v in ast.walk(node.value))):
+                found += 1
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(CONST_FUNCS))
+def test_constant_store_matches_the_value_form(name):
+    original, compiled, _, _ = CONST_FUNCS[name]
+    for xs, y in const_inputs():
+        want = logged_run(original, generic, xs, y)
+        assert logged_run(compiled, _default_cmp3, xs, y) == want
+        assert logged_run(compiled, generic, xs, y) == want
+
+
+@pytest.mark.parametrize("name", sorted(CONST_FUNCS))
+def test_constant_store_raises_at_the_cmp3_line(name):
+    original, compiled, _, _ = CONST_FUNCS[name]
+    for xs, y in const_inputs():
+        _, log = logged_run(original, generic, xs, y)
+        n_compares = sum(1 for entry in log if entry[0] in ("<", ">"))
+        for k in range(1, n_compares + 1):
+            fused = innermost_frame(compiled, _default_cmp3, xs, y, k,
+                                    CONST_FILENAME)
+            plain = innermost_frame(compiled, generic, xs, y, k,
+                                    CONST_FILENAME)
+            assert "cmp3(" in fused.line, (k, fused)
+            assert (fused.lineno, fused.name) == (plain.lineno, plain.name)
+
+
+@pytest.mark.parametrize("name", sorted(CONST_FUNCS))
+def test_store_of_the_held_constant_is_dropped_only_where_it_may_be(name):
+    original, _, drops, c = CONST_FUNCS[name]
+    assert fuse_counts(original) == (0, 1)
+    compiled = compiled_def(original)
+    assert (loop_stores(compiled, "r", c) == 0) == drops, ast.unparse(compiled)
+    # the stores of the other values stay, and so does the constant
+    # before the loop
+    _, fdef, _ = _source_def(original)
+    before = [ast.unparse(s) for s in fdef.body]
+    after = [ast.unparse(s) for s in compiled.body]
+    assert f"r = {c}" in before and f"r = {c}" in after
+
+
+def executed_stores(fn, args, names):
+    """How many ``STORE_FAST`` of ``names`` one call of ``fn`` runs."""
+    code = fn.__code__
+    ops = {i.offset: i for i in dis.get_instructions(code)}
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if frame.f_code is not code:
+            return None
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            op = ops[frame.f_lasti]
+            count += op.opname == "STORE_FAST" and op.argval in names
+        return tracer
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(old)
+    return count
+
+
+@pytest.mark.parametrize("shape", ("sorted", "equals_below"))
+def test_sorted_handler_scans_store_no_lc_or_rc_per_step(shape):
+    # sorted, both verify scans go 500 steps; with equals below, the
+    # right verify scan and the scan for equals below the block do.
+    # The compiled handler stores lc and rc a fixed number of times,
+    # the original once a step.  The scan for equals above keeps its
+    # store of 0 (see core._sorted_handler).
+    n = 1001
+    mid = n >> 1
+    ar = list(range(n))
+    if shape == "equals_below":
+        ar[1:mid] = [mid] * (mid - 1)
+    args = (ar, _default_cmp3, 0, n - 1, mid, [0] * core.CT_LEN)
+    assert executed_stores(core._sorted_handler, args, ("lc", "rc")) <= 4
+    assert executed_stores(core._sorted_handler.__wrapped__,
+                           args[:1] + (generic,) + args[2:],
+                           ("lc", "rc")) >= 500
