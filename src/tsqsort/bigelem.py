@@ -29,8 +29,23 @@ class Permutation:
 
 
 def _indirect(ar, cmp3, sorter):
-    handles = list(range(len(ar)))
-    stats = sorter.sort_with_stats(handles, lambda x, y: cmp3(ar[x], ar[y]))
+    """(permutation, stats) of a sort of handles over ``ar``.
+
+    Raises ValueError, as a direct sort does, when the comparator
+    changed the list's length: a shorter list shows as an IndexError
+    from the handle comparator, a longer one only after the sort.
+    """
+    n = len(ar)
+    handles = list(range(n))
+    try:
+        stats = sorter.sort_with_stats(handles,
+                                       lambda x, y: cmp3(ar[x], ar[y]))
+    except IndexError as exc:
+        if len(ar) != n:
+            raise ValueError("list modified during sort") from exc
+        raise
+    if len(ar) != n:
+        raise ValueError("list modified during sort")
     return Permutation(tuple(handles)), stats
 
 
@@ -90,7 +105,11 @@ def apply_permutation(ar, perm: Permutation) -> int:
 
 
 def sort_large_elements(ar, cmp3, sorter) -> SortStats:
-    """Late-swapping sort used by the core for oversized elements."""
+    """Late-swapping sort used by the core for oversized elements.
+
+    A comparator that changes the list's length makes the handle sort
+    raise ValueError, so no permutation is applied.
+    """
     perm, stats = _indirect(ar, cmp3, sorter)
     moves, cycles = _apply(ar, perm)
     stats.element_writes += moves

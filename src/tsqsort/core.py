@@ -51,6 +51,16 @@ pass: the pre-scan and the fast-path handlers' resume points, where
 they fall back mid-stage.  Every run of the machine ends the stage it
 enters.
 
+The sorted fast path's scans iterate the array with list iterators
+that they move with ``__setstate__`` and read their position back from
+with ``__length_hint__``.  A list whose class keeps list's
+``__len__``, ``__getitem__``, ``__iter__`` and ``__reversed__`` is
+scanned as it is; the fast path reads any other sequence (an
+``array.array``, a ``UserList``, a list subclass that reads otherwise,
+a bare ``__getitem__``/``__setitem__`` sequence) through a
+``_SeqView``, whose generic iterators have both.  Every other layer
+indexes the sequence itself.
+
 ``Sorter.stage_hook``, when set, is called once per partition stage,
 after the partition and before the driver goes on to its sides, with an
 ``instrument.StageRecord``; unset, it costs one test per stage.
@@ -67,6 +77,7 @@ comparator is the default one.  A scan's test, written as
 from __future__ import annotations
 
 import threading
+from itertools import islice
 
 from .config import DEFAULT_CONFIG, SortConfig
 from .inline import _default_cmp3, compare_inline
@@ -234,12 +245,17 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
     Writes are counted by law where one holds.  A state-1 turn places
     two elements and adds 2 once; a turn that leaves between its
     placements, when the r hole meets the block or the right scan stops
-    on an element not below the pivot, adds 1 there.  In states 3L/3R a
-    run copy writes its length, added after the copy (``k - m`` or
-    ``r - m`` in 3L, ``m - k`` or ``m - l`` in 3R).  Every buffered
-    equal is pushed once and drained back once, so the drain adds
-    ``ti`` to both the scratch and the array writes.  The other writes,
-    a placement each, count one by one.
+    on an element not below the pivot, adds 1 there.  States 2L/2R/3L/3R
+    count a turn the same way: it places the non-equal at m into the
+    side hole, scans from that side and places what the scan stops on
+    (2L/2R also roll the block over it), and adds its writes once at
+    its end, or 1 where it leaves after the first placement; a 2L/2R
+    roll adds its 2 once.  In states 3L/3R a run copy writes its
+    length, added after the copy (``k - m`` or ``r - m`` in 3L, ``m -
+    k`` or ``m - l`` in 3R).  Every buffered equal is pushed once and
+    drained back once, so the drain adds ``ti`` to both the scratch and
+    the array writes.  The other writes, a placement each, count one by
+    one.
     """
     ct[CT_CMP] += r - l - (mr - ml) - _PRECOMPARED[label]
     nwa = 0
@@ -481,19 +497,18 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                         break
                 if lc > 0:
                     ar[r] = ar[m]
-                    nwa += 1
                     r -= 1
                     ar[m] = ar[r]
-                    nwa += 1
+                    nwa += 2
                     m -= 1
                     if m == l:
                         break
                     label = _M2L
                     continue
                 ar[l] = ar[m]
-                nwa += 1
                 l += 1
                 if m == l:
+                    nwa += 1
                     break
                 # scan from l for an element not below the pivot
                 while True:
@@ -503,16 +518,16 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                     if m == l:
                         break
                 if lc < 0:
+                    nwa += 1
                     break
                 if lc == 0:
                     ar[m] = ar[l]
-                    nwa += 1
+                    nwa += 2
                 else:
                     ar[r] = ar[l]
-                    nwa += 1
                     r -= 1
                     ar[m] = ar[r]
-                    nwa += 1
+                    nwa += 3
                 m -= 1
                 if m == l:
                     break
@@ -533,19 +548,18 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                         break
                 if lc < 0:
                     ar[l] = ar[m]
-                    nwa += 1
                     l += 1
                     ar[m] = ar[l]
-                    nwa += 1
+                    nwa += 2
                     m += 1
                     if m == r:
                         break
                     label = _M2R
                     continue
                 ar[r] = ar[m]
-                nwa += 1
                 r -= 1
                 if m == r:
+                    nwa += 1
                     break
                 while True:
                     if (lc := cmp3(ar[r], p)) <= 0:
@@ -554,16 +568,16 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                     if m == r:
                         break
                 if lc > 0:
+                    nwa += 1
                     break
                 if lc == 0:
                     ar[m] = ar[r]
-                    nwa += 1
+                    nwa += 2
                 else:
                     ar[l] = ar[r]
-                    nwa += 1
                     l += 1
                     ar[m] = ar[l]
-                    nwa += 1
+                    nwa += 3
                 m += 1
                 if m == r:
                     break
@@ -632,9 +646,9 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                         label = _M3L
                         continue
                 ar[l] = ar[m]
-                nwa += 1
                 l += 1
                 if m == l:
+                    nwa += 1
                     break
                 while True:
                     if (lc := cmp3(ar[l], p)) >= 0:
@@ -643,13 +657,15 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                     if m == l:
                         break
                 if lc < 0:
+                    nwa += 1
                     break
                 if lc == 0:
                     tar[ti] = ar[l]
                     ti += 1
+                    nwa += 1
                 else:
                     ar[r] = ar[l]
-                    nwa += 1
+                    nwa += 2
                     r -= 1
                     if r >= ml:
                         tar[ti] = ar[r]
@@ -717,9 +733,9 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                         label = _M3R
                         continue
                 ar[r] = ar[m]
-                nwa += 1
                 r -= 1
                 if m == r:
+                    nwa += 1
                     break
                 while True:
                     if (lc := cmp3(ar[r], p)) <= 0:
@@ -728,13 +744,15 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                     if m == r:
                         break
                 if lc > 0:
+                    nwa += 1
                     break
                 if lc == 0:
                     tar[ti] = ar[r]
                     ti += 1
+                    nwa += 1
                 else:
                     ar[l] = ar[r]
-                    nwa += 1
+                    nwa += 2
                     l += 1
                     if l <= mr:
                         tar[ti] = ar[l]
@@ -773,17 +791,15 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
         ct[CT_CMP] += 1  # the holdover, compared a second time
         if (lc := cmp3(temp, p)) >= 0:
             ar[r] = temp
-            nwa += 1
             ar[l] = p
-            nwa += 1
+            nwa += 2
             l -= 1
             if lc == 0:
                 r += 1
         else:
             ar[l] = temp
-            nwa += 1
             ar[r] = p
-            nwa += 1
+            nwa += 2
             r += 1
 
     ct[CT_WA] += nwa
@@ -793,6 +809,51 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
 
 # ---------------------------------------------------------------------------
 # Fast-path handlers for possibly-sorted / possibly-reversed stages.
+
+
+class _SeqView:
+    """A sequence seen through ``__len__``, ``__getitem__`` and
+    ``__setitem__`` alone.
+
+    ``iter()`` and ``reversed()`` of a view are Python's generic
+    sequence iterators, which can be moved with ``__setstate__`` and
+    tell their position through ``__length_hint__``, as a list's own
+    iterators do; the sorted fast path's scans need both.  An
+    ``array.array``'s iterator has no ``__length_hint__``, and a
+    ``UserList`` iterates with a generator, so the fast path reads every
+    sequence but a list that reads as ``list`` does through a view
+    (:func:`_scannable`).
+    """
+
+    __slots__ = ("seq",)
+
+    def __init__(self, seq):
+        self.seq = seq
+
+    def __len__(self):
+        return len(self.seq)
+
+    def __getitem__(self, i):
+        return self.seq[i]
+
+    def __setitem__(self, i, v):
+        self.seq[i] = v
+
+
+# what the sorted fast path's scans read a list through: their cursors
+# come from len() and the list's own iterators, which bypass a
+# subclass's __getitem__
+_SCAN_READS = ("__len__", "__getitem__", "__iter__", "__reversed__")
+
+
+def _scannable(ar):
+    """``ar`` itself when it is a list whose class keeps list's
+    ``_SCAN_READS``, else a ``_SeqView`` of it."""
+    t = type(ar)
+    if t is list or (issubclass(t, list) and all(
+            getattr(t, k) is getattr(list, k) for k in _SCAN_READS)):
+        return ar
+    return _SeqView(ar)
 
 
 @compare_inline()
@@ -809,29 +870,47 @@ def _sorted_handler(ar, cmp3, a, b, p, ct):
     pivot restore; otherwise it drops into the main machine at the
     matching resume point with all scan progress kept.
 
-    The scans are index loops, long by design on ordered input, whose
-    comparisons are counted once, from where they stopped.  Three of
-    them directly follow the value their name keeps while they go on
-    (``lc = -1``, ``rc = 1``, ``lc = 0``), so their compiled steps store
-    nothing (see ``inline``).  The scan for equals above keeps its
-    store: after a left scan that reached mid, lc is -1, and a ``lc =
-    0`` before a scan that runs zero times would change the lc
-    returned.  Returns
+    The scans, long by design on ordered input, iterate the elements
+    themselves: ``for x in islice(it, count)`` over a list iterator
+    ``it`` moved to the scan's first position with ``__setstate__``,
+    ``iter(ar)`` going up and ``reversed(ar)`` going down, so a step
+    holds no subscript, cursor or operand temporary, and the comparison
+    stays in bytecode.  ``ar`` must be a list that iterates as ``list``
+    does, or a ``_SeqView`` (see :func:`_scannable`).  Only a scan that
+    stops reads its cursor back, from the count of elements the
+    iterator has left: the element just compared sits at ``len(ar) -
+    it.__length_hint__() - 1`` going up and at
+    ``it.__length_hint__()`` going down.  A scan that runs out leaves
+    its cursor at the end of its span.  The comparisons are counted
+    once, from where the scans stopped.
+
+    Three scans directly follow the value their name keeps while they go
+    on (``lc = -1``, ``rc = 1``, ``lc = 0``) and leave the loop on every
+    other value, so their compiled steps store nothing (see
+    ``inline``); the cursor read-back sits in the leaving arm and keeps
+    that so.  The scan for equals above keeps its store: after a left
+    scan that reached mid, lc is -1, and a ``lc = 0`` before a scan that
+    runs zero times would change the lc returned.  Returns
     ``(label, l, r, ml, mr, m, lc, holdover)``: the resume label and the
     machine's entry state, or _DONE with the stage's new bounds in l
     and r.
     """
     mid = (a + b) >> 1
-    nwa = 0
+    it = iter(ar)
+    it.__setstate__(a)
     lc = -1
-    for l in range(a, mid):
-        if (lc := cmp3(ar[l], p)) >= 0:
+    for x in islice(it, mid - a):
+        if (lc := cmp3(x, p)) >= 0:
+            l = len(ar) - it.__length_hint__() - 1
             break
     else:
         l = mid
+    it = reversed(ar)
+    it.__setstate__(b)
     rc = 1
-    for r in range(b, mid, -1):
-        if (rc := cmp3(ar[r], p)) <= 0:
+    for x in islice(it, b - mid):
+        if (rc := cmp3(x, p)) <= 0:
+            r = it.__length_hint__()
             break
     else:
         r = mid
@@ -840,17 +919,23 @@ def _sorted_handler(ar, cmp3, a, b, p, ct):
     if lc == 0 and rc >= 0:
         # equals bordering the block from below; lc is 0 already, and
         # saying so lets the compiled scan skip its store of 0
+        it = reversed(ar)
+        it.__setstate__(mid - 1)
         lc = 0
-        for ml in range(mid - 1, l, -1):
-            if (lc := cmp3(ar[ml], p)) != 0:
+        for x in islice(it, mid - 1 - l):
+            if (lc := cmp3(x, p)) != 0:
+                ml = it.__length_hint__()
                 break
         else:
             ml = l
         ncmp += mid - 1 - ml + (ml != l)
     if rc == 0 and ml == l:
         # equals bordering the block from above
-        for mr in range(mid + 1, r):
-            if (lc := cmp3(ar[mr], p)) != 0:
+        it = iter(ar)
+        it.__setstate__(mid + 1)
+        for x in islice(it, r - mid - 1):
+            if (lc := cmp3(x, p)) != 0:
+                mr = len(ar) - it.__length_hint__() - 1
                 break
         else:
             mr = r
@@ -860,7 +945,7 @@ def _sorted_handler(ar, cmp3, a, b, p, ct):
     if ml == l and mr == r:
         # [l..r] holds only the pivot's equals
         ar[mid] = p
-        nwa += 1
+        ct[CT_WA] += 1
         l -= 1
         r += 1
         out = _DONE
@@ -884,7 +969,7 @@ def _sorted_handler(ar, cmp3, a, b, p, ct):
             # equals at both cursors: ar[r] takes the center hole
             hold = ar[l]
             ar[mid] = ar[r]
-            nwa += 1
+            ct[CT_WA] += 1
             out = _MRIGHT_NOSCAN if ml == l else _ML1_2
         elif lc == 0:
             # ar[l] equal to the pivot, ar[r] below it
@@ -899,7 +984,6 @@ def _sorted_handler(ar, cmp3, a, b, p, ct):
         ct[CT_WS] += 1
 
     ct[CT_CMP] += ncmp
-    ct[CT_WA] += nwa
     return out, l, r, ml, mr, mid, lc, hold
 
 
@@ -1147,6 +1231,14 @@ class Sorter:
     A sort runs :meth:`_range`, the explicit-stack driver, and
     :meth:`_fill_stats` turns its counter vector into ``SortStats``,
     adding the pivot extractions' writes, one per stage, by law.
+
+    Any mutable sequence sorts.  A list whose class keeps list's
+    ``__len__``, ``__getitem__``, ``__iter__`` and ``__reversed__`` is
+    handed to every layer as it is; any other sequence
+    (``array.array``, ``UserList``, a list subclass that reads
+    otherwise, a bare sequence) reaches the sorted fast path through a
+    ``_SeqView``, whose iterators its scans can move and read back, and
+    every other layer as it is.
     """
 
     def __init__(self, config: SortConfig | None = None,
@@ -1167,8 +1259,9 @@ class Sorter:
         """Sort ``ar`` in place; returns the run's counters.
 
         Raises ValueError, as ``list.sort`` does, when the comparator
-        changed the list's length: a shorter list shows as an IndexError
-        in the middle of a stage, a longer one only at the end.
+        changed the list's length: a shorter list shows in the middle of
+        a stage, as an IndexError or as a ValueError from a sorted-path
+        scan whose span it cut short, a longer one only at the end.
         """
         if self._active:
             raise RuntimeError("sorter instance is not reentrant")
@@ -1187,7 +1280,7 @@ class Sorter:
                 ct = [0] * CT_LEN
                 try:
                     self._range(ar, cmp3, 0, n - 1, 1, self.temp.buf, ct)
-                except IndexError as exc:
+                except (IndexError, ValueError) as exc:
                     if len(ar) != n:
                         raise ValueError("list modified during sort") from exc
                     raise
@@ -1246,6 +1339,7 @@ class Sorter:
         tol = cfg.reverse_tolerance
         rng = self.rng
         hook = self.stage_hook
+        sar = _scannable(ar)
         pending = []
         maxd = depth
         stages = nsort = nrev = nfall = ns1 = 0
@@ -1272,7 +1366,7 @@ class Sorter:
                 if flag > 0:
                     nsort += 1
                     label, l, r, ml, mr, m, lc, hold = _sorted_handler(
-                        ar, cmp3, a, b, p, ct)
+                        sar, cmp3, a, b, p, ct)
                 else:
                     nrev += 1
                     label, l, r, ml, mr, m, lc, hold = _reversed_handler(

@@ -68,7 +68,8 @@ def handle_possibly_sorted(ar, a: int, b: int, pivot, cmp=None, ct=None,
     cmp3 = cmp if cmp is not None else _core._default_cmp3
     if ct is None:
         ct = [0] * _core.CT_LEN
-    resume = _core._sorted_handler(ar, cmp3, a, b, pivot, ct)
+    resume = _core._sorted_handler(_core._scannable(ar), cmp3, a, b, pivot,
+                                   ct)
     return _outcome(ar, a, b, pivot, resume, cmp3, ct, finish)
 
 
@@ -93,7 +94,8 @@ def handle_possibly_reversed(ar, a: int, b: int, pivot, cmp=None,
     if tolerance is None:
         tolerance = DEFAULT_CONFIG.reverse_tolerance
     if b - a < 2:
-        resume = _core._sorted_handler(ar, cmp3, a, b, pivot, ct)
+        resume = _core._sorted_handler(_core._scannable(ar), cmp3, a, b,
+                                       pivot, ct)
     else:
         resume = _core._reversed_handler(ar, cmp3, a, b, pivot, ct,
                                          tolerance)

@@ -26,6 +26,24 @@ def test_sort_indirect_all_equal_is_bijection():
     assert ar == [5] * 8
 
 
+@pytest.mark.parametrize("change", (lambda ar: ar.append(0),
+                                    lambda ar: ar.pop()),
+                         ids=("append", "pop"))
+def test_sort_indirect_raises_when_the_length_changes(change):
+    ar = list(range(200, 0, -1))
+    calls = 0
+
+    def cmp(x, y):
+        nonlocal calls
+        calls += 1
+        if calls == 100:
+            change(ar)
+        return cmp3(x, y)
+
+    with pytest.raises(ValueError, match="list modified during sort"):
+        sort_indirect(ar, cmp)
+
+
 def test_apply_identity_zero_moves():
     ar = list(range(5))
     assert apply_permutation(ar, Permutation((0, 1, 2, 3, 4))) == 0

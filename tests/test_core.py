@@ -345,6 +345,31 @@ def test_elements_that_change_the_length_raise(how):
         _Mutating.target = []
 
 
+# the late-swapping path sorts position handles, then moves elements
+LATE_SWAP = 1000
+
+
+@pytest.mark.parametrize("how", sorted(MUTATIONS))
+def test_late_swap_sort_raises_when_the_comparator_changes_the_length(how):
+    s = Sorter(seed=1)
+    ar = _shuffled()
+    with pytest.raises(ValueError, match="list modified during sort"):
+        s.sort(ar, _mutating_cmp(ar, how), element_size=LATE_SWAP)
+    ar = _shuffled()
+    s.sort(ar, element_size=LATE_SWAP)
+    assert ar == sorted(ar)
+
+
+@pytest.mark.parametrize("how", sorted(MUTATIONS))
+def test_late_swap_module_sort_raises_when_the_length_changes(how):
+    ar = _shuffled()
+    with pytest.raises(ValueError, match="list modified during sort"):
+        tsqsort.sort(ar, _mutating_cmp(ar, how), element_size=LATE_SWAP)
+    ar = _shuffled()
+    tsqsort.sort(ar, element_size=LATE_SWAP)
+    assert ar == sorted(ar)
+
+
 # --- single stages through the partition machine ---
 
 
