@@ -5,7 +5,8 @@ position handles first and then applying the resulting permutation to
 the real elements caps the heavy moves at one pass: each nontrivial
 cycle of length c costs c + 1 element moves, at most 3*floor(n/2)
 total (all 2-cycles).  The handles stay internal -- the array itself
-always ends up sorted.
+always ends up sorted.  The sorter takes this path for elements of
+``LATE_SWAP_BYTES`` or more.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .stats import SortStats
+
+LATE_SWAP_BYTES = 320
 
 
 @dataclass(frozen=True)

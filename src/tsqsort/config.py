@@ -1,4 +1,4 @@
-"""Sorter configuration: pivot ladder thresholds and feature toggles."""
+"""Sorter configuration: the insertion threshold and feature toggles."""
 
 from __future__ import annotations
 
@@ -7,39 +7,31 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class SortConfig:
-    """Tuning knobs for the triple-state sorter.
+    """Settings of the triple-state sorter.
 
-    The pivot-selection ladder picks median-of-3 up to ``medof3_max_n``,
-    median-of-5 up to ``medof5_max_n``, the ninther up to
-    ``ninther_max_n`` and the fifteenth above that.  Subranges of at
-    most ``insertion_threshold`` elements go to the reduced-copy
-    insertion sort.
+    Subranges of at most ``insertion_threshold`` elements go to the
+    reduced-copy insertion sort; it must stay below
+    ``pivot.MEDOF3_MAX_N``, the first rung of the pivot ladder, whose
+    other rungs (``MEDOF5_MAX_N``, ``NINTHER_MAX_N``) are constants of
+    ``pivot`` too.  ``reverse_tolerance`` bounds the misplaced elements
+    the reversed fast path tolerates, and ``mitigation_enabled`` turns
+    the per-sort jitter of the interior sample positions on.  A sort
+    given an ``element_size`` of ``bigelem.LATE_SWAP_BYTES`` or more
+    late-swaps.
     """
 
     insertion_threshold: int = 16
-    medof3_max_n: int = 70
-    medof5_max_n: int = 600
-    ninther_max_n: int = 60000
     reverse_tolerance: int = 3
     mitigation_enabled: bool = True
-    late_swap_byte_threshold: int = 320
-    medof3_small_enabled: bool = True
 
     def __post_init__(self):
         if self.insertion_threshold < 3:
             raise ValueError("insertion_threshold must be >= 3")
-        ladder = (
-            self.insertion_threshold,
-            self.medof3_max_n,
-            self.medof5_max_n,
-            self.ninther_max_n,
-        )
-        if not all(a < b for a, b in zip(ladder, ladder[1:])):
+        # pivot.MEDOF3_MAX_N; pivot imports this module, so not by name
+        if self.insertion_threshold >= 70:
             raise ValueError("pivot ladder thresholds must be strictly increasing")
         if self.reverse_tolerance < 0:
             raise ValueError("reverse_tolerance must be >= 0")
-        if self.late_swap_byte_threshold < 1:
-            raise ValueError("late_swap_byte_threshold must be >= 1")
 
 
 DEFAULT_CONFIG = SortConfig()

@@ -79,6 +79,7 @@ from __future__ import annotations
 import threading
 from itertools import islice
 
+from .bigelem import LATE_SWAP_BYTES, sort_large_elements
 from .config import DEFAULT_CONFIG, SortConfig
 from .inline import _default_cmp3, compare_inline
 from .instrument import StageRecord
@@ -1269,9 +1270,7 @@ class Sorter:
         n = len(ar)
         stats = SortStats()
         if n > 1:
-            if element_size is not None and \
-                    element_size >= self.config.late_swap_byte_threshold:
-                from .bigelem import sort_large_elements
+            if element_size is not None and element_size >= LATE_SWAP_BYTES:
                 return sort_large_elements(ar, cmp3, self)
             self.temp.ensure((n + 1) // 2)
             self._active = True

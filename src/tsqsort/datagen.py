@@ -20,7 +20,9 @@ work for any sorter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+from .pivot import _ZERO_SEED_STATE, R_A, R_M
 
 DISTRIBUTIONS = (
     "sawtooth",
@@ -42,34 +44,28 @@ REORDERINGS = (
     "fort",
 )
 
-_DEFAULT_SEED = 123456789
-
 
 class ParkMillerGen:
     """Multiplicative congruential generator: z' = 16807 * z mod 2^31.
 
     The modulus is 2**31 (not the Mersenne prime 2**31 - 1); generator
     quality is secondary here, reproducibility is what matters.  State 0
-    is absorbing, so zero seeds are replaced with a fixed constant.
+    is absorbing, so zero seeds are replaced with a fixed constant.  It is
+    the sorter's ``pivot.MitigationRng`` recurrence, with its constants.
     """
-
-    A = 16807
-    C = 0
-    M = 2147483648
 
     __slots__ = ("zgen",)
 
     def __init__(self, seed: int):
-        seed = int(seed) % self.M
-        self.zgen = seed if seed != 0 else _DEFAULT_SEED
+        self.zgen = int(seed) % R_M or _ZERO_SEED_STATE
 
     def next_raw(self) -> int:
-        self.zgen = (self.A * self.zgen + self.C) % self.M
+        self.zgen = (R_A * self.zgen) % R_M
         return self.zgen
 
     def gen_rand(self) -> float:
         """Uniform float in [0, 1)."""
-        return self.next_raw() / self.M
+        return self.next_raw() / R_M
 
     def gen_random2(self, smallest: int, largest: int) -> int:
         return int(self.gen_rand() * (largest - smallest + 1) + smallest)
@@ -78,14 +74,14 @@ class ParkMillerGen:
         """``n`` successive ``gen_random2(smallest, largest)`` draws,
         leaving the state where they would.
 
-        The loop keeps the state in a local.  It is exact: with C = 0
-        the step is a multiply and a mask, and M is a power of two, so
-        ``z * ((largest - smallest + 1) / M)`` rounds exactly where
-        ``(z / M) * (largest - smallest + 1)`` does.
+        The loop keeps the state in a local.  It is exact: the step is a
+        multiply and a mask, and ``R_M`` is a power of two, so
+        ``z * ((largest - smallest + 1) / R_M)`` rounds exactly where
+        ``(z / R_M) * (largest - smallest + 1)`` does.
         """
-        a = self.A
-        mask = self.M - 1
-        scale = (largest - smallest + 1) / self.M
+        a = R_A
+        mask = R_M - 1
+        scale = (largest - smallest + 1) / R_M
         z = self.zgen
         out = [0] * n
         for i in range(n):
@@ -305,13 +301,3 @@ def save_column(values, path) -> None:
 def load_column(path) -> list:
     with open(path, "r", encoding="ascii") as fh:
         return [int(line) for line in fh if line.strip()]
-
-
-def battery_specs(n: int, arange: int, seed: int = 1):
-    """The full test battery: 7 distributions x 6 reorderings."""
-    base = GenSpec(n=n, arange=arange, seed=seed)
-    for dist in DISTRIBUTIONS:
-        for kind in REORDERINGS:
-            if kind == "identity":
-                continue
-            yield replace(base, distribution=dist, reorder=kind)

@@ -5,6 +5,11 @@ range and reports an order flag: +1 when the samples were found
 nondecreasing, -1 when nonincreasing, 0 otherwise.  The flag feeds the
 possibly-sorted / possibly-reversed fast paths.
 
+The ladder is fixed, as in Bentley and McIlroy's qsort: median-of-3
+for ranges of up to ``MEDOF3_MAX_N`` elements, median-of-5 up to
+``MEDOF5_MAX_N``, the ninther up to ``NINTHER_MAX_N`` and the
+fifteenth above that.
+
 Worst-case mitigation shifts the interior sample positions by a factor
 drawn from a private multiplicative congruential generator once per
 sort call; the first, middle and last samples stay fixed so the
@@ -19,6 +24,10 @@ from typing import NamedTuple
 from .config import SortConfig
 from .inline import compare_inline
 
+MEDOF3_MAX_N = 70
+MEDOF5_MAX_N = 600
+NINTHER_MAX_N = 60000
+
 R_A = 16807
 R_M = 2147483648
 # the state a seed whose residue mod R_M is 0 starts from, since state 0
@@ -30,25 +39,23 @@ class MitigationRng:
     """Park-Miller-style generator driving sample-position jitter.
 
     ``dran`` is uniform in [0.5, 1.5) and scales interior sample
-    offsets; ``dran2 = 1 + dran``.  Only ``seed=None`` reads the wall
-    clock, so every given seed is reproducible.  A zero state would be
-    absorbing, so a seed whose residue mod 2**31 is 0 (0, 2**31, ...)
-    starts from a fixed nonzero state instead.
+    offsets.  Only ``seed=None`` reads the wall clock, so every given
+    seed is reproducible.  A zero state would be absorbing, so a seed
+    whose residue mod 2**31 is 0 (0, 2**31, ...) starts from a fixed
+    nonzero state instead.
     """
 
-    __slots__ = ("zgen", "dran", "dran2")
+    __slots__ = ("zgen", "dran")
 
     def __init__(self, seed: int | None = None):
         if seed is None:
             seed = time.time_ns()
         self.zgen = int(seed) % R_M or _ZERO_SEED_STATE
         self.dran = 1.0
-        self.dran2 = 2.0
 
     def next(self) -> "MitigationRng":
         self.zgen = (R_A * self.zgen) % R_M
         self.dran = 0.5 + self.zgen / R_M
-        self.dran2 = 1.0 + self.dran
         return self
 
 
@@ -249,27 +256,28 @@ def select_pivot(ar, a: int, b: int, config: SortConfig,
     """
     n = b - a + 1
     mid = (a + b) >> 1
-    if n <= config.medof3_max_n and (config.medof3_small_enabled or n < 5):
+    if n <= MEDOF3_MAX_N:
         return median_of_3(ar, a, mid, b, cmp3, tally)
 
-    mitigate = config.mitigation_enabled
-    dran = rng.dran if mitigate else 1.0
+    # without mitigation the factor is 1.0, and int((n >> k) * 1.0) is
+    # n >> k exactly for every n below 2**53
+    dran = rng.dran if config.mitigation_enabled else 1.0
 
-    if n <= config.medof5_max_n:
-        gap = int((n >> 2) * dran) if mitigate else (n >> 2)
+    if n <= MEDOF5_MAX_N:
+        gap = int((n >> 2) * dran)
         gap = max(1, min(gap, mid - a - 1, b - mid - 1))
         return median_of_5(ar, a, a + gap, mid, b - gap, b, cmp3, tally)
 
-    if n <= config.ninther_max_n:
-        u = int((n >> 3) * dran) if mitigate else (n >> 3)
+    if n <= NINTHER_MAX_N:
+        u = int((n >> 3) * dran)
         u = max(1, min(u, (mid - a - 1) // 3, (b - mid - 1) // 3))
         idx9 = (a, a + u, a + 2 * u,
                 mid - u, mid, mid + u,
                 b - 2 * u, b - u, b)
         return ninther(ar, idx9, cmp3, tally)
 
-    d = int((n >> 4) * dran) if mitigate else (n >> 4)
-    q = int((n >> 2) * dran) if mitigate else (n >> 2)
+    d = int((n >> 4) * dran)
+    q = int((n >> 2) * dran)
     q = max(7, min(q, mid - a - 2 * d - 1, b - mid - 2 * d - 1))
     d = max(1, min(d, (q - 1) // 3))
     q1 = a + q

@@ -3,13 +3,14 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tsqsort.config import SortConfig
 from tsqsort.core import Sorter
 from tsqsort.inline import _default_cmp3
-from tsqsort.pivot import (MitigationRng, fifteenth, median_of_3,
+from tsqsort.pivot import (MEDOF3_MAX_N, MEDOF5_MAX_N, NINTHER_MAX_N,
+                           MitigationRng, fifteenth, median_of_3,
                            median_of_5, ninther, rng_next, select_pivot)
 
 from conftest import cmp3
@@ -186,7 +187,6 @@ def test_rng_next_arithmetic():
     for _ in range(100):
         rng_next(rng)
         assert 0.5 <= rng.dran < 1.5
-        assert rng.dran2 == 1 + rng.dran
 
 
 def test_rng_zero_seed_redrawn():
@@ -246,7 +246,28 @@ def test_select_pivot_med5_gap_scales_with_dran():
     assert 140 in touched and 399 - 140 in touched  # a+gap and b-gap
 
 
+def _ladder_samples(n):
+    """Distinct sample positions the ladder's rung for ``n`` reads."""
+    if n <= MEDOF3_MAX_N:
+        return 3
+    if n <= MEDOF5_MAX_N:
+        return 5
+    if n <= NINTHER_MAX_N:
+        return 9
+    return 15
+
+
+def _at_ladder_boundaries(test):
+    """Also run ``test`` at both sides of every rung, mitigation on and off."""
+    for n in (MEDOF3_MAX_N, MEDOF3_MAX_N + 1, MEDOF5_MAX_N, MEDOF5_MAX_N + 1,
+              NINTHER_MAX_N, NINTHER_MAX_N + 1):
+        for mitigate in (False, True):
+            test = example(n, 1, mitigate)(test)
+    return test
+
+
 @settings(max_examples=200, deadline=None)
+@_at_ladder_boundaries
 @given(st.integers(5, 200000), st.integers(1, 2**31 - 1), st.booleans())
 def test_sample_positions_strictly_increasing(n, seed, mitigate):
     cfg = SortConfig(mitigation_enabled=mitigate)
@@ -264,18 +285,5 @@ def test_sample_positions_strictly_increasing(n, seed, mitigate):
             positions.append(i)
 
     select_pivot(Probe(), a, b, cfg, rng, lambda x, y: 0, [0, 0, 0])
-    assert positions
     assert all(a <= i <= b for i in positions)
-
-
-def test_select_pivot_medof3_small_disabled():
-    cfg = SortConfig(medof3_small_enabled=False, mitigation_enabled=False)
-    ar = list(range(50))
-    dec = select_pivot(ar, 0, 49, cfg, MitigationRng(1), cmp3, [0, 0, 0])
-    # five samples at gap n//4 = 12: (0, 12, 24, 37, 49) -> median 24
-    assert dec.pivot == 24
-    ar4 = [3, 1, 2, 0]
-    dec = select_pivot(ar4, 0, 3, cfg, MitigationRng(1), cmp3, [0, 0, 0])
-    # below five elements the ladder falls back to median-of-3 of
-    # (a, mid, b) = values (3, 1, 0)
-    assert dec.pivot == 1
+    assert len(set(positions)) == _ladder_samples(n), (n, seed, mitigate)
