@@ -5,10 +5,11 @@ element writes (a full swap costs three: two array stores plus the
 scratch temporary) and the derived virtual swaps.  They are clean-room
 implementations of the classic schemes, not ports of any C library.
 
-* ``classic_qsort``: value-based Hoare partition, random pivot drawn
-  from a seeded multiplicative generator, recursion to the bottom.
-  This is the textbook algorithm behind the classical average-case
-  formulas, so its measured counts double as an instrumentation check.
+* ``classic_qsort``: value-based Hoare partition with full 3-write
+  swaps, median-of-3 pivot, deterministic, ranges of 16 or fewer
+  elements insertion-sorted.  This is the textbook algorithm behind the
+  classical average-case formulas, so its measured counts double as an
+  instrumentation check.
 * ``three_way_qsort``: split-end fat-pivot partition (equal keys swapped
   to the ends and vector-swapped back to the middle), median-of-3 /
   pseudo-median-of-9 pivot ladder, small-range insertion sort.
@@ -43,15 +44,14 @@ _CLASSIC_INSERTION = 16
 
 
 @compare_inline("cmp")
-def classic_qsort(ar, cmp=None, seed: int = 1,
-                  cutoff: int = _CLASSIC_INSERTION) -> SortStats:
+def classic_qsort(ar, cmp=None, seed: int = 1) -> SortStats:
     """Median-of-3 Hoare-scheme quicksort with full 3-write swaps.
 
     The pivot stays at its sample slot while the scans skip over it; a
     final swap settles it on the partition boundary so neither subrange
-    revisits it.  Subranges at or below ``cutoff`` go to a shift-based
-    insertion sort.  ``seed`` is accepted for registry uniformity; the
-    algorithm itself is deterministic.
+    revisits it.  Subranges of at most ``_CLASSIC_INSERTION`` elements
+    go to a shift-based insertion sort.  ``seed`` is accepted for
+    registry uniformity; the algorithm itself is deterministic.
     """
     cmp3 = cmp if cmp is not None else _default_cmp3
     nc = 0
@@ -64,7 +64,7 @@ def classic_qsort(ar, cmp=None, seed: int = 1,
 
     def qs(a, b, depth):
         nonlocal nc, nwa, nws, stages, maxdepth
-        while b - a + 1 > cutoff:
+        while b - a + 1 > _CLASSIC_INSERTION:
             if depth > maxdepth:
                 maxdepth = depth
             stages += 1

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .pivot import MEDOF3_MAX_N
+
 
 @dataclass(frozen=True)
 class SortConfig:
@@ -27,9 +29,10 @@ class SortConfig:
     def __post_init__(self):
         if self.insertion_threshold < 3:
             raise ValueError("insertion_threshold must be >= 3")
-        # pivot.MEDOF3_MAX_N; pivot imports this module, so not by name
-        if self.insertion_threshold >= 70:
-            raise ValueError("pivot ladder thresholds must be strictly increasing")
+        if self.insertion_threshold >= MEDOF3_MAX_N:
+            raise ValueError(
+                f"insertion_threshold must be < {MEDOF3_MAX_N} "
+                "(pivot.MEDOF3_MAX_N)")
         if self.reverse_tolerance < 0:
             raise ValueError("reverse_tolerance must be >= 0")
 

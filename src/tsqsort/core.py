@@ -39,17 +39,19 @@ one per stage, is counted by law, from the stage count, in
 insertion sort, both handlers, the machine) through this module's
 globals, so a wrapper set on one of them sees every call.
 
-The machine runs a stage as one forward pass of phases: the pre-scan,
-the state-1 cycle, the closing scan and state choice, one of states
-2L/2R/3L/3R, the state-3 drain and Exit2.  State 1 is a single
-straight-line cycle, left scan, place, right scan, place, that reads no
-label; a prologue before it makes the placement an entry or an equal
-left pending, and an equals detour after it stores the equal and grows
-the block over the equals beyond it.  Each of 2L/2R/3L/3R is a local
-loop over its scan steps.  Labels remain only as entry points into the
-pass: the pre-scan and the fast-path handlers' resume points, where
-they fall back mid-stage.  Every run of the machine ends the stage it
-enters.
+The machine runs a stage as one forward pass of structured code: the
+pre-scan, the state-1 cycle, the closing scan and state choice, one of
+states 2L/2R/3L/3R, the state-3 drain and Exit2.  State 1 is a single
+straight-line cycle, left scan, place, right scan, place; a prologue
+before it makes the placement an entry or an equal left pending, and an
+equals detour after it stores the equal and grows the block over the
+equals beyond it.  Each of 2L/2R/3L/3R is one loop whose turn acts on
+the non-equal at m, steps m and scans the equals beyond it.  The drain
+runs when the stage ran state 3, and Exit2 unless the pre-scan ended
+the stage.  A label says only where a stage enters the pass: at the
+pre-scan or at a fast-path handler's resume point, where it falls back
+mid-stage; no loop stores or reads one.  Every run of the machine ends
+the stage it enters.
 
 The sorted fast path's scans iterate the array with list iterators
 that they move with ``__setstate__`` and read their position back from
@@ -138,17 +140,18 @@ class TempStore:
         self.buf = []
 
 
-# Machine labels, in the order of the machine's phases: the pre-scan,
-# the state-1 cycle, the closing scan and state choice, states
-# 2L/2R/3L/3R, the state-3 drains and Exit2.  The machine is entered at
-# the pre-scan or at a fast-path handler's resume point; the other
-# labels are points it passes on its way to _DONE.  The *_2 labels (and
-# _R1_3) are post-comparison points: the element under the relevant
-# cursor is compared already, above the pivot at _L1_2, below it at
-# _R1_3, and with lc holding the result at the others.  _L1 and _R1
-# come first among the state-1 labels: state 1 enters them with a
-# scan, the others with a placement.  A stage entered at a label up to
-# _MR1_2 runs state 1.
+# Machine labels: the points where a stage enters the machine, the
+# pre-scan or a fast-path handler's resume point, in the order of the
+# machine's phases.  _DONE is no entry: a handler returns it when it
+# ends the stage itself.  The *_2 labels (and _R1_3) are
+# post-comparison points: the element under the relevant cursor is
+# compared already, above the pivot at _L1_2, below it at _R1_3, and
+# with lc holding the result at the others.  _L1 and _R1 come first
+# among the state-1 labels: state 1 enters them with a scan, the others
+# with a placement.  A stage entered at a label up to _MR1_2 runs state
+# 1.  _MLEFT (_MRIGHT) enters with the right (left) side closed, before
+# the closing scan; _MLEFT_NOSCAN (_MRIGHT_NOSCAN) after it, with ml
+# (mr) on a non-equal, lc != 0.
 _PRESCAN = 0
 _L1 = 1
 _R1 = 2
@@ -160,33 +163,19 @@ _MLEFT = 7
 _MRIGHT = 8
 _MLEFT_NOSCAN = 9
 _MRIGHT_NOSCAN = 10
-_M2L = 11
-_M2L_2 = 12
-_M2R = 13
-_M2R_2 = 14
-_M3L = 15
-_M3L_2 = 16
-_M3R = 17
-_M3R_2 = 18
-_EXIT3L = 19
-_EXIT3R = 20
-_EXIT2 = 21
-_DONE = 22
+_DONE = 11
 
 _LABEL_NAMES = {
     _PRESCAN: "prescan", _L1: "l_scan1", _R1: "r_scan1",
     _L1_2: "l_scan1_2", _R1_3: "r_scan1_3", _ML1_2: "ml_scan1_2",
     _MR1_2: "mr_scan1_2", _MLEFT: "mleft", _MRIGHT: "mright",
     _MLEFT_NOSCAN: "mleft_noscan", _MRIGHT_NOSCAN: "mright_noscan",
-    _M2L: "m_scan2L", _M2L_2: "m_scan2L_2", _M2R: "m_scan2R",
-    _M2R_2: "m_scan2R_2", _M3L: "m_scan3L", _M3L_2: "m_scan3L_2",
-    _M3R: "m_scan3R", _M3R_2: "m_scan3R_2",
-    _EXIT3L: "exit3L", _EXIT3R: "exit3R", _EXIT2: "exit2", _DONE: "done",
+    _DONE: "done",
 }
 
 # Per entry label, the elements of [l..r] outside [ml..mr] compared at
 # entry: the holdover's but at _PRESCAN, and the cursor's at *_2, _R1_3.
-_PRECOMPARED = (0,) + (1,) * 2 + (2,) * 4 + (1,) * 4 + (1, 2) * 4
+_PRECOMPARED = (0,) + (1,) * 2 + (2,) * 4 + (1,) * 4
 
 # Counter vector indices (a plain list is the cheapest mutable record).
 # The first three are the [comparisons, array writes, scratch writes]
@@ -220,9 +209,13 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
     The machine is one forward pass of phases: the pre-scan (with the
     case that collapses onto mid), the state-1 cycle, the closing scan
     and state choice, one of states 2L/2R/3L/3R, the state-3 drain and
-    Exit2.  Each phase is entered at the label passed in or at the one
-    the phase before it ends on.  Only state 1 loops over more than one
-    scan's code: its prologue, cycle and equals detour.
+    Exit2.  ``label`` is where the stage enters.  State 1 ends by
+    setting _MLEFT or _MRIGHT, the closing scan's entry, and the
+    closing scan sets the *_NOSCAN label when it stops on a non-equal;
+    states 2L/2R/3L/3R are loops that neither store nor read a label.
+    The drain is keyed on ``last_exit``, and Exit2 runs unless the
+    pre-scan ended the stage (_DONE).  A state 2/3 loop is entered with
+    its cursor m on a non-equal, lc != 0.
 
     ``mid`` is the stage's center and ``p`` its extracted pivot.  The
     cursors, ``lc`` (the last comparison) and the holdover ``temp`` are
@@ -435,172 +428,46 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                 nwa += 1
             label = _MRIGHT
 
-    # ----- closing scan and state choice: one side closed -----
-    if _MLEFT <= label <= _MRIGHT_NOSCAN:
-        if label == _MLEFT:
-            # Right side closed; absorb equals adjoining the block's
-            # left edge.
-            label = _MLEFT_NOSCAN
-            while True:
-                ml -= 1
-                if ml == l:
-                    label = _EXIT2
-                    break
-                if (lc := cmp3(ar[ml], p)) != 0:
-                    break
-        elif label == _MRIGHT:
-            label = _MRIGHT_NOSCAN
-            while True:
-                mr += 1
-                if mr == r:
-                    label = _EXIT2
-                    break
-                if (lc := cmp3(ar[mr], p)) != 0:
-                    break
-        # ml (mr) sits on the first non-equal below (above) the block
-        # with its lc set, by the scan above or by a fast-path handler
-        if label == _MLEFT_NOSCAN:
-            m = ml
-            ml += 1
-            if mr - ml <= (ml - l) // 4:
-                ct[CT_S3L] += 1
-                label = _M3L_2
-            else:
-                ct[CT_S2L] += 1
-                label = _M2L_2
-        elif label == _MRIGHT_NOSCAN:
-            m = mr
-            mr -= 1
-            if mr - ml <= (r - mr) // 4:
-                ct[CT_S3R] += 1
-                label = _M3R_2
-            else:
-                ct[CT_S2R] += 1
-                label = _M2R_2
+    # ----- closing scan: one side closed -----
+    # The block's edge facing the open side absorbs the equals beyond
+    # it.  Stopped on a non-equal, the stage goes on to state 2 or 3;
+    # having reached the hole, it goes on to Exit2.
+    if label == _MLEFT:
+        # Right side closed; absorb equals adjoining the block's left
+        # edge.
+        while True:
+            ml -= 1
+            if ml == l:
+                break
+            if (lc := cmp3(ar[ml], p)) != 0:
+                label = _MLEFT_NOSCAN
+                break
+    elif label == _MRIGHT:
+        while True:
+            mr += 1
+            if mr == r:
+                break
+            if (lc := cmp3(ar[mr], p)) != 0:
+                label = _MRIGHT_NOSCAN
+                break
 
     # ----- states 2L/2R/3L/3R: one side closed, m scanning -----
-    # Each runs as its own loop.  _M* scans equals at m, _M*_2 acts on
-    # the non-equal at m; every path that meets m == l (2L/3L) or
-    # m == r (2R/3R) exits.
-    if _M2L <= label <= _M3R_2:
-        if label <= _M2L_2:
-            # 2L: m moving left, equals left in place, the block rolled
-            # one slot per element above the pivot
+    # ml (mr) sits on the first non-equal below (above) the block with
+    # its lc set, by the closing scan or by a fast-path handler.  m takes
+    # it over, and few equals against the open side choose state 3,
+    # many state 2.  A turn of each state's loop acts on the non-equal
+    # at m, steps m and scans the equals beyond it; the loop ends when m
+    # meets l (2L/3L) or r (2R/3R).
+    if label == _MLEFT_NOSCAN:
+        m = ml
+        ml += 1
+        if mr - ml <= (ml - l) // 4:
+            # 3L: m moving left, equals buffered, a run of elements
+            # above the pivot block-copied into the gap descending
+            # from r
+            ct[CT_S3L] += 1
+            last_exit = EXIT3L
             while True:
-                if label == _M2L:
-                    while True:
-                        if (lc := cmp3(ar[m], p)) != 0:
-                            break
-                        m -= 1
-                        if m == l:
-                            break
-                    if lc == 0:
-                        break
-                if lc > 0:
-                    ar[r] = ar[m]
-                    r -= 1
-                    ar[m] = ar[r]
-                    nwa += 2
-                    m -= 1
-                    if m == l:
-                        break
-                    label = _M2L
-                    continue
-                ar[l] = ar[m]
-                l += 1
-                if m == l:
-                    nwa += 1
-                    break
-                # scan from l for an element not below the pivot
-                while True:
-                    if (lc := cmp3(ar[l], p)) >= 0:
-                        break
-                    l += 1
-                    if m == l:
-                        break
-                if lc < 0:
-                    nwa += 1
-                    break
-                if lc == 0:
-                    ar[m] = ar[l]
-                    nwa += 2
-                else:
-                    ar[r] = ar[l]
-                    r -= 1
-                    ar[m] = ar[r]
-                    nwa += 3
-                m -= 1
-                if m == l:
-                    break
-                label = _M2L
-            label = _EXIT2
-
-        elif label <= _M2R_2:
-            # 2R: m moving right
-            while True:
-                if label == _M2R:
-                    while True:
-                        if (lc := cmp3(ar[m], p)) != 0:
-                            break
-                        m += 1
-                        if m == r:
-                            break
-                    if lc == 0:
-                        break
-                if lc < 0:
-                    ar[l] = ar[m]
-                    l += 1
-                    ar[m] = ar[l]
-                    nwa += 2
-                    m += 1
-                    if m == r:
-                        break
-                    label = _M2R
-                    continue
-                ar[r] = ar[m]
-                r -= 1
-                if m == r:
-                    nwa += 1
-                    break
-                while True:
-                    if (lc := cmp3(ar[r], p)) <= 0:
-                        break
-                    r -= 1
-                    if m == r:
-                        break
-                if lc > 0:
-                    nwa += 1
-                    break
-                if lc == 0:
-                    ar[m] = ar[r]
-                    nwa += 2
-                else:
-                    ar[l] = ar[r]
-                    l += 1
-                    ar[m] = ar[l]
-                    nwa += 3
-                m += 1
-                if m == r:
-                    break
-                label = _M2R
-            label = _EXIT2
-
-        elif label <= _M3L_2:
-            # 3L: as 2L, but equals go to the buffer and a run of
-            # elements above the pivot is block-copied into the gap
-            # descending from r
-            while True:
-                if label == _M3L:
-                    while True:
-                        if (lc := cmp3(ar[m], p)) != 0:
-                            break
-                        tar[ti] = ar[m]
-                        ti += 1
-                        m -= 1
-                        if m == l:
-                            break
-                    if lc == 0:
-                        break
                 if lc > 0:
                     # collect the run of > pivot elements below m
                     k = m
@@ -638,59 +505,102 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                         nwa += r - m
                     if m == l:
                         break
-                    if lc == 0:
-                        tar[ti] = ar[m]
-                        ti += 1
-                        m -= 1
-                        if m == l:
-                            break
-                        label = _M3L
-                        continue
-                ar[l] = ar[m]
-                l += 1
-                if m == l:
-                    nwa += 1
-                    break
-                while True:
-                    if (lc := cmp3(ar[l], p)) >= 0:
-                        break
+                if lc == 0:
+                    # an equal the run stopped on
+                    tar[ti] = ar[m]
+                    ti += 1
+                else:
+                    ar[l] = ar[m]
                     l += 1
                     if m == l:
+                        nwa += 1
                         break
-                if lc < 0:
-                    nwa += 1
-                    break
-                if lc == 0:
-                    tar[ti] = ar[l]
-                    ti += 1
-                    nwa += 1
-                else:
-                    ar[r] = ar[l]
-                    nwa += 2
-                    r -= 1
-                    if r >= ml:
-                        tar[ti] = ar[r]
+                    while True:
+                        if (lc := cmp3(ar[l], p)) >= 0:
+                            break
+                        l += 1
+                        if m == l:
+                            break
+                    if lc < 0:
+                        nwa += 1
+                        break
+                    if lc == 0:
+                        tar[ti] = ar[l]
                         ti += 1
+                        nwa += 1
+                    else:
+                        ar[r] = ar[l]
+                        nwa += 2
+                        r -= 1
+                        if r >= ml:
+                            tar[ti] = ar[r]
+                            ti += 1
                 m -= 1
                 if m == l:
                     break
-                label = _M3L
-            label = _EXIT3L
-
-        else:
-            # 3R: m moving right, equals buffered
-            while True:
-                if label == _M3R:
-                    while True:
-                        if (lc := cmp3(ar[m], p)) != 0:
-                            break
-                        tar[ti] = ar[m]
-                        ti += 1
-                        m += 1
-                        if m == r:
-                            break
-                    if lc == 0:
+                while True:
+                    if (lc := cmp3(ar[m], p)) != 0:
                         break
+                    tar[ti] = ar[m]
+                    ti += 1
+                    m -= 1
+                    if m == l:
+                        break
+                if lc == 0:
+                    break
+        else:
+            # 2L: m moving left, equals left in place, the block rolled
+            # one slot per element above the pivot
+            ct[CT_S2L] += 1
+            while True:
+                if lc > 0:
+                    ar[r] = ar[m]
+                    r -= 1
+                    ar[m] = ar[r]
+                    nwa += 2
+                else:
+                    ar[l] = ar[m]
+                    l += 1
+                    if m == l:
+                        nwa += 1
+                        break
+                    # scan from l for an element not below the pivot
+                    while True:
+                        if (lc := cmp3(ar[l], p)) >= 0:
+                            break
+                        l += 1
+                        if m == l:
+                            break
+                    if lc < 0:
+                        nwa += 1
+                        break
+                    if lc == 0:
+                        ar[m] = ar[l]
+                        nwa += 2
+                    else:
+                        ar[r] = ar[l]
+                        r -= 1
+                        ar[m] = ar[r]
+                        nwa += 3
+                m -= 1
+                if m == l:
+                    break
+                while True:
+                    if (lc := cmp3(ar[m], p)) != 0:
+                        break
+                    m -= 1
+                    if m == l:
+                        break
+                if lc == 0:
+                    break
+    elif label == _MRIGHT_NOSCAN:
+        m = mr
+        mr -= 1
+        if mr - ml <= (r - mr) // 4:
+            # 3R: m moving right, equals buffered
+            ct[CT_S3R] += 1
+            last_exit = EXIT3R
+            while True:
                 if lc < 0:
                     k = m
                     while True:
@@ -725,69 +635,114 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                         nwa += m - l
                     if m == r:
                         break
-                    if lc == 0:
-                        tar[ti] = ar[m]
-                        ti += 1
-                        m += 1
-                        if m == r:
-                            break
-                        label = _M3R
-                        continue
-                ar[r] = ar[m]
-                r -= 1
-                if m == r:
-                    nwa += 1
-                    break
-                while True:
-                    if (lc := cmp3(ar[r], p)) <= 0:
-                        break
+                if lc == 0:
+                    tar[ti] = ar[m]
+                    ti += 1
+                else:
+                    ar[r] = ar[m]
                     r -= 1
                     if m == r:
+                        nwa += 1
                         break
-                if lc > 0:
-                    nwa += 1
-                    break
-                if lc == 0:
-                    tar[ti] = ar[r]
-                    ti += 1
-                    nwa += 1
-                else:
-                    ar[l] = ar[r]
-                    nwa += 2
-                    l += 1
-                    if l <= mr:
-                        tar[ti] = ar[l]
+                    while True:
+                        if (lc := cmp3(ar[r], p)) <= 0:
+                            break
+                        r -= 1
+                        if m == r:
+                            break
+                    if lc > 0:
+                        nwa += 1
+                        break
+                    if lc == 0:
+                        tar[ti] = ar[r]
                         ti += 1
+                        nwa += 1
+                    else:
+                        ar[l] = ar[r]
+                        nwa += 2
+                        l += 1
+                        if l <= mr:
+                            tar[ti] = ar[l]
+                            ti += 1
                 m += 1
                 if m == r:
                     break
-                label = _M3R
-            label = _EXIT3R
+                while True:
+                    if (lc := cmp3(ar[m], p)) != 0:
+                        break
+                    tar[ti] = ar[m]
+                    ti += 1
+                    m += 1
+                    if m == r:
+                        break
+                if lc == 0:
+                    break
+        else:
+            # 2R: m moving right
+            ct[CT_S2R] += 1
+            while True:
+                if lc < 0:
+                    ar[l] = ar[m]
+                    l += 1
+                    ar[m] = ar[l]
+                    nwa += 2
+                else:
+                    ar[r] = ar[m]
+                    r -= 1
+                    if m == r:
+                        nwa += 1
+                        break
+                    while True:
+                        if (lc := cmp3(ar[r], p)) <= 0:
+                            break
+                        r -= 1
+                        if m == r:
+                            break
+                    if lc > 0:
+                        nwa += 1
+                        break
+                    if lc == 0:
+                        ar[m] = ar[r]
+                        nwa += 2
+                    else:
+                        ar[l] = ar[r]
+                        l += 1
+                        ar[m] = ar[l]
+                        nwa += 3
+                m += 1
+                if m == r:
+                    break
+                while True:
+                    if (lc := cmp3(ar[m], p)) != 0:
+                        break
+                    m += 1
+                    if m == r:
+                        break
+                if lc == 0:
+                    break
 
-    # ----- state-3 drain: buffered equals back beside the block -----
-    if _EXIT3L <= label <= _EXIT3R:
+    # ----- tail: the state-3 drain, then Exit2 -----
+    if last_exit is not EXIT2:
+        # buffered equals back beside the block
         if ti > ct[CT_TI_HW]:
             ct[CT_TI_HW] = ti
         nws += ti
         nwa += ti
-        if label == _EXIT3L:
+        if last_exit is EXIT3L:
             ct[CT_EXIT3L] += 1
-            last_exit = EXIT3L
             while ti > 0:
                 ti -= 1
                 m += 1
                 ar[m] = tar[ti]
         else:
             ct[CT_EXIT3R] += 1
-            last_exit = EXIT3R
             while ti > 0:
                 ti -= 1
                 m -= 1
                 ar[m] = tar[ti]
-        label = _EXIT2
 
-    # ----- Exit2: place the holdover and the pivot -----
-    if label == _EXIT2:
+    # Exit2 places the holdover and the pivot
+    if label != _DONE:
         ct[CT_EXIT2] += 1
         ct[CT_CMP] += 1  # the holdover, compared a second time
         if (lc := cmp3(temp, p)) >= 0:

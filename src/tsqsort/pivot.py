@@ -19,10 +19,12 @@ estimator keeps its anchor points.
 from __future__ import annotations
 
 import time
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .config import SortConfig
 from .inline import compare_inline
+
+if TYPE_CHECKING:
+    from .config import SortConfig
 
 MEDOF3_MAX_N = 70
 MEDOF5_MAX_N = 600

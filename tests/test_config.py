@@ -44,7 +44,8 @@ def test_insertion_threshold_below_three_rejected():
 
 
 def test_insertion_threshold_must_stay_below_the_first_rung():
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(ValueError,
+                       match=f"insertion_threshold must be < {MEDOF3_MAX_N}"):
         SortConfig(insertion_threshold=MEDOF3_MAX_N)
 
 

@@ -10,8 +10,8 @@ import tsqsort
 from tsqsort import GenSpec, SortConfig, Sorter, TempAllocationError, generate
 from tsqsort.bench import BATTERY_REORDERS
 from tsqsort.core import (CT_CMP, CT_LEN, CT_S2L, CT_S2R, CT_S3L, CT_S3R,
-                          CT_TI_HW, CT_WA, CT_WS, _M2L, _M2L_2, _MLEFT_NOSCAN, _MRIGHT_NOSCAN,
-                          _PRESCAN, _run_machine)
+                          CT_TI_HW, CT_WA, CT_WS, _MLEFT_NOSCAN,
+                          _MRIGHT_NOSCAN, _PRESCAN, _run_machine)
 from tsqsort.datagen import DISTRIBUTIONS
 from tsqsort.stats import (EXIT2, EXIT3L, EXIT3R, S1, S2L, S2R, S3L, S3R)
 
@@ -491,16 +491,19 @@ def test_run_state2_roll_write_count():
     # One above-pivot element amid equals: the roll costs exactly two
     # writes (export to r, backfill from r), and Exit2 one comparison
     # and two more (holdover and pivot).  The stage is entered directly
-    # in the state-2L entry geometry: left part settled, holes at l and
-    # r, the in-array equals block bordering r.
+    # after the closing scan, with the right side closed and the block
+    # wide enough for state 2L: left part settled, holes at l and r,
+    # the in-array equals block bordering r.
     ar = [0, 0, 9, 5, 5, 5, 0, 8]
     new_l, new_r, _, ct = _stage(
-        ar, 5, _M2L_2,
+        ar, 5, _MLEFT_NOSCAN,
         1, 6,     # l, r: both holes
-        3, 6,     # ml, mr: block [3..5], right side closed
-        2,        # m: scan cursor on the lone > pivot element
-        1,        # lc: its comparison is already known
+        2, 6,     # ml, mr: ml on the lone > pivot element below the
+                  # block [3..5], right side closed
+        2,        # m: set from ml on entry
+        1,        # lc: ar[ml]'s comparison is already known
         3)        # the holdover
+    assert ct[CT_S2L] == 1
     assert ct[CT_CMP] == 1
     assert ct[CT_WA] + ct[CT_WS] == 2 + 2
     assert ar == [0, 3, 5, 5, 5, 5, 9, 8]
@@ -509,13 +512,18 @@ def test_run_state2_roll_write_count():
 
 def test_run_state2_all_equal_span_scans_only():
     # a span that is entirely pivot-equal costs comparisons but no
-    # writes; the two writes and the last comparison are Exit2's
-    ar = [0, 0, 5, 5, 5, 5, 0, 8]
-    # l, r, ml, mr, m, lc and the holdover, as in the test above
-    new_l, new_r, _, ct = _stage(ar, 5, _M2L, 1, 6, 4, 6, 3, 0, 7)
+    # writes: as in the test above, state 2L rolls the block over the
+    # element above the pivot at ml and Exit2 places the holdover and
+    # the pivot, two writes each, and the equals [2..3] beyond it cost
+    # their two comparisons alone
+    ar = [0, 0, 5, 5, 9, 5, 5, 5, 0, 8]
+    # l, r, ml, mr, m, lc and the holdover
+    new_l, new_r, _, ct = _stage(ar, 5, _MLEFT_NOSCAN, 1, 8, 4, 8, 4, 1, 3)
+    assert ct[CT_S2L] == 1
     assert ct[CT_CMP] == 2 + 1
-    assert ct[CT_WA] + ct[CT_WS] == 0 + 2
-    assert_stage_law(ar, 0, 7, new_l, new_r, 5)
+    assert ct[CT_WA] + ct[CT_WS] == 2 + 2
+    assert ar == [0, 3, 5, 5, 5, 5, 5, 5, 9, 8]
+    assert_stage_law(ar, 0, 9, new_l, new_r, 5)
 
 
 def test_run_state3_buffers_equals():

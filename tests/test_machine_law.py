@@ -12,7 +12,8 @@ comparator, a coin flip between -1 and +1, and a random draw of -1, 0
 or +1.  The inconsistent ones drive the machine down paths an ordered
 input never takes.  The machine is entered from Sorter sorts, from both
 fast-path handlers over the inputs of their golden sweeps, and directly
-at the state-1 scan labels and at every state-2/3 label.
+at the state-1 scan labels and at the one-side-closed labels, before and
+after the closing scan.
 """
 
 import random
@@ -20,8 +21,9 @@ import random
 import pytest
 
 from tsqsort import Sorter, SortConfig, core
-from tsqsort.core import (CT_CMP, CT_LEN, _L1, _LABEL_NAMES, _M2L, _M2L_2,
-                          _M2R, _M2R_2, _M3L, _M3L_2, _M3R, _M3R_2, _R1)
+from tsqsort.core import (CT_CMP, CT_LEN, CT_S2L, CT_S2R, CT_S3L, CT_S3R,
+                          _L1, _LABEL_NAMES, _MLEFT, _MLEFT_NOSCAN, _MRIGHT,
+                          _MRIGHT_NOSCAN, _R1)
 from tsqsort.handlers import handle_possibly_reversed, handle_possibly_sorted
 from tsqsort.instrument import counting_comparator
 
@@ -47,11 +49,17 @@ def comparators(seed):
 def law(monkeypatch):
     """Wrap ``core._run_machine`` in a check of the law; returns the
     set of entry label names seen.  The comparator passed in must be a
-    counting comparator."""
+    counting comparator.
+
+    It also checks the precondition states 2L/2R/3L/3R rely on: a stage
+    entered after the closing scan, at _MLEFT_NOSCAN or _MRIGHT_NOSCAN,
+    has its cursor on a non-equal, lc != 0."""
     seen = set()
     run_machine = core._run_machine
 
     def checked(ar, cc, mid, p, label, l, r, ml, mr, m, lc, temp, tar, ct):
+        if label in (_MLEFT_NOSCAN, _MRIGHT_NOSCAN):
+            assert lc != 0, (_LABEL_NAMES[label], (l, r, ml, mr, m), len(ar))
         calls0 = cc.count
         cmp0 = ct[CT_CMP]
         out = run_machine(ar, cc, mid, p, label, l, r, ml, mr, m, lc, temp,
@@ -127,32 +135,42 @@ def test_reversed_sweep_fallbacks_follow_the_law(law):
     assert reversed_sweep.REVERSED_RESUME_LABELS <= law
 
 
+# the one-side-closed entry labels, and the states each can reach
+CLOSED_SIDE_STATES = {
+    _MLEFT: (CT_S2L, CT_S3L), _MLEFT_NOSCAN: (CT_S2L, CT_S3L),
+    _MRIGHT: (CT_S2R, CT_S3R), _MRIGHT_NOSCAN: (CT_S2R, CT_S3R),
+}
+
+
 def direct_entry(rnd, n, label):
-    """A random entry at a state-1 scan label or a state-2/3 label.  At
-    _L1 and _R1 both sides are open around a one-slot block at the
-    center, with the hole at r (l) as the pre-scan (a left scan) leaves
-    it.  At a state-2/3 label one side is closed at the center hole and
-    the scan cursor m is next to the block's open edge, with an
-    unscanned run between it and the far cursor; lc is that of ar[m]
-    at a post-comparison label."""
+    """A random entry at a state-1 scan label or a one-side-closed
+    label.  At _L1 and _R1 both sides are open around a one-slot block
+    at the center, with the hole at r (l) as the pre-scan (a left scan)
+    leaves it.  At _MLEFT the right side is closed at the center hole,
+    r = mr = mid, with an unscanned run between the hole at l and the
+    block's edge ml; at _MLEFT_NOSCAN ml is the cursor the closing scan
+    stopped on, and lc its comparison.  The block's width is drawn from
+    the whole range, so the state choice takes both 2L and 3L.  _MRIGHT
+    and _MRIGHT_NOSCAN mirror this."""
     mid = (n - 1) >> 1
     lc = rnd.choice((-1, 1))
     if label in (_L1, _R1):
         return rnd.randint(0, mid - 1), rnd.randint(mid + 1, n - 1), \
             mid, mid, mid, lc
-    if label in (_M2L, _M2L_2, _M3L, _M3L_2):
+    scanned = label in (_MLEFT_NOSCAN, _MRIGHT_NOSCAN)
+    if label in (_MLEFT, _MLEFT_NOSCAN):
         l = rnd.randint(0, mid - 2)
-        m = rnd.randint(l + 1, mid - 1)
-        return l, mid, m + 1, mid, m, lc
+        ml = rnd.randint(l + 1, mid - scanned)
+        return l, mid, ml, mid, mid, lc
     r = rnd.randint(mid + 2, n - 1)
-    m = rnd.randint(mid + 1, r - 1)
-    return mid, r, mid, m - 1, m, lc
+    mr = rnd.randint(mid + scanned, r - 1)
+    return mid, r, mid, mr, mid, lc
 
 
 def test_direct_entries_follow_the_law(law):
     rnd = random.Random(1502)
-    labels = (_L1, _R1, _M2L, _M2L_2, _M2R, _M2R_2, _M3L, _M3L_2, _M3R,
-              _M3R_2)
+    labels = (_L1, _R1) + tuple(CLOSED_SIDE_STATES)
+    cts = {label: [0] * CT_LEN for label in labels}
     for trial in range(400):
         n = rnd.randint(5, 60)
         label = labels[trial % len(labels)]
@@ -161,5 +179,8 @@ def test_direct_entries_follow_the_law(law):
             entry = direct_entry(rnd, n, label)
             core._run_machine(ar, cc, (n - 1) >> 1, 5, label, *entry,
                               rnd.randint(0, 9), [None] * ((n + 1) // 2),
-                              [0] * CT_LEN)
+                              cts[label])
     assert {_LABEL_NAMES[label] for label in labels} <= law
+    for label, states in CLOSED_SIDE_STATES.items():
+        assert all(cts[label][state] for state in states), \
+            _LABEL_NAMES[label]

@@ -2,9 +2,12 @@
 
 States 2L/2R and 3L/3R, the two closing scans, the two state choices
 and the two state-3 drains of ``core._run_machine`` are written twice,
-once per side.  This test parses the machine from its source, maps each
-L block through the L -> R mirror below and asserts that it unparses to
-exactly the R block, so a change made to one half only fails here.
+once per side.  States 3L and 2L are the two arms of the left state
+choice's ratio test, 3R and 2R those of the right one's, and the drain
+is the test of ``last_exit is EXIT3L`` and its ``else``.  This test
+parses the machine from its source, maps each L block through the
+L -> R mirror below and asserts that it unparses to exactly the R
+block, so a change made to one half only fails here.
 
 The mirror map:
 
@@ -28,9 +31,7 @@ POSITIONS = {"l", "r", "ml", "mr", "m", "k", "k2"}
 
 _PAIRS = [("l", "r"), ("ml", "mr"),
           ("_MLEFT", "_MRIGHT"), ("_MLEFT_NOSCAN", "_MRIGHT_NOSCAN"),
-          ("_M2L", "_M2R"), ("_M2L_2", "_M2R_2"),
-          ("_M3L", "_M3R"), ("_M3L_2", "_M3R_2"),
-          ("_EXIT3L", "_EXIT3R"), ("EXIT3L", "EXIT3R"),
+          ("EXIT3L", "EXIT3R"),
           ("CT_S2L", "CT_S2R"), ("CT_S3L", "CT_S3R"),
           ("CT_EXIT3L", "CT_EXIT3R")]
 NAME_MAP = dict(_PAIRS + [(b, a) for a, b in _PAIRS])
@@ -116,21 +117,25 @@ def machine_if(test_src):
     return found[0]
 
 
-def branch_pair(left_test, right_test):
-    """(L body, R body): the bodies of the two tests, or the L test's
-    body and its ``else`` when right_test is None."""
+def branch_pair(left_test, right_test, arm="body"):
+    """(L block, R block): the ``arm`` (``body`` or ``orelse``) of each
+    of the two tests, or the L test's body and its ``else`` when
+    right_test is None."""
     left = machine_if(left_test)
     if right_test is None:
         return left.body, left.orelse
-    return left.body, machine_if(right_test).body
+    return getattr(left, arm), getattr(machine_if(right_test), arm)
 
+
+RATIO_L = "mr - ml <= (ml - l) // 4"
+RATIO_R = "mr - ml <= (r - mr) // 4"
 
 BLOCKS = {
-    "state2": ("label <= _M2L_2", "label <= _M2R_2"),
-    "state3": ("label <= _M3L_2", None),
+    "state2": (RATIO_L, RATIO_R, "orelse"),
+    "state3": (RATIO_L, RATIO_R),
     "closing_scan": ("label == _MLEFT", "label == _MRIGHT"),
     "state_choice": ("label == _MLEFT_NOSCAN", "label == _MRIGHT_NOSCAN"),
-    "state3_drain": ("label == _EXIT3L", None),
+    "state3_drain": ("last_exit is EXIT3L", None),
 }
 
 
@@ -145,8 +150,8 @@ def test_r_half_mirrors_l_half(block):
 def test_mirror_flips_what_it_names():
     src = ("ml += 1\nk2 = m + 1\nif r >= ml:\n    x = mr - ml <= (ml - l) // 4"
            "\nif (lc := cmp3(ar[l], p)) >= 0:\n    ct[CT_S3L] += 1"
-           "\nif k - m < r - k:\n    label = _M2L_2\nnwa += 1")
+           "\nif k - m < r - k:\n    label = _MLEFT_NOSCAN\nnwa += 1")
     want = ("mr -= 1\nk2 = m - 1\nif l <= mr:\n    x = mr - ml <= (r - mr) // 4"
             "\nif (lc := cmp3(ar[r], p)) <= 0:\n    ct[CT_S3R] += 1"
-            "\nif m - k < k - l:\n    label = _M2R_2\nnwa += 1")
+            "\nif m - k < k - l:\n    label = _MRIGHT_NOSCAN\nnwa += 1")
     assert mirrored(ast.parse(src).body) == want

@@ -25,18 +25,18 @@ pytestmark = pytest.mark.skipif(
 N = 2000
 
 # shape -> (reorder, arange, budget); each budget is the measured count
-# with the pivot ladder and the late-swap threshold as constants.  The
+# with states 2L/2R/3L/3R as loops that store no label.  The
 # comment gives the count with index loops for the sorted fast path's
 # scans, before they iterated the list.
 BUDGETS = {
     "sorted": ("sorted", 2**31 - 1, 218107),  # was 271300
-    "reversed": ("reversed", 2**31 - 1, 336011),  # was 369459
+    "reversed": ("reversed", 2**31 - 1, 335694),  # was 369459
     "fronthalfreversed": ("fronthalfreversed", 2**31 - 1,
-                          443107),  # was 466332
+                          439429),  # was 466332
     "backhalfreversed": ("backhalfreversed", 2**31 - 1,
-                         357183),  # was 386529
-    "random": ("identity", 2**31 - 1, 763034),  # was 767383
-    "arange100": ("identity", 100, 469625),  # was 473598
+                         355307),  # was 386529
+    "random": ("identity", 2**31 - 1, 751443),  # was 767383
+    "arange100": ("identity", 100, 463361),  # was 473598
 }
 
 

@@ -14,9 +14,9 @@ near-sorted inputs and the 7x6 battery, at insertion thresholds 3, 7
 and 16, with the default comparator (the inline path) and a coin-flip
 counting comparator (the generic path).  Direct machine entries are
 checked per call, at the pre-scan, at the state-1 scan labels and at
-every state-2/3 label: the ``ct[CT_WA]`` delta must equal the array's
-stores, and the ``ct[CT_WS]`` delta the buffer's stores plus the
-holdover the pre-scan takes.
+the one-side-closed labels, whose stages reach states 2L/2R/3L/3R: the
+``ct[CT_WA]`` delta must equal the array's stores, and the ``ct[CT_WS]``
+delta the buffer's stores plus the holdover the pre-scan takes.
 """
 
 import random
@@ -26,13 +26,12 @@ import pytest
 from tsqsort import GenSpec, SortConfig, Sorter, core, generate
 from tsqsort.bench import BATTERY_REORDERS
 from tsqsort.core import (CT_EXIT2, CT_LEN, CT_WA, CT_WS, _L1, _LABEL_NAMES,
-                          _M2L, _M2L_2, _M2R, _M2R_2, _M3L, _M3L_2, _M3R,
-                          _M3R_2, _PRESCAN, _R1)
+                          _PRESCAN, _R1)
 from tsqsort.datagen import DISTRIBUTIONS
 from tsqsort.inline import _default_cmp3
 from tsqsort.instrument import counting_comparator
 
-from test_machine_law import direct_entry
+from test_machine_law import CLOSED_SIDE_STATES, direct_entry
 
 THRESHOLDS = (3, 7, 16)
 
@@ -92,9 +91,9 @@ def test_sorts_count_every_array_store(threshold):
 
 def test_direct_entries_count_every_store():
     rnd = random.Random(1602)
-    labels = (_PRESCAN, _L1, _R1, _M2L, _M2L_2, _M2R, _M2R_2, _M3L, _M3L_2,
-              _M3R, _M3R_2)
+    labels = (_PRESCAN, _L1, _R1) + tuple(CLOSED_SIDE_STATES)
     seen = set()
+    states = set()
     for trial in range(440):
         n = rnd.randint(5, 60)
         mid = (n - 1) >> 1
@@ -116,4 +115,8 @@ def test_direct_entries_count_every_store():
             assert ct[CT_WA] == ar.stores, where
             assert ct[CT_WS] == tar.stores + holdover, where
             seen.add(label)
+            states.update(i for i in CLOSED_SIDE_STATES.get(label, ())
+                          if ct[i])
     assert seen == set(labels)
+    assert states == {i for pair in CLOSED_SIDE_STATES.values()
+                      for i in pair}
