@@ -19,6 +19,11 @@ implementations of the classic schemes, not ports of any C library.
 * ``fixed_pivot_qsort``: first-element pivot, no sampling, no fallback;
   deliberately vulnerable, used as the quadratic target in adversary
   experiments.
+
+Like the tristate sorter, each compares inline with the default
+comparator and, on a list of exact ints or of exact strs, runs its
+total-order body (see ``inline``), so timings of the two compare the
+same kind of compiled code.
 """
 
 from __future__ import annotations

@@ -74,6 +74,10 @@ transformer compiles them once more from their own source with every
 comparator is the default one.  A scan's test, written as
 ``if (lc := cmp3(ar[l], p)) >= 0: break``, compiles to branches on
 ``<`` and ``>`` themselves, with no three-way value built or re-tested.
+When the default comparator sorts a list of exact ints or of exact
+strs, ``Sorter.sort_with_stats`` passes ``inline._total_cmp3`` down
+instead, and each of them runs its total-order body, whose scans make
+one rich comparison a step (see ``inline``).
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ from itertools import islice
 
 from .bigelem import LATE_SWAP_BYTES, sort_large_elements
 from .config import DEFAULT_CONFIG, SortConfig
-from .inline import _default_cmp3, compare_inline
+from .inline import _default_cmp3, _total_cmp3, _total_order, compare_inline
 from .instrument import StageRecord
 from .pivot import MitigationRng, select_pivot
 from .smallsort import insertion_sort
@@ -1218,6 +1222,11 @@ class Sorter:
         changed the list's length: a shorter list shows in the middle of
         a stage, as an IndexError or as a ValueError from a sorted-path
         scan whose span it cut short, a longer one only at the end.
+
+        With the default comparator, a list of exact ints or of exact
+        strs (one pass over the element types) is sorted with
+        ``_total_cmp3``, which selects the total-order bodies of the
+        compiled layers; every count is the one the inline bodies give.
         """
         if self._active:
             raise RuntimeError("sorter instance is not reentrant")
@@ -1227,6 +1236,8 @@ class Sorter:
         if n > 1:
             if element_size is not None and element_size >= LATE_SWAP_BYTES:
                 return sort_large_elements(ar, cmp3, self)
+            if cmp3 is _default_cmp3 and _total_order(ar):
+                cmp3 = _total_cmp3
             self.temp.ensure((n + 1) // 2)
             self._active = True
             try:

@@ -51,6 +51,37 @@ hands the call, unchanged, to the original function, which calls the
 comparator as given.  Where the source lines cannot be had (a
 sourceless install) or do not hold the function's def, the decorator
 returns the original function, which is correct with any comparator.
+
+The compiled function holds a second inline body, the total-order
+body, compiled from a second parse of the same lines.  It runs when the
+comparator is ``_total_cmp3`` (or, under the ``cmp`` convention, when
+the comparator is the default one and the sequence passes
+:func:`_total_order`): every element is an exact ``int`` or every one
+an exact ``str``, so ``<``, ``>`` and ``==`` form a total order and run
+no Python code, and no element or comparator can see which of them run
+or how often.  The total-order body makes the same three-way decisions,
+with fewer rich comparisons in the loops that run long; two rules
+differ from the inline body:
+
+* A fused test with no ``name`` to assign makes one comparison, the
+  one that tells the outcome with an arm of its own from the two that
+  share the other: ``if cmp3(x, y) >= 0:`` is ``if x < y: ... else:
+  ...`` with no ``x > y``, which the inline body truth-tests only to
+  mirror ``_default_cmp3``, and ``if cmp3(x, y) > 0:`` is ``if x > y:``
+  alone.
+* A fused test whose store :func:`_held_constants` drops, or of whose
+  three outcomes exactly one has a folded arm that does not leave the
+  loop, tests that outcome first: ``x > y`` for a scan that goes on
+  while ``cmp3(x, y) > 0``, ``x == y`` for one that goes on over
+  equals.  The arms that leave the loop pay the second comparison,
+  once per scan instead of once per step.  Every other test keeps the
+  inline body's order.
+
+Counts are kept by law or per outcome, never per rich comparison, so
+every count is the same on all three bodies.  Floats are not in the
+total-order set, since a NaN is neither below, above nor equal to
+anything; nor are bools, subclasses of int or str, mixed lists and
+sequences that are not lists.
 """
 
 from __future__ import annotations
@@ -61,7 +92,7 @@ import copy
 import linecache
 import re
 from bisect import bisect_left
-from types import CodeType
+from types import CodeType, FunctionType
 
 # the comparator name the transformer inlines
 CALLEE = "cmp3"
@@ -70,7 +101,9 @@ _TMP_X = "_cmp3_x"
 _TMP_Y = "_cmp3_y"
 _GENERIC = "_cmp3_generic"
 _DEFAULT = "_cmp3_default"
-_RESERVED = (_TMP_X, _TMP_Y, _GENERIC, _DEFAULT)
+_TOTAL = "_cmp3_total"
+_TOTAL_ORDER = "_cmp3_total_order"
+_RESERVED = (_TMP_X, _TMP_Y, _GENERIC, _DEFAULT, _TOTAL, _TOTAL_ORDER)
 # where a call of the comparator may start in the source text
 _CALL_TEXT = re.compile(rf"\b{CALLEE}\s*\(")
 
@@ -83,14 +116,37 @@ def _default_cmp3(x, y) -> int:
     return 0
 
 
+# The comparator a sort passes down to select the total-order body: the
+# default comparator's own code under a second identity, so a call of it
+# answers as _default_cmp3 does.
+_total_cmp3 = FunctionType(_default_cmp3.__code__, _default_cmp3.__globals__,
+                           "_total_cmp3")
+_total_cmp3.__qualname__ = "_total_cmp3"
+
+
+def _total_order(seq) -> bool:
+    """Whether ``seq`` is a non-empty list whose elements are all exact
+    ints or all exact strs; one pass over their types, in C."""
+    if type(seq) is not list or not seq:
+        return False
+    t = type(seq[0])
+    return (t is int or t is str) and \
+        list(map(type, seq)).count(t) == len(seq)
+
+
 def compare_inline(param: str = CALLEE):
     """Decorator: compile a variant of a top-level function in which
     every ``cmp3(x, y)`` call compares inline.
 
     ``param`` names the parameter that carries the comparator.  When it
-    is ``cmp3`` itself, the inline body runs iff it is ``_default_cmp3``;
-    any other parameter follows the public ``cmp`` convention, where
-    ``None`` also means the default comparator.
+    is ``cmp3`` itself, the inline body runs iff it is ``_default_cmp3``
+    and the total-order body iff it is ``_total_cmp3``.  Any other
+    parameter follows the public ``cmp`` convention, where ``None`` also
+    means the default comparator, and the function's first parameter is
+    the sequence it sorts: with the default comparator the total-order
+    body runs when :func:`_total_order` accepts that sequence, with the
+    parameter bound to ``_total_cmp3``, so what the body passes the
+    comparator on to runs its own total-order body.
     """
     def decorate(fn):
         return _compile_variant(fn, param)
@@ -154,17 +210,24 @@ def _compile_variant(fn, param: str):
         if name in src:
             raise ValueError(f"{fn.__qualname__} uses reserved name {name}")
     fdef.decorator_list = []
-    if _inline_calls(fdef, _call_lines(src, code.co_firstlineno)) == (0, 0):
+    call_lines = _call_lines(src, code.co_firstlineno)
+    if _inline_calls(fdef, call_lines) == (0, 0):
         raise ValueError(f"{fn.__qualname__} has no {CALLEE}(x, y) call")
-    fdef.body.insert(0, _dispatch(fdef, param))
+    # the total-order body from a second parse of the same text, which
+    # costs a quarter of a deep copy of the def
+    total = ast.parse("\n" * (code.co_firstlineno - 1) + src).body[0]
+    _inline_calls(total, call_lines, total=True)
+    fdef.body[:0] = _dispatch(fdef, param, total.body)
 
-    # def _make(generic, default): <fdef>; return <fdef.name>
+    # def _make(generic, default, total, total_order): <fdef>
+    #     return <fdef.name>
     loc = _loc(fdef)
     make = ast.FunctionDef(
         name="_make",
         args=ast.arguments(
-            posonlyargs=[], args=[ast.arg(_GENERIC, **loc),
-                                  ast.arg(_DEFAULT, **loc)],
+            posonlyargs=[],
+            args=[ast.arg(n, **loc)
+                  for n in (_GENERIC, _DEFAULT, _TOTAL, _TOTAL_ORDER)],
             kwonlyargs=[], kw_defaults=[], defaults=[]),
         body=[fdef, ast.Return(ast.Name(fdef.name, ast.Load(), **loc),
                                **loc)],
@@ -174,7 +237,7 @@ def _compile_variant(fn, param: str):
     exec(compile(tree, code.co_filename, "exec", dont_inherit=True,
                  flags=__future__.annotations.compiler_flag),
          fn.__globals__, ns)
-    new = ns["_make"](fn, _default_cmp3)
+    new = ns["_make"](fn, _default_cmp3, _total_cmp3, _total_order)
     new.__defaults__ = fn.__defaults__
     new.__qualname__ = fn.__qualname__
     new.__doc__ = fn.__doc__
@@ -188,8 +251,24 @@ def _loc(node) -> dict:
             "end_col_offset": node.end_col_offset}
 
 
-def _dispatch(fdef: ast.FunctionDef, param: str) -> ast.If:
-    """``if <param> is not default: return generic(<all parameters>)``"""
+def _dispatch(fdef: ast.FunctionDef, param: str, total: list) -> list:
+    """The statements that lead the compiled body.  For ``cmp3``::
+
+        if cmp3 is not default:
+            if cmp3 is total:
+                <total>
+            return generic(<all parameters>)
+
+    and for the ``cmp`` convention, ``seq`` the first parameter::
+
+        if cmp is not None and cmp is not default:
+            return generic(<all parameters>)
+        if total_order(seq):
+            cmp = total
+            <total>
+
+    ``total`` is the total-order body, without its docstring and ended
+    by a ``return`` so that it never runs on into the next body."""
     a = fdef.args
     if a.vararg or a.kwonlyargs or a.kwarg:
         raise ValueError(f"{fdef.name} takes *args, keyword-only or "
@@ -199,15 +278,26 @@ def _dispatch(fdef: ast.FunctionDef, param: str) -> ast.If:
     def name(n):
         return ast.Name(n, ast.Load(), **loc)
 
-    test = ast.Compare(name(param), [ast.IsNot()], [name(_DEFAULT)], **loc)
-    if param != CALLEE:
-        test = ast.BoolOp(ast.And(), [
-            ast.Compare(name(param), [ast.IsNot()],
-                        [ast.Constant(None, **loc)], **loc),
-            test], **loc)
-    call = ast.Call(name(_GENERIC),
-                    [name(x.arg) for x in a.posonlyargs + a.args], [], **loc)
-    return ast.If(test, [ast.Return(call, **loc)], [], **loc)
+    params = [x.arg for x in a.posonlyargs + a.args]
+    if ast.get_docstring(fdef) is not None:
+        total = total[1:]
+    total = total + [ast.Return(None, **_loc(total[-1]))]
+    generic = ast.Return(ast.Call(name(_GENERIC), [name(x) for x in params],
+                                  [], **loc), **loc)
+    other = ast.Compare(name(param), [ast.IsNot()], [name(_DEFAULT)], **loc)
+    if param == CALLEE:
+        chosen = ast.Compare(name(param), [ast.Is()], [name(_TOTAL)], **loc)
+        return [ast.If(other, [ast.If(chosen, total, [], **loc), generic],
+                       [], **loc)]
+    other = ast.BoolOp(ast.And(), [
+        ast.Compare(name(param), [ast.IsNot()], [ast.Constant(None, **loc)],
+                    **loc),
+        other], **loc)
+    chosen = ast.Call(name(_TOTAL_ORDER), [name(params[0])], [], **loc)
+    bind = ast.Assign([ast.Name(param, ast.Store(), **loc)], name(_TOTAL),
+                      **loc)
+    return [ast.If(other, [generic], [], **loc),
+            ast.If(chosen, [bind] + total, [], **loc)]
 
 
 # nodes that hold no call: the walk does not descend into them
@@ -240,15 +330,17 @@ def _holds_call(stmt, call_lines: list) -> bool:
     return i < len(call_lines) and call_lines[i] <= stmt.end_lineno
 
 
-def _inline_calls(root, call_lines: list, held=None) -> tuple:
+def _inline_calls(root, call_lines: list, held=None,
+                  total: bool = False) -> tuple:
     """Compile every ``cmp3(x, y)`` call under ``root`` inline, in place;
     returns (calls made inline expressions, ``if``/``while`` tests
     fused).  ``call_lines`` lists the lines on which a ``cmp3(`` starts
     (:func:`_call_lines`); a statement spanning none of them is not
     walked.  ``held`` is :func:`_held_constants` of the whole def, which
-    is taken as ``root`` when it is None.  An explicit-stack walk:
-    ``ast.NodeTransformer`` costs about five times as much, which shows
-    in the import time."""
+    is taken as ``root`` when it is None.  ``total`` compiles the fused
+    tests of the total-order body (:func:`_branches`).  An
+    explicit-stack walk: ``ast.NodeTransformer`` costs about five times
+    as much, which shows in the import time."""
     if held is None:
         held = _held_constants(root)
     inlined = fused = 0
@@ -267,7 +359,7 @@ def _inline_calls(root, call_lines: list, held=None) -> tuple:
                             stack.append(c)
                             continue
                         v[i], n_inl, n_fus = _fuse(c, test, call_lines,
-                                                   held)
+                                                   held, total)
                         inlined += n_inl
                         fused += n_fus + 1
                     elif (isinstance(c, ast.AST)
@@ -329,25 +421,27 @@ def _against_zero(test):
     return test.left, test.ops[0].__class__
 
 
-def _fuse(stmt, test, call_lines: list, held: dict):
+def _fuse(stmt, test, call_lines: list, held: dict, total: bool):
     """(fused statement, calls inlined, tests fused) for an ``if`` or
     ``while`` that :func:`_fusable_test` accepted; its operands and arms
     are compiled first, so a copied arm needs no second walk."""
     name, call, outcomes = test
-    inlined, fused = _inline_calls(call, call_lines, held)
+    inlined, fused = _inline_calls(call, call_lines, held, total)
     for arm in (stmt.body, stmt.orelse):
-        n_inl, n_fus = _inline_calls(ast.Module(arm, []), call_lines, held)
+        n_inl, n_fus = _inline_calls(ast.Module(arm, []), call_lines, held,
+                                     total)
         inlined += n_inl
         fused += n_fus
     loc = _loc(call)
     value = held.get(id(stmt))
     if stmt.__class__ is ast.If:
         return (_branches(name, call, outcomes, stmt.body, stmt.orelse, loc,
-                          value), inlined, fused)
+                          value, total), inlined, fused)
     # while TEST: BODY else: ORELSE
     #   -> while True: <if TEST: pass else: ORELSE; break>; BODY
     leave = stmt.orelse + [ast.Break(**loc)]
-    loop = [_branches(name, call, outcomes, [], leave, loc, value)] + stmt.body
+    loop = [_branches(name, call, outcomes, [], leave, loc, value,
+                      total)] + stmt.body
     return ast.While(ast.Constant(True, **loc), loop, [], **loc), inlined, fused
 
 
@@ -451,8 +545,27 @@ def _leaves(arm) -> bool:
                         for stmt in arm for n in ast.walk(stmt)))
 
 
+# the comparison that picks outcome k (x < y, x > y, x == y)
+_PICKS = (ast.Lt, ast.Gt, ast.Eq)
+
+
+def _first_outcome(name, outcomes, folds, skip) -> int:
+    """The outcome the total-order body tests first.  With no ``name``,
+    the outcome whose arm the other two do not share, so that one
+    comparison decides the test; else ``skip``, the held outcome, when
+    there is one; else the only outcome whose folded arm does not leave
+    the loop; else -1's (0)."""
+    if name is None:
+        return next(k for k, t in enumerate(outcomes)
+                    if outcomes.count(t) == 1)
+    if skip is not None:
+        return skip
+    stays = [k for k, (arm, _) in enumerate(folds) if not _leaves(arm)]
+    return stays[0] if len(stays) == 1 else 0
+
+
 def _branches(name, call, outcomes, true_arm, false_arm, loc,
-              held=None) -> ast.If:
+              held=None, total=False) -> ast.If:
     """``if x < y: [name = -1] ARM(-1)`` followed by, when 1 and 0 share
     an arm, ``else: [name = 1 if x > y else 0] ARM(1)``, and otherwise
     ``elif x > y: [name = 1] ARM(1) else: [name = 0] ARM(0)``.  Each arm
@@ -461,47 +574,59 @@ def _branches(name, call, outcomes, true_arm, false_arm, loc,
     that an earlier branch takes too is deep-copied.  ``held`` is the
     value ``name`` holds when the test runs (:func:`_held_constants`),
     or None; the store of that value is dropped when
-    :func:`_held_outcome` allows it."""
+    :func:`_held_outcome` allows it.
+
+    ``total`` compiles for operands in a total order: the first test
+    picks the outcome :func:`_first_outcome` names, by ``x < y``, ``x >
+    y`` or ``x == y``, and the other two follow in the order above, the
+    first of them picked by its own comparison.  Two outcomes that share
+    an arm and assign no name are not told apart, so a test with no
+    name makes one comparison."""
     x, xs = _operand(call.args[0], _TMP_X, loc)
     y, ys = _operand(call.args[1], _TMP_Y, loc)
     arms = [true_arm if t else false_arm for t in outcomes]
     folds = [_fold(a, name, k) for k, a in enumerate(arms)]
-    shared = arms[1] is arms[2] and folds[1][1] == folds[2][1]
     skip = _held_outcome(held, folds)
+    first = _first_outcome(name, outcomes, folds, skip) if total else 0
+    g, h = [k for k in range(3) if k != first]
+    shared = arms[g] is arms[h] and folds[g][1] == folds[h][1]
+    taken = []
 
     def arm(k):
         body = folds[k][0]
-        if any(arms[k] is arms[j] for j in range(k)):
-            return copy.deepcopy(body)
+        if any(arms[k] is arms[j] for j in taken):
+            body = copy.deepcopy(body)
+        taken.append(k)
         return body
 
     def set_name(value, k):
-        # k is the outcome that stores value; None for a shared arm of 1
-        # and 0, whose store picks either value and so always stays
+        # k is the outcome that stores value; None for a shared arm,
+        # whose store picks either value and so always stays
         if name is None or (k is not None and k == skip):
             return []
         return [ast.Assign([ast.Name(name, ast.Store(), **loc)], value,
                            **loc)]
 
-    def const(c):
-        return ast.Constant(c, **loc)
+    def const(k):
+        return ast.Constant(_VALUES[k], **loc)
 
-    above = ast.Compare(x, [ast.Gt()], [y], **loc)
-    below = set_name(const(-1), 0) + arm(0) or [ast.Pass(**loc)]
+    pick = ast.Compare(x, [_PICKS[g]()], [y], **loc)
+    head = set_name(const(first), first) + arm(first) or [ast.Pass(**loc)]
     if shared:
-        if name is None:
-            # the > result is truth-tested as _default_cmp3 does
-            rest = [ast.If(above, [ast.Pass(**loc)], [], **loc)]
+        if name is not None:
+            rest = set_name(ast.IfExp(pick, const(g), const(h), **loc), None)
+        elif total:
+            rest = []
         else:
-            rest = set_name(ast.IfExp(above, const(1), const(0), **loc),
-                            None)
-        rest += arm(1)
+            # the > result is truth-tested as _default_cmp3 does
+            rest = [ast.If(pick, [ast.Pass(**loc)], [], **loc)]
+        rest += arm(g)
     else:
-        rest = [ast.If(above, set_name(const(1), 1) + arm(1) or
+        rest = [ast.If(pick, set_name(const(g), g) + arm(g) or
                        [ast.Pass(**loc)],
-                       set_name(const(0), 2) + arm(2), **loc)]
-    return ast.If(ast.Compare(xs, [ast.Lt()], [ys], **loc), below, rest,
-                  **loc)
+                       set_name(const(h), h) + arm(h), **loc)]
+    return ast.If(ast.Compare(xs, [_PICKS[first]()], [ys], **loc), head,
+                  rest, **loc)
 
 
 # statements after which the rest of their block never runs

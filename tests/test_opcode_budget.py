@@ -4,7 +4,9 @@ Counts the bytecode instructions one ``Sorter(seed=1).sort_with_stats``
 executes, with ``sys.settrace`` and ``f_trace_opcodes``, on sorted,
 reversed, front-half reversed, back-half reversed, random and
 few-distinct (values 1..100) inputs of 2000 ints with the default
-comparator.  Unlike wall time, the count is exact and
+comparator, and on the random input as 8-char strings and as floats.
+Ints and strs run the compiled functions' total-order body, floats
+their inline body.  Unlike wall time, the count is exact and
 the same on every run, so a change that adds per-stage or per-step work
 shows here even when the host's timing noise would hide it.  Each count
 must stay at or below its pinned budget; lower it when a change saves
@@ -24,19 +26,31 @@ pytestmark = pytest.mark.skipif(
 
 N = 2000
 
-# shape -> (reorder, arange, budget); each budget is the measured count
-# with states 2L/2R/3L/3R as loops that store no label.  The
-# comment gives the count with index loops for the sorted fast path's
-# scans, before they iterated the list.
+
+def hex8(v):
+    return f"{v:08x}"
+
+
+def half_up(v):
+    return v + 0.5
+
+
+# shape -> (reorder, arange, element map, budget); each budget is the
+# measured count with the total-order body for ints and strs.  The
+# comment gives the count with the inline body, before the total-order
+# body; the floats' budget is that count plus the one type check per
+# sort that turns the total-order body down.
 BUDGETS = {
-    "sorted": ("sorted", 2**31 - 1, 218107),  # was 271300
-    "reversed": ("reversed", 2**31 - 1, 335694),  # was 369459
-    "fronthalfreversed": ("fronthalfreversed", 2**31 - 1,
-                          439429),  # was 466332
-    "backhalfreversed": ("backhalfreversed", 2**31 - 1,
-                         355307),  # was 386529
-    "random": ("identity", 2**31 - 1, 751443),  # was 767383
-    "arange100": ("identity", 100, 463361),  # was 473598
+    "sorted": ("sorted", 2**31 - 1, int, 180472),  # was 218107
+    "reversed": ("reversed", 2**31 - 1, int, 306807),  # was 335694
+    "fronthalfreversed": ("fronthalfreversed", 2**31 - 1, int,
+                          400788),  # was 439429
+    "backhalfreversed": ("backhalfreversed", 2**31 - 1, int,
+                         317956),  # was 355307
+    "random": ("identity", 2**31 - 1, int, 743541),  # was 751443
+    "arange100": ("identity", 100, int, 459161),  # was 463361
+    "strings": ("identity", 2**31 - 1, hex8, 743545),  # was 751443
+    "floats": ("identity", 2**31 - 1, half_up, 751477),  # was 751443
 }
 
 
@@ -63,9 +77,10 @@ def opcodes(ar):
 
 @pytest.mark.parametrize("shape", sorted(BUDGETS))
 def test_sort_stays_within_its_opcode_budget(shape):
-    reorder, arange, budget = BUDGETS[shape]
-    ar = generate(GenSpec(distribution="random", reorder=reorder, n=N,
-                          arange=arange, seed=31))
+    reorder, arange, element, budget = BUDGETS[shape]
+    ar = [element(v) for v in generate(GenSpec(
+        distribution="random", reorder=reorder, n=N, arange=arange,
+        seed=31))]
     want = sorted(ar)
     count = opcodes(ar)
     assert ar == want
