@@ -63,6 +63,21 @@ a bare ``__getitem__``/``__setitem__`` sequence) through a
 ``_SeqView``, whose generic iterators have both.  Every other layer
 indexes the sequence itself.
 
+The machine's scans that start once per stage run in two gears, as
+galloping does in Timsort: index steps first, an iterator once a scan
+has shown itself long.  The pre-scan takes ``_GEAR`` index steps and
+runs the rest of its span on a list iterator.  Two scans start only
+after one that ran long, on data that has just shown itself ordered,
+and iterate from their first step: the scan from the left after a
+pre-scan that crossed its whole half, and the first left scan of state
+1 after a pre-scan that shifted gear.  An iterator's set-up and
+read-back cost about what 16 index steps save, so every scan that
+starts once per turn keeps its index loop: the later state-1 scans,
+the equals scans and those of 2L/2R/3L/3R, which average about two
+steps on random input.  A sequence the fast path would view through a
+``_SeqView`` keeps the index loop to the end of every scan; the
+machine asks only when a scan reaches its gear, and never makes a view.
+
 ``Sorter.stage_hook``, when set, is called once per partition stage,
 after the partition and before the driver goes on to its sides, with an
 ``instrument.StageRecord``; unset, it costs one test per stage.
@@ -155,7 +170,8 @@ class TempStore:
 # with a placement.  A stage entered at a label up to _MR1_2 runs state
 # 1.  _MLEFT (_MRIGHT) enters with the right (left) side closed, before
 # the closing scan; _MLEFT_NOSCAN (_MRIGHT_NOSCAN) after it, with ml
-# (mr) on a non-equal, lc != 0.
+# (mr) on a non-equal, lc != 0.  Within the machine a stage whose
+# pre-scan shifted gear goes on into state 1 still at _PRESCAN.
 _PRESCAN = 0
 _L1 = 1
 _R1 = 2
@@ -180,6 +196,11 @@ _LABEL_NAMES = {
 # Per entry label, the elements of [l..r] outside [ml..mr] compared at
 # entry: the holdover's but at _PRESCAN, and the cursor's at *_2, _R1_3.
 _PRECOMPARED = (0,) + (1,) * 2 + (2,) * 4 + (1,) * 4
+
+# Index steps a geared machine scan takes before it goes on with a
+# positioned list iterator: an iterator's set-up and read-back cost about
+# what 16 index steps save.
+_GEAR = 16
 
 # Counter vector indices (a plain list is the cheapest mutable record).
 # The first three are the [comparisons, array writes, scratch writes]
@@ -220,6 +241,18 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
     The drain is keyed on ``last_exit``, and Exit2 runs unless the
     pre-scan ended the stage (_DONE).  A state 2/3 loop is entered with
     its cursor m on a non-equal, lc != 0.
+
+    Three scans run in two gears (see the module docstring): the
+    pre-scan, ``_GEAR`` index steps and then a list iterator over the
+    rest of its span; the scan from the left after a pre-scan that
+    collapsed onto mid, and the first left scan of state 1 after a
+    pre-scan that shifted gear, on an iterator from their first step.
+    The pre-scan that shifted gear leaves the label at _PRESCAN, which
+    is how state 1 knows.  The first left scan stops one short of ml,
+    so it ends on a non-equal above the pivot, placed as at _L1_2, on
+    an equal, stored by the equals detour, or with the cycle's left
+    scan to compare ar[ml - 1] and end state 1 there.  A geared scan
+    makes the comparisons of the index loop, in its order.
 
     ``mid`` is the stage's center and ``p`` its extracted pivot.  The
     cursors, ``lc`` (the last comparison) and the holdover ``temp`` are
@@ -263,28 +296,59 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
 
     # ----- pre-scan from the right, for the holdover -----
     if label == _PRESCAN:
+        # _GEAR index steps, then the rest of the span on a positioned
+        # list iterator, as in _sorted_handler, if ar reads as a list
+        g = r - _GEAR
+        if g < mid:
+            g = mid
         while True:
             if (lc := cmp3(ar[r], p)) <= 0:
+                label = _L1
                 break
             r -= 1
-            if r == mid:
+            if r == g:
+                if r == mid:
+                    break
+                if _scannable(ar) is not ar:
+                    g = mid
+                    continue
+                it = reversed(ar)
+                it.__setstate__(r)
+                lc = 1
+                for x in islice(it, r - mid):
+                    if (lc := cmp3(x, p)) <= 0:
+                        r = it.__length_hint__()
+                        break
+                else:
+                    r = mid
                 break
         if lc <= 0:
+            # the label is _L1 if an index step found the holdover
             temp = ar[r]
             nws += 1
-            label = _L1
         else:
             # Collapsed onto mid: everything above mid exceeds the
             # pivot.  Scan from the left for the first element not
             # below the pivot; if none, the pivot drops straight into
             # the hole.  Otherwise hold that element out and continue
             # as a closed-right-side stage with an empty middle block.
-            while True:
-                if (lc := cmp3(ar[l], p)) >= 0:
-                    break
-                l += 1
-                if l == mid:
-                    break
+            if _scannable(ar) is ar:
+                it = iter(ar)
+                it.__setstate__(l)
+                lc = -1
+                for x in islice(it, mid - l):
+                    if (lc := cmp3(x, p)) >= 0:
+                        l = len(ar) - it.__length_hint__() - 1
+                        break
+                else:
+                    l = mid
+            else:
+                while True:
+                    if (lc := cmp3(ar[l], p)) >= 0:
+                        break
+                    l += 1
+                    if l == mid:
+                        break
             if lc < 0:
                 ar[mid] = p
                 nwa += 1
@@ -306,11 +370,25 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
     # leaves a new middle hole and is placed like a scan's find.  The
     # phase ends when a cursor meets the block: lc < 0 once l == ml,
     # lc > 0 once mr == r, or lc == 0 when the block grows onto one.
-    if _L1 <= label <= _MR1_2:
+    if label <= _MR1_2:
         # from here lc > 0 iff the right scan comes next, after the
         # pending placement into the hole at r if there is one
         if label == _L1:
             lc = -1
+        elif label == _PRESCAN:
+            # the pre-scan shifted gear: the first left scan iterates,
+            # up to ml - 1, which it leaves to the cycle
+            it = iter(ar)
+            it.__setstate__(l)
+            lc = -1
+            for x in islice(it, ml - 1 - l):
+                if (lc := cmp3(x, p)) >= 0:
+                    l = k = len(ar) - it.__length_hint__() - 1
+                    if lc > 0:
+                        label = _L1_2
+                    break
+            else:
+                l = ml - 1
         elif label == _R1:
             lc = 1
         elif label == _L1_2:
@@ -1011,28 +1089,31 @@ def _reversed_handler(ar, cmp3, a, b, p, ct, tol):
                 break
             cl += 1
             continue
-        while True:
-            ncmp += 1
-            if (rc := cmp3(ar[r], p)) <= 0:
+        ncmp += 1
+        if (rc := cmp3(ar[r], p)) >= 0:
+            if rc == 0:
                 break
-            # right element already on its final side
-            r -= 1
-            if r == mid:
+            # right elements already on their final side
+            while True:
+                r -= 1
+                if r == mid:
+                    break
+                if cr > tol:
+                    hold = ar[l]
+                    nws += 1
+                    out = _R1
+                    break
+                cr += 1
+                ncmp += 1
+                if (rc := cmp3(ar[r], p)) <= 0:
+                    break
+            if rc >= 0:
                 break
-            if cr > tol:
-                hold = ar[l]
-                nws += 1
-                out = _R1
-                break
-            cr += 1
-        if rc >= 0:
-            break
         t2 = ar[l]
-        nws += 1
         ar[l] = ar[r]
-        nwa += 1
         ar[r] = t2
-        nwa += 1
+        nws += 1
+        nwa += 2
         if l + 2 == r:
             ar[mid] = p
             nwa += 1

@@ -45,10 +45,11 @@ The variant keeps the source line numbers, and every node made from a
 call carries the call's line, so a traceback from an element's
 ``__lt__`` points at the real ``cmp3(`` line.
 
-The compiled function keeps the original's name and signature.  It runs
-the inline body when the comparator is the default one and otherwise
-hands the call, unchanged, to the original function, which calls the
-comparator as given.  Where the source lines cannot be had (a
+The compiled function keeps the original's name, signature and
+docstring, which its bodies leave out, so no call runs a statement for
+it.  It runs the inline body when the comparator is the default one and
+otherwise hands the call, unchanged, to the original function, which
+calls the comparator as given.  Where the source lines cannot be had (a
 sourceless install) or do not hold the function's def, the decorator
 returns the original function, which is correct with any comparator.
 
@@ -217,6 +218,11 @@ def _compile_variant(fn, param: str):
     # costs a quarter of a deep copy of the def
     total = ast.parse("\n" * (code.co_firstlineno - 1) + src).body[0]
     _inline_calls(total, call_lines, total=True)
+    if ast.get_docstring(fdef) is not None:
+        # behind the dispatch the docstring would run as a NOP on every
+        # call; the variant takes fn.__doc__ below
+        del fdef.body[0]
+        del total.body[0]
     fdef.body[:0] = _dispatch(fdef, param, total.body)
 
     # def _make(generic, default, total, total_order): <fdef>
@@ -267,8 +273,8 @@ def _dispatch(fdef: ast.FunctionDef, param: str, total: list) -> list:
             cmp = total
             <total>
 
-    ``total`` is the total-order body, without its docstring and ended
-    by a ``return`` so that it never runs on into the next body."""
+    ``total`` is the total-order body, which is ended by a ``return`` so
+    that it never runs on into the next body."""
     a = fdef.args
     if a.vararg or a.kwonlyargs or a.kwarg:
         raise ValueError(f"{fdef.name} takes *args, keyword-only or "
@@ -279,8 +285,6 @@ def _dispatch(fdef: ast.FunctionDef, param: str, total: list) -> list:
         return ast.Name(n, ast.Load(), **loc)
 
     params = [x.arg for x in a.posonlyargs + a.args]
-    if ast.get_docstring(fdef) is not None:
-        total = total[1:]
     total = total + [ast.Return(None, **_loc(total[-1]))]
     generic = ast.Return(ast.Call(name(_GENERIC), [name(x) for x in params],
                                   [], **loc), **loc)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from collections import UserList
 
 import pytest
 from hypothesis import given, settings
@@ -544,7 +545,8 @@ def test_run_state3_buffers_equals():
 
 def test_sorts_reach_every_machine_line():
     # Sorter sorts alone, through the Python-comparator path, execute
-    # every line of the machine: the 7x6 battery at n = 600 and 300
+    # every line of the machine: the 7x6 battery at n = 600, also as
+    # UserLists, which keep the index loops past a scan's gear, and 300
     # random, sorted, reversed and near-sorted inputs, at insertion
     # thresholds 16 and 3
     code = _run_machine.__wrapped__.__code__
@@ -553,6 +555,7 @@ def test_sorts_reach_every_machine_line():
                                arange=arange, seed=3))
               for dist in DISTRIBUTIONS for kind in BATTERY_REORDERS
               for arange in (600, 7)]
+    inputs += [UserList(data) for data in inputs]
     rnd = random.Random(41)
     for trial in range(300):
         n = rnd.randint(2, 300)
@@ -579,7 +582,7 @@ def test_sorts_reach_every_machine_line():
         for threshold in (16, 3):
             sorter = Sorter(SortConfig(insertion_threshold=threshold), seed=5)
             for data in inputs:
-                sorter.sort(list(data), cmp3)
+                sorter.sort(data.copy(), cmp3)
     finally:
         sys.settrace(old)
     assert sorted(want - reached) == []

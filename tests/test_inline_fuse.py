@@ -406,9 +406,9 @@ def test_tests_left_unfolded_keep_their_result():
 
 # (calls inlined as values, tests fused) in each decorated function
 PINNED = {
-    core._run_machine: (0, 20),
+    core._run_machine: (0, 23),
     core._sorted_handler: (0, 4),
-    core._reversed_handler: (0, 7),
+    core._reversed_handler: (0, 8),
     pivot.median_of_3: (0, 5),
     pivot.median_of_5: (0, 10),
     smallsort.insertion_sort: (0, 2),
@@ -423,6 +423,19 @@ PINNED = {
                          ids=lambda fn: fn.__name__)
 def test_fused_test_counts_are_pinned(fn):
     assert fuse_counts(fn.__wrapped__) == PINNED[fn]
+
+
+@pytest.mark.parametrize("fn", sorted(PINNED, key=lambda f: f.__name__),
+                         ids=lambda fn: fn.__name__)
+def test_compiled_bodies_run_nothing_for_the_docstring(fn):
+    # the variant keeps __doc__, and no body of it runs a NOP on the
+    # docstring's lines
+    _, fdef, _ = _source_def(fn.__wrapped__)
+    doc = fdef.body[0]
+    assert fn.__doc__ == ast.get_docstring(fdef, clean=False)
+    assert [i.offset for i in dis.get_instructions(fn)
+            if i.positions.lineno is not None
+            and doc.lineno <= i.positions.lineno <= doc.end_lineno] == []
 
 
 def _not_fused(cmp3, xs, y):

@@ -36,21 +36,17 @@ def half_up(v):
 
 
 # shape -> (reorder, arange, element map, budget); each budget is the
-# measured count with the total-order body for ints and strs.  The
-# comment gives the count with the inline body, before the total-order
-# body; the floats' budget is that count plus the one type check per
-# sort that turns the total-order body down.
+# measured count, with the total-order body for ints and strs and the
+# inline body for floats.
 BUDGETS = {
-    "sorted": ("sorted", 2**31 - 1, int, 180472),  # was 218107
-    "reversed": ("reversed", 2**31 - 1, int, 306807),  # was 335694
-    "fronthalfreversed": ("fronthalfreversed", 2**31 - 1, int,
-                          400788),  # was 439429
-    "backhalfreversed": ("backhalfreversed", 2**31 - 1, int,
-                         317956),  # was 355307
-    "random": ("identity", 2**31 - 1, int, 743541),  # was 751443
-    "arange100": ("identity", 100, int, 459161),  # was 463361
-    "strings": ("identity", 2**31 - 1, hex8, 743545),  # was 751443
-    "floats": ("identity", 2**31 - 1, half_up, 751477),  # was 751443
+    "sorted": ("sorted", 2**31 - 1, int, 180472),
+    "reversed": ("reversed", 2**31 - 1, int, 261578),
+    "fronthalfreversed": ("fronthalfreversed", 2**31 - 1, int, 359850),
+    "backhalfreversed": ("backhalfreversed", 2**31 - 1, int, 262769),
+    "random": ("identity", 2**31 - 1, int, 743833),
+    "arange100": ("identity", 100, int, 459240),
+    "strings": ("identity", 2**31 - 1, hex8, 743837),
+    "floats": ("identity", 2**31 - 1, half_up, 751107),
 }
 
 
