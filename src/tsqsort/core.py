@@ -93,6 +93,23 @@ When the default comparator sorts a list of exact ints or of exact
 strs, ``Sorter.sort_with_stats`` passes ``inline._total_cmp3`` down
 instead, and each of them runs its total-order body, whose scans make
 one rich comparison a step (see ``inline``).
+
+There, and only there, scans stop on sentinels, since no element or
+comparator can see the comparison with one.  State 1 keeps a value
+equal to the pivot at both edges of the equals block: an edge is an
+equal unless the middle hole sits there, so after each placement of the
+prologue the machine stores the pivot into that hole.  The left and
+right scans and the cycle's placements then test no bound; a scan that
+stops on an equal asks whether it reached the block.  ``Sorter._range``
+tells the insertion sort that a leaf other than the leftmost has a left
+neighbour at most its every element, on which the scan of a displaced
+element stops.  The source keeps both forms behind the compile-time
+flag ``inline.TOTAL_BODY``, which each compiled body folds, so the
+inline body and the generic path keep every bound test and store no
+sentinel.  Neither the uncounted store nor the extra comparison
+changes a count: the store goes into a hole a later write of the stage
+fills, and the machine and the insertion sort count comparisons by law
+from their cursors.
 """
 
 from __future__ import annotations
@@ -102,7 +119,8 @@ from itertools import islice
 
 from .bigelem import LATE_SWAP_BYTES, sort_large_elements
 from .config import DEFAULT_CONFIG, SortConfig
-from .inline import _default_cmp3, _total_cmp3, _total_order, compare_inline
+from .inline import (TOTAL_BODY, _default_cmp3, _total_cmp3, _total_order,
+                     compare_inline)
 from .instrument import StageRecord
 from .pivot import MitigationRng, select_pivot
 from .smallsort import insertion_sort
@@ -253,6 +271,19 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
     an equal, stored by the equals detour, or with the cycle's left
     scan to compare ar[ml - 1] and end state 1 there.  A geared scan
     makes the comparisons of the index loop, in its order.
+
+    In the total-order body (``TOTAL_BODY``) the state-1 cycle's scans
+    run unguarded.  Between the prologue and the cycle the machine
+    stores ``p`` into the middle hole at m, which the prologue's
+    placement has just emptied (or, at an entry by a scan, the pivot's
+    extraction or a handler's move left empty), so ar[ml] and ar[mr]
+    both compare equal to the pivot.  The left scan stops there with lc
+    == 0 and, at l == ml, sets lc = -1, as the bound test would have
+    ended state 1; the right scan, at r == mr, sets lc = 1.  The store
+    is not counted, since a later write of the stage fills that hole as
+    it fills every hole, and the array after the stage is the one the
+    other bodies leave.  The inline body and the generic path keep the
+    bound tests and never store it.
 
     ``mid`` is the stage's center and ``p`` its extracted pivot.  The
     cursors, ``lc`` (the last comparison) and the holdover ``temp`` are
@@ -432,37 +463,47 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                 l += 1
                 if ml == l:
                     break
+            if TOTAL_BODY:
+                # the sentinel: the middle hole takes the pivot's value,
+                # so both block edges compare equal and stop the scans
+                ar[m] = p
             # the cycle: a left scan step, or a turn of both scans and
             # both placements, whose two writes count once
             if lc < 0:
                 while True:
                     if (lc := cmp3(ar[l], p)) < 0:
                         l += 1
-                        if l == ml:
+                        if not TOTAL_BODY and l == ml:
                             break
                     else:
                         if lc == 0:
+                            if TOTAL_BODY and l == ml:
+                                # the scan stopped on the block's edge
+                                lc = -1
                             k = l
                             break
                         ar[r] = ar[l]
                         r -= 1
-                        if mr == r:
+                        if not TOTAL_BODY and mr == r:
                             nwa += 1
                             break
                         while True:
                             if (lc := cmp3(ar[r], p)) <= 0:
                                 break
                             r -= 1
-                            if mr == r:
+                            if not TOTAL_BODY and mr == r:
                                 break
                         if lc >= 0:
                             nwa += 1
+                            if TOTAL_BODY and r == mr:
+                                # the scan stopped on the block's edge
+                                lc = 1
                             k = r
                             break
                         ar[l] = ar[r]
                         nwa += 2
                         l += 1
-                        if ml == l:
+                        if not TOTAL_BODY and ml == l:
                             break
             if lc != 0:
                 break
@@ -1386,12 +1427,15 @@ class Sorter:
         rng = self.rng
         hook = self.stage_hook
         sar = _scannable(ar)
+        # every leaf but the leftmost has a left neighbour at most its
+        # every element, which the insertion sort may scan onto
+        first = a
         pending = []
         maxd = depth
         stages = nsort = nrev = nfall = ns1 = 0
         while True:
             if b - a < thr:
-                insertion_sort(ar, a, b, cmp3, ct)
+                insertion_sort(ar, a, b, cmp3, ct, a > first)
                 if not pending:
                     break
                 a, b, depth = pending.pop()

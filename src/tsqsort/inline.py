@@ -83,6 +83,28 @@ every count is the same on all three bodies.  Floats are not in the
 total-order set, since a NaN is neither below, above nor equal to
 anything; nor are bools, subclasses of int or str, mixed lists and
 sequences that are not lists.
+
+The source may test the compile-time flag ``TOTAL_BODY`` in the test of
+an ``if``: ``TOTAL_BODY``, ``not TOTAL_BODY``, or either first in an
+``and``.  The total-order body is compiled with each such test folded
+to True and the inline body with it folded to False: a test found true
+leaves the rest of its ``and``, or the ``if``'s body alone, and one found
+false leaves the ``if``'s ``else``, before any call is inlined.  Work
+that only a total order allows, such as a scan that stops on a sentinel
+and makes a comparison the guarded scan would not, goes behind the
+flag (``core._run_machine``'s state 1, ``smallsort.insertion_sort``).
+Any other use of the name is refused.  A function whose source tests
+the flag gets, as its own ``__code__``, its source compiled once more
+with the flag folded to False, so the generic path tests it no more
+than the compiled bodies do; a sourceless install keeps the function as
+written, which reads the module global ``TOTAL_BODY = False``.
+
+A ``while True:`` has no test, so CPython keeps a ``NOP`` on its line
+for the line event and runs it at each entry into the loop.  Every
+compiled body, and a flagged function's own recompiled code, puts such
+a loop on the line of its first statement instead, so none runs that
+``NOP``; a function without the flag runs as written, with its lines,
+on the generic path.
 """
 
 from __future__ import annotations
@@ -107,6 +129,13 @@ _TOTAL_ORDER = "_cmp3_total_order"
 _RESERVED = (_TMP_X, _TMP_Y, _GENERIC, _DEFAULT, _TOTAL, _TOTAL_ORDER)
 # where a call of the comparator may start in the source text
 _CALL_TEXT = re.compile(rf"\b{CALLEE}\s*\(")
+# the compile-time flag: True in the total-order body, False elsewhere
+_FLAG = "TOTAL_BODY"
+# its value where no body is compiled: a sourceless install runs the
+# function as written, which reads this global
+TOTAL_BODY = False
+# the statement blocks of a node
+_BLOCKS = ("body", "orelse", "finalbody", "handlers", "cases")
 
 
 def _default_cmp3(x, y) -> int:
@@ -211,12 +240,21 @@ def _compile_variant(fn, param: str):
         if name in src:
             raise ValueError(f"{fn.__qualname__} uses reserved name {name}")
     fdef.decorator_list = []
+    flagged = _FLAG in src and _fold_flag(fdef, False)
+    _loop_lines(fdef)
+    if flagged:
+        # the generic path runs fn compiled from this def, with the flag
+        # folded to False, so no body ever loads it
+        fn.__code__ = _def_code(tree, fdef, fn)
     call_lines = _call_lines(src, code.co_firstlineno)
     if _inline_calls(fdef, call_lines) == (0, 0):
         raise ValueError(f"{fn.__qualname__} has no {CALLEE}(x, y) call")
     # the total-order body from a second parse of the same text, which
     # costs a quarter of a deep copy of the def
     total = ast.parse("\n" * (code.co_firstlineno - 1) + src).body[0]
+    if flagged:
+        _fold_flag(total, True)
+    _loop_lines(total)
     _inline_calls(total, call_lines, total=True)
     if ast.get_docstring(fdef) is not None:
         # behind the dispatch the docstring would run as a NOP on every
@@ -239,11 +277,8 @@ def _compile_variant(fn, param: str):
                                **loc)],
         decorator_list=[], **loc)
     tree.body = [make]
-    ns = {}
-    exec(compile(tree, code.co_filename, "exec", dont_inherit=True,
-                 flags=__future__.annotations.compiler_flag),
-         fn.__globals__, ns)
-    new = ns["_make"](fn, _default_cmp3, _total_cmp3, _total_order)
+    new = _exec(tree, fn)["_make"](fn, _default_cmp3, _total_cmp3,
+                                   _total_order)
     new.__defaults__ = fn.__defaults__
     new.__qualname__ = fn.__qualname__
     new.__doc__ = fn.__doc__
@@ -255,6 +290,116 @@ def _loc(node) -> dict:
     return {"lineno": node.lineno, "col_offset": node.col_offset,
             "end_lineno": node.end_lineno,
             "end_col_offset": node.end_col_offset}
+
+
+def _exec(tree, fn) -> dict:
+    """The names ``tree`` defines, run as code of ``fn``'s file in fn's
+    globals."""
+    ns = {}
+    exec(compile(tree, fn.__code__.co_filename, "exec", dont_inherit=True,
+                 flags=__future__.annotations.compiler_flag),
+         fn.__globals__, ns)
+    return ns
+
+
+def _def_code(tree, fdef, fn) -> CodeType:
+    """The code of ``fdef``, the only statement of ``tree``, compiled as
+    ``fn``'s: on fn's first line, so that tracebacks, line events and
+    :func:`_source_def` read it as fn's own."""
+    line = fdef.lineno
+    # a decorated def's code starts on its first decorator's line
+    fdef.lineno = fn.__code__.co_firstlineno
+    code = _exec(tree, fn)[fdef.name].__code__
+    fdef.lineno = line
+    return code
+
+
+def _fold_flag(root, value: bool) -> int:
+    """Fold every test of the flag under ``root`` to ``value``, in place,
+    and return how many were folded.  The test of an ``if`` may be
+    ``FLAG``, ``not FLAG`` or either of them first in an ``and``: a test
+    found true is replaced by the rest of the ``and``, or with none left
+    the ``if`` by its body, and a test found false by its ``else``.  Any
+    other use of the flag is an error, so no body loads it."""
+    folded = 0
+
+    def block(stmts):
+        nonlocal folded
+        out = []
+        for stmt in stmts:
+            if stmt.__class__ is ast.If:
+                test = _flag_test(stmt.test, value)
+                if test is not None:
+                    folded += 1
+                    if test is True or test is False:
+                        out += block(stmt.body if test else stmt.orelse)
+                        continue
+                    stmt.test = test
+            nested(stmt)
+            out.append(stmt)
+        return out
+
+    def nested(node):
+        for field in _BLOCKS:
+            stmts = getattr(node, field, None)
+            if not stmts:
+                continue
+            if isinstance(stmts[0], ast.stmt):
+                new = block(stmts)
+                if not new and field == "body":
+                    new = [ast.Pass(**_loc(node))]
+                setattr(node, field, new)
+            else:
+                # except handlers and match cases
+                for sub in stmts:
+                    nested(sub)
+
+    nested(root)
+    for node in ast.walk(root):
+        if node.__class__ is ast.Name and node.id == _FLAG:
+            raise ValueError(f"{_FLAG} is used outside an if test on line "
+                             f"{node.lineno}")
+    return folded
+
+
+def _flag_test(test, value: bool):
+    """What an ``if`` test that starts with the flag reduces to when the
+    flag is ``value``: True, False or the rest of an ``and``; None when
+    the test does not start with the flag."""
+    rest = None
+    if test.__class__ is ast.BoolOp and test.op.__class__ is ast.And:
+        test, rest = test.values[0], test.values[1:]
+    if test.__class__ is ast.UnaryOp and test.op.__class__ is ast.Not:
+        test, value = test.operand, not value
+    if test.__class__ is not ast.Name or test.id != _FLAG:
+        return None
+    if not value or rest is None:
+        return value
+    if len(rest) == 1:
+        return rest[0]
+    return ast.BoolOp(ast.And(), rest, **_loc(rest[0]))
+
+
+def _loop_lines(root) -> None:
+    """Put each ``while True:`` under ``root`` on the line of its first
+    statement.  The loop's header line holds no instruction of its own,
+    so CPython would keep a ``NOP`` there for its line event, run at each
+    entry into the loop.  Inner loops go first, so an outer loop whose
+    first statement is one takes that loop's new line."""
+    loops = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for field in _BLOCKS:
+            for sub in getattr(node, field, None) or ():
+                stack.append(sub)
+                if (sub.__class__ is ast.While
+                        and sub.test.__class__ is ast.Constant
+                        and sub.test.value):
+                    loops.append(sub)
+    for loop in reversed(loops):
+        line = loop.body[0].lineno
+        loop.lineno = loop.test.lineno = loop.test.end_lineno = line
 
 
 def _dispatch(fdef: ast.FunctionDef, param: str, total: list) -> list:
@@ -473,7 +618,7 @@ def _held_constants(root) -> dict:
         node = stack.pop()
         if node.__class__ in (ast.Global, ast.Nonlocal):
             shared.update(node.names)
-        for field in ("body", "orelse", "finalbody", "handlers", "cases"):
+        for field in _BLOCKS:
             block = getattr(node, field, None)
             if block.__class__ is not list:
                 continue
