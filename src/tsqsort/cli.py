@@ -6,6 +6,8 @@ Subcommands:
   arange x seeds) grid, or a named preset, emitting CSV or JSON.
 * ``verify``  -- run the self-verification battery.
 * ``predict`` -- evaluate the closed-form count predictors.
+* ``profile`` -- count the opcodes one sort executes, per line or per
+  function, with its ``NOP`` census, comparisons and writes.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ def _csv_list(text: str) -> list:
 
 def _int_list(text: str) -> list:
     return [int(t) for t in _csv_list(text)]
+
+
+PROFILE_SHAPES = ("sorted", "reversed", "fronthalfreversed",
+                  "backhalfreversed", "random", "arange100", "arange1000",
+                  "strings", "floats")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,6 +68,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="evaluate count predictors")
     p.add_argument("n", type=int, nargs="+")
+
+    # the shape names are those of tsqsort.profile.SHAPES, listed here so
+    # that nothing imports that module unless this subcommand runs
+    o = sub.add_parser("profile", help="count the opcodes of one sort")
+    o.add_argument("--shape", default="random", choices=PROFILE_SHAPES)
+    o.add_argument("--n", type=int, default=2000)
+    o.add_argument("--seed", type=int, default=31,
+                   help="GenSpec seed of the input")
+    o.add_argument("--cmp", choices=("none", "cheap"), default="none",
+                   help="the default comparator, or (x > y) - (x < y)")
+    o.add_argument("--algo", default="tristate", choices=sorted(REGISTRY))
+    o.add_argument("--by", choices=("line", "function"), default="line")
+    o.add_argument("--top", type=int, default=20)
     return ap
 
 
@@ -133,6 +153,21 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _cmd_profile(args) -> int:
+    from .profile import cheap_cmp, profile_sort, report
+    census, ar = profile_sort(args.shape, args.n, args.seed,
+                              cheap_cmp if args.cmp == "cheap" else None,
+                              args.algo, by_line=True)
+    if ar != sorted(ar):
+        print("error: the sort's output is not sorted", file=sys.stderr)
+        return 1
+    print(f"# profile: algo {args.algo}, shape {args.shape}, n {args.n}, "
+          f"seed {args.seed}, cmp {args.cmp}, python "
+          f"{sys.version.split()[0]}")
+    print("\n".join(report(census, args.by, args.top)))
+    return 0
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "bench":
@@ -142,6 +177,8 @@ def main(argv=None) -> int:
         return 0 if run_verify() else 1
     if args.command == "predict":
         return _cmd_predict(args)
+    if args.command == "profile":
+        return _cmd_profile(args)
     return 2
 
 

@@ -27,11 +27,13 @@ C function: a fast-path handler returns its resume label, the cursors
 unpacks it and passes it to the machine, which returns the stage's new
 bounds and its exit.  Nothing of a stage outlives it.
 
-``Sorter._range`` is one loop over an explicit stack of pending ranges:
-after a stage it goes on with the smaller side and pushes the larger,
-so the stack holds at most floor(log2 n) ranges however deep the stages
-nest, and ranges of at most ``insertion_threshold`` elements are leaves
-it insertion-sorts in the same loop.  Its own tallies (stages, depth,
+``Sorter._range`` pops ranges off an explicit stack of pending ranges
+and runs stages on each: after a stage it goes on with the smaller side
+and pushes the larger, so the stack holds at most floor(log2 n) ranges
+however deep the stages nest, and a range of at most
+``insertion_threshold`` elements is a leaf it insertion-sorts before it
+pops the next.  Both loops test a condition, so neither runs a ``NOP``
+for a ``while True:`` line at each pass.  Its own tallies (stages, depth,
 fast-path activations, fallbacks, state-1 entries) live in locals and
 reach the counter vector once per sort; the pivot extraction's write,
 one per stage, is counted by law, from the stage count, in
@@ -1410,9 +1412,11 @@ class Sorter:
     def _range(self, ar, cmp3, a, b, depth, tar, ct) -> None:
         """Sort ar[a..b], whose depth is ``depth``, with an explicit stack.
 
-        After a stage the loop goes on with the smaller side and pushes
-        the larger one, ``(a, b, depth)``, on ``pending``; a side of at
-        most one element is dropped, and a range of at most
+        The outer loop pops a range off ``pending``, which starts with
+        ar[a..b], and the inner loop runs its stages.  After a stage the
+        inner loop goes on with the smaller side and pushes the larger
+        one, ``(a, b, depth)``, on ``pending``; a side of at most one
+        element is dropped, and a range of at most
         ``insertion_threshold`` elements is a leaf, sorted in place.  The
         smaller side of a range holds at most half of it, so ``pending``
         never holds more than floor(log2 n) ranges, and the stages run in
@@ -1430,81 +1434,73 @@ class Sorter:
         # every leaf but the leftmost has a left neighbour at most its
         # every element, which the insertion sort may scan onto
         first = a
-        pending = []
+        pending = [(a, b, depth)]
         maxd = depth
         stages = nsort = nrev = nfall = ns1 = 0
-        while True:
-            if b - a < thr:
-                insertion_sort(ar, a, b, cmp3, ct, a > first)
-                if not pending:
-                    break
-                a, b, depth = pending.pop()
-                continue
-            stages += 1
-            if hook is not None:
-                cmp0 = ct[CT_CMP]
-                writes0 = ct[CT_WA] + ct[CT_WS]
-            p, _, flag = select_pivot(ar, a, b, cfg, rng, cmp3, ct)
-            mid = (a + b) >> 1
-            if flag == 0:
-                label = _PRESCAN
-                ns1 += 1
-                new_l, new_r, last_exit = _run_machine(
-                    ar, cmp3, mid, p, label, a, b, mid, mid, mid, 0, None,
-                    tar, ct)
-            else:
-                if flag > 0:
-                    nsort += 1
-                    label, l, r, ml, mr, m, lc, hold = _sorted_handler(
-                        sar, cmp3, a, b, p, ct)
-                else:
-                    nrev += 1
-                    label, l, r, ml, mr, m, lc, hold = _reversed_handler(
-                        ar, cmp3, a, b, p, ct, tol)
-                if label == _DONE:
-                    new_l = l
-                    new_r = r
-                    last_exit = None
-                else:
-                    nfall += 1
-                    if label <= _MR1_2:
-                        ns1 += 1
+        while pending:
+            a, b, depth = pending.pop()
+            while b - a >= thr:
+                stages += 1
+                if hook is not None:
+                    cmp0 = ct[CT_CMP]
+                    writes0 = ct[CT_WA] + ct[CT_WS]
+                p, _, flag = select_pivot(ar, a, b, cfg, rng, cmp3, ct)
+                mid = (a + b) >> 1
+                if flag == 0:
+                    label = _PRESCAN
+                    ns1 += 1
                     new_l, new_r, last_exit = _run_machine(
-                        ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, hold,
+                        ar, cmp3, mid, p, label, a, b, mid, mid, mid, 0, None,
                         tar, ct)
-            if hook is not None:
-                hook(StageRecord(
-                    a, b, p, flag,
-                    None if label == _DONE else _LABEL_NAMES[label],
-                    last_exit, new_l, new_r, ct[CT_CMP] - cmp0,
-                    ct[CT_WA] + ct[CT_WS] - writes0 + 1))
-            # go on with the smaller side (the left one on a tie), push
-            # the larger; the sides are ar[a..new_l] and ar[new_r..b]
-            depth += 1
-            if new_l - a <= b - new_r:
-                if new_l > a:
-                    if new_r < b:
-                        pending.append((new_r, b, depth))
-                    b = new_l
+                else:
+                    if flag > 0:
+                        nsort += 1
+                        label, l, r, ml, mr, m, lc, hold = _sorted_handler(
+                            sar, cmp3, a, b, p, ct)
+                    else:
+                        nrev += 1
+                        label, l, r, ml, mr, m, lc, hold = _reversed_handler(
+                            ar, cmp3, a, b, p, ct, tol)
+                    if label == _DONE:
+                        new_l = l
+                        new_r = r
+                        last_exit = None
+                    else:
+                        nfall += 1
+                        if label <= _MR1_2:
+                            ns1 += 1
+                        new_l, new_r, last_exit = _run_machine(
+                            ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, hold,
+                            tar, ct)
+                if hook is not None:
+                    hook(StageRecord(
+                        a, b, p, flag,
+                        None if label == _DONE else _LABEL_NAMES[label],
+                        last_exit, new_l, new_r, ct[CT_CMP] - cmp0,
+                        ct[CT_WA] + ct[CT_WS] - writes0 + 1))
+                # go on with the smaller side (the left one on a tie), push
+                # the larger; the sides are ar[a..new_l] and ar[new_r..b]
+                depth += 1
+                if new_l - a <= b - new_r:
+                    if new_l > a:
+                        if new_r < b:
+                            pending.append((new_r, b, depth))
+                        b = new_l
+                    elif new_r < b:
+                        a = new_r
+                    else:
+                        break
                 elif new_r < b:
+                    pending.append((a, new_l, depth))
                     a = new_r
-                elif pending:
-                    a, b, depth = pending.pop()
-                    continue
+                elif new_l > a:
+                    b = new_l
                 else:
                     break
-            elif new_r < b:
-                pending.append((a, new_l, depth))
-                a = new_r
-            elif new_l > a:
-                b = new_l
-            elif pending:
-                a, b, depth = pending.pop()
-                continue
+                if depth > maxd:
+                    maxd = depth
             else:
-                break
-            if depth > maxd:
-                maxd = depth
+                insertion_sort(ar, a, b, cmp3, ct, a > first)
         ct[CT_STAGES] += stages
         ct[CT_DEPTH] = max(ct[CT_DEPTH], maxd)
         ct[CT_HSORT] += nsort

@@ -41,6 +41,12 @@ comparison, count and result is the same on either path:
 * Any other call is the expression ``-1 if x < y else (1 if x > y
   else 0)``.
 
+With no ``name``, the shared arm of 1 and 0 is copied into ``elif x >
+y:`` and ``else:``, and an empty one is ``not x > y`` with its result
+dropped: ``if x > y: pass`` would run a ``NOP``, which CPython keeps
+for the ``pass``'s line event, and the result is truth-tested once all
+the same.
+
 The variant keeps the source line numbers, and every node made from a
 call carries the call's line, so a traceback from an element's
 ``__lt__`` points at the real ``cmp3(`` line.
@@ -61,7 +67,7 @@ the comparator is the default one and the sequence passes
 an exact ``str``, so ``<``, ``>`` and ``==`` form a total order and run
 no Python code, and no element or comparator can see which of them run
 or how often.  The total-order body makes the same three-way decisions,
-with fewer rich comparisons in the loops that run long; two rules
+with fewer rich comparisons in the loops that run long; four rules
 differ from the inline body:
 
 * A fused test with no ``name`` to assign makes one comparison, the
@@ -77,6 +83,41 @@ differ from the inline body:
   equals.  The arms that leave the loop pay the second comparison,
   once per scan instead of once per step.  Every other test keeps the
   inline body's order.
+* A ``while True:`` whose body opens with a fused test, when the arm of
+  the outcome tested first (ARM) and the rest of the loop's body (REST)
+  hold no ``break``, ``continue``, ``return`` or ``raise`` and neither
+  read nor bind ``name``, when every other arm leaves the loop if there
+  is a REST, and when each operand is a plain name or ``a[i]``,
+  ``a[i + c]`` or ``a[i - c]`` of plain names and an int literal, runs
+  that outcome as a bare loop::
+
+      while True:
+          while x PICK y:
+              ARM
+              REST
+          <the other two outcomes' branches, as above>
+
+  A step stores neither ``name``, whose store there is dead (the only
+  way back to a read of it runs through the test, which binds it
+  again), nor an operand temporary: the exit reads the operands once
+  more for its one comparison, which on an exact list of exact ints or
+  strs runs no Python code and reads what the test read.  So
+  ``while True: if (lc := cmp3(ar[l], p)) < 0: l += 1 else: ...`` steps
+  with ``while ar[l] < p: l += 1``, ten opcodes, as a scan by
+  Sedgewick's "Implementing Quicksort Programs" runs an increment and a
+  compare and nothing else.  When the other two outcomes share a bare
+  ``break`` and the loop's block goes on with ``if name OP 0:``, the
+  ``while True:`` runs its body once, so it goes, and that test is
+  folded into the exit (:func:`_exit_fold`): ``while x PICK y: ...``,
+  then ``if x PICK' y: name = A`` and the rest of the block folded on A,
+  ``else: name = B`` and the rest folded on B.  State 1's cycle scans in
+  ``core._run_machine`` take these forms; a scan that tests a bound
+  leaves by a ``break`` in its step, and a baseline's scan counts per
+  step before its test, so they keep the fused ``if``.
+* A branch's store of ``name`` is dropped when its folded arm assigns
+  ``name`` before anything reads it and before any way out of the arm
+  (:func:`_binds_first`), as state 1's placement arm does when its
+  right scan assigns ``lc``.
 
 Counts are kept by law or per outcome, never per rich comparison, so
 every count is the same on all three bodies.  Floats are not in the
@@ -487,7 +528,9 @@ def _inline_calls(root, call_lines: list, held=None,
     (:func:`_call_lines`); a statement spanning none of them is not
     walked.  ``held`` is :func:`_held_constants` of the whole def, which
     is taken as ``root`` when it is None.  ``total`` compiles the fused
-    tests of the total-order body (:func:`_branches`).  An
+    tests of the total-order body (:func:`_branches`), where a ``while
+    True:`` that opens with one may become a bare scan loop
+    (:func:`_fuse_loop`).  An
     explicit-stack walk: ``ast.NodeTransformer`` costs about five times
     as much, which shows in the import time."""
     if held is None:
@@ -504,13 +547,22 @@ def _inline_calls(root, call_lines: list, held=None,
                         if not _holds_call(c, call_lines):
                             continue
                         test = _fusable_test(c)
-                        if test is None:
+                        tail = None
+                        if test is not None:
+                            v[i], n_inl, n_fus = _fuse(c, test, call_lines,
+                                                       held, total)
+                        elif total and (test := _opening_test(c)):
+                            n_inl, n_fus, tail = _fuse_loop(
+                                c, test, call_lines, held, v[i + 1:])
+                        else:
                             stack.append(c)
                             continue
-                        v[i], n_inl, n_fus = _fuse(c, test, call_lines,
-                                                   held, total)
                         inlined += n_inl
                         fused += n_fus + 1
+                        if tail is not None:
+                            # the loop and the rest of its block, compiled
+                            v[i:] = tail
+                            break
                     elif (isinstance(c, ast.AST)
                           and not isinstance(c, _LEAVES)):
                         if _is_cmp3_call(c):
@@ -557,6 +609,77 @@ def _fusable_test(stmt):
     return name, left, _OUTCOMES[op]
 
 
+def _opening_test(stmt):
+    """:func:`_fusable_test` of the ``if`` that opens ``stmt`` when
+    ``stmt`` is a ``while True:`` with no ``else``, else None."""
+    if (stmt.__class__ is not ast.While or stmt.orelse
+            or stmt.test.__class__ is not ast.Constant
+            or stmt.test.value is not True
+            or stmt.body[0].__class__ is not ast.If):
+        return None
+    return _fusable_test(stmt.body[0])
+
+
+def _fuse_loop(loop, test, call_lines: list, held: dict, after: list):
+    """Compile, in the total-order body, a ``while True:`` whose
+    opening ``if`` :func:`_opening_test` accepted: the rest of its body
+    first, then the test, which may take that rest into a bare scan loop
+    (:func:`_branches`).  Returns (calls inlined, tests fused) besides
+    the opening test, and None or, when :func:`_exit_fold` folds
+    ``after``, the statements of the loop's block from the loop on,
+    with ``after`` compiled."""
+    rest = loop.body[1:]
+    inlined, fused = _inline_calls(ast.Module(rest, []), call_lines, held,
+                                   True)
+    loop.body, n_inl, n_fus = _fuse(loop.body[0], test, call_lines, held,
+                                    True, rest)
+    inlined += n_inl
+    fused += n_fus
+    name = test[0]
+    if not _exit_folds(loop, name, after):
+        return inlined, fused, None
+    n_inl, n_fus = _inline_calls(ast.Module(after, []), call_lines, held,
+                                 True)
+    return inlined + n_inl, fused + n_fus, _exit_fold(loop, name, after)
+
+
+def _exit_folds(loop, name, after) -> bool:
+    """Whether :func:`_exit_fold` applies: ``loop`` ran through
+    :func:`_branches` into ``while x PICK y: ...`` followed by ``name =
+    A if T else B`` and ``break`` (the outcomes that stop the scan share
+    a bare ``break``), and ``after``, the rest of the loop's block,
+    opens with a test of ``name`` against 0."""
+    body = loop.body
+    if (name is None or len(body) != 3 or body[0].__class__ is not ast.While
+            or body[2].__class__ is not ast.Break
+            or body[1].__class__ is not ast.Assign
+            or body[1].value.__class__ is not ast.IfExp
+            or not after or after[0].__class__ is not ast.If):
+        return False
+    left, _ = _against_zero(after[0].test)
+    return left.__class__ is ast.Name and left.id == name
+
+
+def _exit_fold(loop, name, after) -> list:
+    """``while x PICK y: ...`` and then ``if T: name = A; AFTER(A) else:
+    name = B; AFTER(B)`` in place of the loop :func:`_exit_folds`
+    accepted and the rest of its block, each AFTER folded
+    (:func:`_fold`) on the value its branch assigns.  The ``while True:``
+    ran its body once, to its ``break``, and each branch goes on with the
+    statements that followed the loop, so the value is tested where it
+    is assigned, not stored and tested again."""
+    scan, store, _ = loop.body
+    choose = store.value
+    loc = _loc(store)
+    branches = []
+    for value in (choose.body, choose.orelse):
+        block = copy.deepcopy(after) if branches else after
+        block, _ = _fold(block, name, _VALUES.index(value.value))
+        branches.append([ast.Assign([ast.Name(name, ast.Store(), **loc)],
+                                    value, **loc)] + block)
+    return [scan, ast.If(choose.test, branches[0], branches[1], **loc)]
+
+
 def _against_zero(test):
     """(left operand, OP class) when ``test`` is ``<left> OP 0`` with OP
     one of ``< <= > >= == !=`` and an int 0, else (None, None)."""
@@ -570,10 +693,14 @@ def _against_zero(test):
     return test.left, test.ops[0].__class__
 
 
-def _fuse(stmt, test, call_lines: list, held: dict, total: bool):
+def _fuse(stmt, test, call_lines: list, held: dict, total: bool,
+          rest=None):
     """(fused statement, calls inlined, tests fused) for an ``if`` or
     ``while`` that :func:`_fusable_test` accepted; its operands and arms
-    are compiled first, so a copied arm needs no second walk."""
+    are compiled first, so a copied arm needs no second walk.  ``rest``,
+    for an ``if`` that opens a ``while True:``, is the compiled rest of
+    that loop's body, and the result is then the loop's new body
+    (:func:`_branches`)."""
     name, call, outcomes = test
     inlined, fused = _inline_calls(call, call_lines, held, total)
     for arm in (stmt.body, stmt.orelse):
@@ -585,12 +712,12 @@ def _fuse(stmt, test, call_lines: list, held: dict, total: bool):
     value = held.get(id(stmt))
     if stmt.__class__ is ast.If:
         return (_branches(name, call, outcomes, stmt.body, stmt.orelse, loc,
-                          value, total), inlined, fused)
+                          value, total, rest), inlined, fused)
     # while TEST: BODY else: ORELSE
     #   -> while True: <if TEST: pass else: ORELSE; break>; BODY
     leave = stmt.orelse + [ast.Break(**loc)]
-    loop = [_branches(name, call, outcomes, [], leave, loc, value,
-                      total)] + stmt.body
+    loop = _branches(name, call, outcomes, [], leave, loc, value, total,
+                     stmt.body)
     return ast.While(ast.Constant(True, **loc), loop, [], **loc), inlined, fused
 
 
@@ -714,7 +841,7 @@ def _first_outcome(name, outcomes, folds, skip) -> int:
 
 
 def _branches(name, call, outcomes, true_arm, false_arm, loc,
-              held=None, total=False) -> ast.If:
+              held=None, total=False, rest=None):
     """``if x < y: [name = -1] ARM(-1)`` followed by, when 1 and 0 share
     an arm, ``else: [name = 1 if x > y else 0] ARM(1)``, and otherwise
     ``elif x > y: [name = 1] ARM(1) else: [name = 0] ARM(0)``.  Each arm
@@ -723,14 +850,24 @@ def _branches(name, call, outcomes, true_arm, false_arm, loc,
     that an earlier branch takes too is deep-copied.  ``held`` is the
     value ``name`` holds when the test runs (:func:`_held_constants`),
     or None; the store of that value is dropped when
-    :func:`_held_outcome` allows it.
+    :func:`_held_outcome` allows it.  With no ``name``, a shared arm of
+    1 and 0 is copied into ``elif x > y:`` and ``else:``, and an empty
+    one is ``not x > y`` with its result dropped, so no ``pass`` runs a
+    ``NOP`` there.
 
     ``total`` compiles for operands in a total order: the first test
     picks the outcome :func:`_first_outcome` names, by ``x < y``, ``x >
     y`` or ``x == y``, and the other two follow in the order above, the
     first of them picked by its own comparison.  Two outcomes that share
     an arm and assign no name are not told apart, so a test with no
-    name makes one comparison."""
+    name makes one comparison.
+
+    ``rest``, when given, is the rest of the body of the ``while True:``
+    this test opens, and the result is that loop's new body: the ``if``
+    followed by ``rest``, or, in the total-order body when
+    :func:`_bare_scan` allows it, ``while x PICK y: ARM REST`` for the
+    first outcome and then the other two outcomes' branches, whose
+    comparison reads the operands once more."""
     x, xs = _operand(call.args[0], _TMP_X, loc)
     y, ys = _operand(call.args[1], _TMP_Y, loc)
     arms = [true_arm if t else false_arm for t in outcomes]
@@ -739,6 +876,8 @@ def _branches(name, call, outcomes, true_arm, false_arm, loc,
     first = _first_outcome(name, outcomes, folds, skip) if total else 0
     g, h = [k for k in range(3) if k != first]
     shared = arms[g] is arms[h] and folds[g][1] == folds[h][1]
+    scan = (total and rest is not None
+            and _bare_scan(name, call, folds, first, rest))
     taken = []
 
     def arm(k):
@@ -751,7 +890,8 @@ def _branches(name, call, outcomes, true_arm, false_arm, loc,
     def set_name(value, k):
         # k is the outcome that stores value; None for a shared arm,
         # whose store picks either value and so always stays
-        if name is None or (k is not None and k == skip):
+        if name is None or (k is not None and (
+                k == skip or total and _binds_first(folds[k][0], name))):
             return []
         return [ast.Assign([ast.Name(name, ast.Store(), **loc)], value,
                            **loc)]
@@ -759,23 +899,120 @@ def _branches(name, call, outcomes, true_arm, false_arm, loc,
     def const(k):
         return ast.Constant(_VALUES[k], **loc)
 
-    pick = ast.Compare(x, [_PICKS[g]()], [y], **loc)
-    head = set_name(const(first), first) + arm(first) or [ast.Pass(**loc)]
-    if shared:
-        if name is not None:
-            rest = set_name(ast.IfExp(pick, const(g), const(h), **loc), None)
-        elif total:
-            rest = []
-        else:
-            # the > result is truth-tested as _default_cmp3 does
-            rest = [ast.If(pick, [ast.Pass(**loc)], [], **loc)]
-        rest += arm(g)
+    if scan:
+        step = arm(first) + rest or [ast.Pass(**loc)]
+        loop = ast.While(ast.Compare(call.args[0], [_PICKS[first]()],
+                                     [call.args[1]], **loc), step, [], **loc)
+        # the exit's one comparison reads the operands once more
+        x, y = copy.deepcopy(call.args)
     else:
-        rest = [ast.If(pick, set_name(const(g), g) + arm(g) or
-                       [ast.Pass(**loc)],
-                       set_name(const(h), h) + arm(h), **loc)]
-    return ast.If(ast.Compare(xs, [_PICKS[first]()], [ys], **loc), head,
-                  rest, **loc)
+        head = set_name(const(first), first) + arm(first) or [ast.Pass(**loc)]
+    pick = ast.Compare(x, [_PICKS[g]()], [y], **loc)
+    if shared and name is not None:
+        others = set_name(ast.IfExp(pick, const(g), const(h), **loc), None)
+        others += arm(g)
+    elif shared and total:
+        others = arm(g)
+    elif shared:
+        # the > result is truth-tested as _default_cmp3 does: the arm is
+        # copied into both branches, and an empty one is a not whose
+        # result is dropped, since a pass would run a NOP
+        body = arm(g)
+        others = ([ast.If(pick, body, arm(h), **loc)] if body else
+                  [ast.Expr(ast.UnaryOp(ast.Not(), pick, **loc), **loc)])
+    else:
+        others = [ast.If(pick, set_name(const(g), g) + arm(g) or
+                         [ast.Pass(**loc)],
+                         set_name(const(h), h) + arm(h), **loc)]
+    if scan:
+        if others and others[-1].__class__ is ast.Break:
+            # the loop's last statement compiles to no jump, so on a line
+            # of its own it would run a NOP for its line event
+            others[-1] = ast.Break(**loc)
+        return [loop] + others
+    test = ast.If(ast.Compare(xs, [_PICKS[first]()], [ys], **loc), head,
+                  others, **loc)
+    return test if rest is None else [test] + rest
+
+
+def _binds_first(stmts, name) -> bool:
+    """Whether every way through ``stmts`` assigns ``name`` by ``name =
+    ...`` before anything reads it or leaves them, so a value stored
+    into it just before is dead.  Straight-line statements, ``if``s and
+    ``while`` loops that neither mention ``name`` nor hold a ``break``,
+    ``continue``, ``return`` or ``raise`` are passed over; an ``if``
+    whose branches both assign it first, or a ``while True:`` whose body
+    does, assigns it.  The total-order body, the only one that drops
+    such a store, runs on an exact list of exact ints or strs that no
+    Python code can change, so no statement passed over raises and no
+    handler can see the value that was not stored."""
+    for stmt in stmts:
+        kind = stmt.__class__
+        if kind is ast.Assign and len(stmt.targets) == 1 and \
+                stmt.targets[0].__class__ is ast.Name and \
+                stmt.targets[0].id == name:
+            return not _mentions(stmt.value, name)
+        if kind is ast.If and not _mentions(stmt.test, name) and \
+                _binds_first(stmt.body, name) and \
+                _binds_first(stmt.orelse, name):
+            return True
+        if kind is ast.While and stmt.test.__class__ is ast.Constant and \
+                stmt.test.value is True and _binds_first(stmt.body, name):
+            return True
+        if _mentions(stmt, name) or any(n.__class__ in _TERMINAL
+                                        for n in ast.walk(stmt)):
+            return False
+    return False
+
+
+def _mentions(node, name) -> bool:
+    """Whether ``name`` is read or bound anywhere under ``node``."""
+    return any(n.__class__ is ast.Name and n.id == name
+               for n in ast.walk(node)) or _binds(node, name) > 0
+
+
+def _bare_scan(name, call, folds, first, rest) -> bool:
+    """Whether a ``while True:`` that opens with this fused test and goes
+    on with ``rest`` may run as ``while x PICK y: ARM REST``, with ARM
+    the folded arm of outcome ``first``.  ARM and REST must hold no
+    ``break``, ``continue``, ``return`` or ``raise`` and neither read
+    nor bind ``name``, so the store of ``name`` on that outcome is dead:
+    the only way back to a read of it runs through the test, which binds
+    it again.  With REST, every other outcome's arm must leave the loop,
+    or REST would be skipped after it.  Each operand is a plain name or
+    ``a[i]``, ``a[i + c]`` or ``a[i - c]`` of plain names and an int
+    literal, not ``name``: in the total-order body every subscripted
+    sequence is an exact list of exact ints or strs, so reading an
+    operand once more at the exit, and comparing it once more, runs no
+    Python code and gives what the test read."""
+    if not all(_plain_operand(a, name) for a in call.args):
+        return False
+    step = folds[first][0] + rest
+    for node in ast.walk(ast.Module(step, [])):
+        if node.__class__ in _TERMINAL or (
+                node.__class__ is ast.Name and node.id == name):
+            return False
+    if name is not None and _binds(ast.Module(step, []), name):
+        return False
+    return not rest or all(_leaves(arm) for k, (arm, _) in enumerate(folds)
+                           if k != first)
+
+
+def _plain_operand(node, name) -> bool:
+    """Whether ``node`` is a name other than ``name``, or ``a[i]``,
+    ``a[i + c]`` or ``a[i - c]`` of such names and an int literal."""
+    if node.__class__ is ast.Name:
+        return node.id != name
+    if (node.__class__ is not ast.Subscript
+            or node.value.__class__ is not ast.Name or node.value.id == name):
+        return False
+    index = node.slice
+    if (index.__class__ is ast.BinOp
+            and index.op.__class__ in (ast.Add, ast.Sub)
+            and index.right.__class__ is ast.Constant
+            and index.right.value.__class__ is int):
+        index = index.left
+    return index.__class__ is ast.Name and index.id != name
 
 
 # statements after which the rest of their block never runs

@@ -1,7 +1,8 @@
 """Opcode budget of whole sorts.
 
 Counts the bytecode instructions one ``Sorter(seed=1).sort_with_stats``
-executes (``tsqsort.profile.count_opcodes``) on sorted, reversed,
+executes (``tsqsort.profile.count_opcodes``, on inputs of
+``tsqsort.profile.SHAPES``) on sorted, reversed,
 front-half reversed, back-half reversed, random and few-distinct
 (values 1..100) inputs of 2000 ints with the default comparator, on the
 random input as 8-char strings and as floats, and on the random ints
@@ -11,16 +12,19 @@ generic path.  Unlike wall time, the count is exact and
 the same on every run, so a change that adds per-stage or per-step work
 shows here even when the host's timing noise would hide it.  Each count
 must stay at or below its pinned budget; lower it when a change saves
-instructions.  Bytecode differs between interpreter versions, so the
-test runs on CPython 3.11 only.
+instructions.  The random ints and the floats also run no ``NOP`` but
+one per ``try`` of the sort's set-up.  Bytecode differs between
+interpreter versions, so the test runs on CPython 3.11 only.
 """
 
+import linecache
 import sys
 
 import pytest
 
-from tsqsort import GenSpec, Sorter, generate
-from tsqsort.profile import count_opcodes
+from tsqsort import Sorter
+from tsqsort.profile import cheap_cmp, count_opcodes
+from tsqsort.profile import shape_input as profile_input
 
 pytestmark = pytest.mark.skipif(
     sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
@@ -28,44 +32,49 @@ pytestmark = pytest.mark.skipif(
 
 N = 2000
 
-
-def hex8(v):
-    return f"{v:08x}"
-
-
-def half_up(v):
-    return v + 0.5
-
-
-def cmp(x, y):
-    return (x > y) - (x < y)
-
-
-# shape -> (reorder, arange, element map, comparator, budget); each
-# budget is the measured count, with the total-order body for ints and
-# strs, the inline body for floats and the generic path for ``cmp``.
+# shape -> (its tsqsort.profile shape, comparator, budget); each budget
+# is the measured count, with the total-order body for ints and strs,
+# the inline body for floats and the generic path for ``cmp``.
 BUDGETS = {
-    "sorted": ("sorted", 2**31 - 1, int, None, 177786),
-    "reversed": ("reversed", 2**31 - 1, int, None, 258273),
-    "fronthalfreversed": ("fronthalfreversed", 2**31 - 1, int, None,
-                          344146),
-    "backhalfreversed": ("backhalfreversed", 2**31 - 1, int, None, 254496),
-    "random": ("identity", 2**31 - 1, int, None, 680278),
-    "arange100": ("identity", 100, int, None, 432334),
-    "strings": ("identity", 2**31 - 1, hex8, None, 680282),
-    "floats": ("identity", 2**31 - 1, half_up, None, 746169),
-    "cmp": ("identity", 2**31 - 1, int, cmp, 979875),
+    "sorted": ("sorted", None, 177417),
+    "reversed": ("reversed", None, 257135),
+    "fronthalfreversed": ("fronthalfreversed", None, 328596),
+    "backhalfreversed": ("backhalfreversed", None, 249628),
+    "random": ("random", None, 618978),
+    "arange100": ("arange100", None, 396579),
+    "strings": ("strings", None, 618982),
+    "floats": ("floats", None, 744063),
+    "cmp": ("random", cheap_cmp, 979875),
 }
+
+
+def shape_input(shape):
+    """The input of ``shape`` (GenSpec seed 31) and its comparator."""
+    profile_shape, comparator, _ = BUDGETS[shape]
+    return profile_input(profile_shape, N, 31), comparator
 
 
 @pytest.mark.parametrize("shape", sorted(BUDGETS))
 def test_sort_stays_within_its_opcode_budget(shape):
-    reorder, arange, element, comparator, budget = BUDGETS[shape]
-    ar = [element(v) for v in generate(GenSpec(
-        distribution="random", reorder=reorder, n=N, arange=arange,
-        seed=31))]
+    budget = BUDGETS[shape][-1]
+    ar, comparator = shape_input(shape)
     want = sorted(ar)
     count = count_opcodes(Sorter(seed=1).sort_with_stats, ar,
                           comparator).total
     assert ar == want
     assert count <= budget, (shape, count, budget)
+
+
+@pytest.mark.parametrize("shape", ("random", "floats"))
+def test_sort_runs_no_nop_but_once_per_try(shape):
+    # A NOP is an instruction CPython keeps for a line event alone.  The
+    # total-order body (ints) and the inline body (floats) run none, and
+    # neither does the driver's loop; only the try statements of the
+    # sort's set-up run one, once per sort.
+    ar, comparator = shape_input(shape)
+    census = count_opcodes(Sorter(seed=1).sort_with_stats, ar, comparator,
+                           by_line=True)
+    for (path, line), count in census.nops.items():
+        assert linecache.getline(path, line).strip() == "try:", (path, line)
+        assert count == 1, (path, line, count)
+    assert census.nop_total <= 3
