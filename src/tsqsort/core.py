@@ -108,10 +108,14 @@ neighbour at most its every element, on which the scan of a displaced
 element stops.  The source keeps both forms behind the compile-time
 flag ``inline.TOTAL_BODY``, which each compiled body folds, so the
 inline body and the generic path keep every bound test and store no
-sentinel.  Neither the uncounted store nor the extra comparison
-changes a count: the store goes into a hole a later write of the stage
-fills, and the machine and the insertion sort count comparisons by law
-from their cursors.
+sentinel.  The machine writes its state-1 cycle twice, under ``if
+TOTAL_BODY:`` for a total order and in its ``elif`` for any comparator:
+the first form's scans are bare ``while ar[l] < p: l += 1`` and
+``while ar[r] > p: r -= 1`` loops, an increment and a compare a step,
+as in Sedgewick's "Implementing Quicksort Programs".  Neither the
+uncounted store nor the extra comparison changes a count: the store
+goes into a hole a later write of the stage fills, and the machine and
+the insertion sort count comparisons by law from their cursors.
 """
 
 from __future__ import annotations
@@ -274,18 +278,23 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
     scan to compare ar[ml - 1] and end state 1 there.  A geared scan
     makes the comparisons of the index loop, in its order.
 
-    In the total-order body (``TOTAL_BODY``) the state-1 cycle's scans
-    run unguarded.  Between the prologue and the cycle the machine
+    In the total-order body (``TOTAL_BODY``) the state-1 cycle is the
+    one written under ``if TOTAL_BODY:``, whose scans run unguarded, as
+    bare ``while ar[l] < p:`` and ``while ar[r] > p:`` loops that store
+    only their cursor.  Between the prologue and the cycle the machine
     stores ``p`` into the middle hole at m, which the prologue's
     placement has just emptied (or, at an entry by a scan, the pivot's
     extraction or a handler's move left empty), so ar[ml] and ar[mr]
-    both compare equal to the pivot.  The left scan stops there with lc
-    == 0 and, at l == ml, sets lc = -1, as the bound test would have
-    ended state 1; the right scan, at r == mr, sets lc = 1.  The store
-    is not counted, since a later write of the stage fills that hole as
-    it fills every hole, and the array after the stage is the one the
-    other bodies leave.  The inline body and the generic path keep the
-    bound tests and never store it.
+    both compare equal to the pivot.  A scan's stop compares once more:
+    on a non-equal the turn places it and goes on, and on an equal the
+    cycle ends with lc = -1 at l == ml, as the bound test would have
+    ended state 1, lc = 1 at r == mr, and lc = 0 elsewhere, where the
+    equals detour stores it.  The cycle assigns lc only there, since
+    every way out of it does.  The store is not counted, since a later
+    write of the stage fills that hole as it fills every hole, and the
+    array after the stage is the one the other bodies leave.  The
+    inline body and the generic path run the ``elif``'s guarded cycle,
+    which keeps the bound tests and never stores it.
 
     ``mid`` is the stage's center and ``p`` its extracted pivot.  The
     cursors, ``lc`` (the last comparison) and the holdover ``temp`` are
@@ -465,47 +474,65 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                 l += 1
                 if ml == l:
                     break
-            if TOTAL_BODY:
-                # the sentinel: the middle hole takes the pivot's value,
-                # so both block edges compare equal and stop the scans
-                ar[m] = p
             # the cycle: a left scan step, or a turn of both scans and
             # both placements, whose two writes count once
-            if lc < 0:
+            if TOTAL_BODY:
+                # the sentinel: the middle hole takes the pivot's value,
+                # so both block edges compare equal and stop the scans,
+                # which test no bound; a scan that stops on an equal at
+                # the block's edge ends state 1 as the bound test would
+                ar[m] = p
+                if lc < 0:
+                    while True:
+                        while ar[l] < p:
+                            l += 1
+                        if ar[l] > p:
+                            ar[r] = ar[l]
+                            r -= 1
+                            while ar[r] > p:
+                                r -= 1
+                            if ar[r] < p:
+                                ar[l] = ar[r]
+                                nwa += 2
+                                l += 1
+                            else:
+                                nwa += 1
+                                lc = 1 if r == mr else 0
+                                k = r
+                                break
+                        else:
+                            lc = -1 if l == ml else 0
+                            k = l
+                            break
+            elif lc < 0:
                 while True:
                     if (lc := cmp3(ar[l], p)) < 0:
                         l += 1
-                        if not TOTAL_BODY and l == ml:
+                        if l == ml:
                             break
                     else:
                         if lc == 0:
-                            if TOTAL_BODY and l == ml:
-                                # the scan stopped on the block's edge
-                                lc = -1
                             k = l
                             break
                         ar[r] = ar[l]
                         r -= 1
-                        if not TOTAL_BODY and mr == r:
+                        if mr == r:
                             nwa += 1
                             break
                         while True:
                             if (lc := cmp3(ar[r], p)) <= 0:
                                 break
                             r -= 1
-                            if not TOTAL_BODY and mr == r:
+                            if mr == r:
                                 break
                         if lc >= 0:
                             nwa += 1
-                            if TOTAL_BODY and r == mr:
-                                # the scan stopped on the block's edge
-                                lc = 1
                             k = r
                             break
                         ar[l] = ar[r]
                         nwa += 2
                         l += 1
-                        if not TOTAL_BODY and ml == l:
+                        if ml == l:
                             break
             if lc != 0:
                 break

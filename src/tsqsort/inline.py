@@ -9,16 +9,15 @@ in which each ``cmp3(x, y)`` compares inline.  Both forms below run
 each result truth-tested once, as ``_default_cmp3`` does, so every rich
 comparison, count and result is the same on either path:
 
-* The test of an ``if`` or ``while`` that is ``cmp3(x, y) OP 0`` or
-  ``(name := cmp3(x, y)) OP 0``, with OP one of ``< <= > >= == !=``, is
-  fused into branches on the comparisons themselves: ``if x < y:``
-  takes the arm that -1 selects with no further test, and otherwise
-  ``x > y`` picks between the arms of 1 and 0.  ``name`` is assigned
-  -1, 1 or 0 in the matching branch.  An arm that two outcomes share
-  is copied into both branches, except that a shared arm of 1 and 0
-  follows ``name = 1 if x > y else 0``; a ``while`` becomes
-  ``while True:`` led by the fused test, whose exit arm runs the
-  loop's ``else`` and breaks.
+* The test of an ``if`` that is ``cmp3(x, y) OP 0`` or ``(name :=
+  cmp3(x, y)) OP 0``, with OP one of ``< <= > >= == !=``, is fused into
+  branches on the comparisons themselves: ``if x < y:`` takes the arm
+  that -1 selects with no further test, and otherwise ``x > y`` picks
+  between the arms of 1 and 0.  ``name`` is assigned -1, 1 or 0 in the
+  matching branch.  An arm that two outcomes share is copied into both
+  branches, except that a shared arm of 1 and 0 follows ``name = 1 if
+  x > y else 0``.  A ``while`` test is not fused, so a scan is written
+  as a ``while True:`` led by such an ``if``.
 * In such a fused test with a ``name``, an arm that opens with
   ``if name OP 0:`` (an int 0, any of the six OPs) is folded: each
   branch that assigned ``name`` goes on with the branch of that test
@@ -31,11 +30,11 @@ comparison, count and result is the same on either path:
   leaves the scan on ``x < y`` and then ``x > y`` alone.  The original
   function keeps the test.
 * A fused test's store of a value its ``name`` provably holds already
-  is dropped: the test is a ``while`` loop's, or an ``if`` directly in
-  a loop's body; the loop directly follows ``name = C`` (C an int
-  literal) in its block; the test is the only assignment to ``name``
-  in the loop; and every arm of another value leaves the loop by
-  ``break``, ``return`` or ``raise``, with no ``continue`` on the way.
+  is dropped: the test is an ``if`` directly in a loop's body; the loop
+  directly follows ``name = C`` (C an int literal) in its block; the
+  test is the only assignment to ``name`` in the loop; and every arm of
+  another value leaves the loop by ``break``, ``return`` or ``raise``,
+  with no ``continue`` on the way.
   So ``lc = -1`` before ``for l in ...: if (lc := cmp3(ar[l], p)) >=
   0: break`` leaves a scan step with no store at all.
 * Any other call is the expression ``-1 if x < y else (1 if x > y
@@ -67,7 +66,7 @@ the comparator is the default one and the sequence passes
 an exact ``str``, so ``<``, ``>`` and ``==`` form a total order and run
 no Python code, and no element or comparator can see which of them run
 or how often.  The total-order body makes the same three-way decisions,
-with fewer rich comparisons in the loops that run long; four rules
+with fewer rich comparisons in the loops that run long; two rules
 differ from the inline body:
 
 * A fused test with no ``name`` to assign makes one comparison, the
@@ -83,41 +82,6 @@ differ from the inline body:
   equals.  The arms that leave the loop pay the second comparison,
   once per scan instead of once per step.  Every other test keeps the
   inline body's order.
-* A ``while True:`` whose body opens with a fused test, when the arm of
-  the outcome tested first (ARM) and the rest of the loop's body (REST)
-  hold no ``break``, ``continue``, ``return`` or ``raise`` and neither
-  read nor bind ``name``, when every other arm leaves the loop if there
-  is a REST, and when each operand is a plain name or ``a[i]``,
-  ``a[i + c]`` or ``a[i - c]`` of plain names and an int literal, runs
-  that outcome as a bare loop::
-
-      while True:
-          while x PICK y:
-              ARM
-              REST
-          <the other two outcomes' branches, as above>
-
-  A step stores neither ``name``, whose store there is dead (the only
-  way back to a read of it runs through the test, which binds it
-  again), nor an operand temporary: the exit reads the operands once
-  more for its one comparison, which on an exact list of exact ints or
-  strs runs no Python code and reads what the test read.  So
-  ``while True: if (lc := cmp3(ar[l], p)) < 0: l += 1 else: ...`` steps
-  with ``while ar[l] < p: l += 1``, ten opcodes, as a scan by
-  Sedgewick's "Implementing Quicksort Programs" runs an increment and a
-  compare and nothing else.  When the other two outcomes share a bare
-  ``break`` and the loop's block goes on with ``if name OP 0:``, the
-  ``while True:`` runs its body once, so it goes, and that test is
-  folded into the exit (:func:`_exit_fold`): ``while x PICK y: ...``,
-  then ``if x PICK' y: name = A`` and the rest of the block folded on A,
-  ``else: name = B`` and the rest folded on B.  State 1's cycle scans in
-  ``core._run_machine`` take these forms; a scan that tests a bound
-  leaves by a ``break`` in its step, and a baseline's scan counts per
-  step before its test, so they keep the fused ``if``.
-* A branch's store of ``name`` is dropped when its folded arm assigns
-  ``name`` before anything reads it and before any way out of the arm
-  (:func:`_binds_first`), as state 1's placement arm does when its
-  right scan assigns ``lc``.
 
 Counts are kept by law or per outcome, never per rich comparison, so
 every count is the same on all three bodies.  Floats are not in the
@@ -126,26 +90,27 @@ anything; nor are bools, subclasses of int or str, mixed lists and
 sequences that are not lists.
 
 The source may test the compile-time flag ``TOTAL_BODY`` in the test of
-an ``if``: ``TOTAL_BODY``, ``not TOTAL_BODY``, or either first in an
-``and``.  The total-order body is compiled with each such test folded
-to True and the inline body with it folded to False: a test found true
-leaves the rest of its ``and``, or the ``if``'s body alone, and one found
-false leaves the ``if``'s ``else``, before any call is inlined.  Work
-that only a total order allows, such as a scan that stops on a sentinel
-and makes a comparison the guarded scan would not, goes behind the
-flag (``core._run_machine``'s state 1, ``smallsort.insertion_sort``).
-Any other use of the name is refused.  A function whose source tests
-the flag gets, as its own ``__code__``, its source compiled once more
-with the flag folded to False, so the generic path tests it no more
-than the compiled bodies do; a sourceless install keeps the function as
-written, which reads the module global ``TOTAL_BODY = False``.
+an ``if``, alone or first in an ``and``.  The total-order body is
+compiled with each such test folded to True and the inline body with it
+folded to False: a test found true leaves the rest of its ``and``, or
+the ``if``'s body alone, and one found false leaves the ``if``'s
+``else``, before any call is inlined.  Work that only a total order
+allows, such as a scan that stops on a sentinel and makes a comparison
+the guarded scan would not, goes behind the flag: ``core._run_machine``
+writes its state-1 cycle for a total order as bare ``while ar[l] < p:``
+scans under ``if TOTAL_BODY:``, and ``smallsort.insertion_sort`` its
+unguarded scan.  Any other use of the name is refused.
 
 A ``while True:`` has no test, so CPython keeps a ``NOP`` on its line
 for the line event and runs it at each entry into the loop.  Every
-compiled body, and a flagged function's own recompiled code, puts such
-a loop on the line of its first statement instead, so none runs that
-``NOP``; a function without the flag runs as written, with its lines,
-on the generic path.
+compiled body puts such a loop on the line of its first statement
+instead, so none runs that ``NOP``.  A function whose source tests the
+flag or holds such a loop gets, as its own ``__code__``, its source
+compiled once more the same way, with the flag folded to False, so the
+generic path tests the flag no more and runs no more ``NOP``s than the
+compiled bodies do; any other function runs as written on the generic
+path.  A sourceless install keeps the function as written, which reads
+the module global ``TOTAL_BODY = False``.
 """
 
 from __future__ import annotations
@@ -282,10 +247,9 @@ def _compile_variant(fn, param: str):
             raise ValueError(f"{fn.__qualname__} uses reserved name {name}")
     fdef.decorator_list = []
     flagged = _FLAG in src and _fold_flag(fdef, False)
-    _loop_lines(fdef)
-    if flagged:
+    if _loop_lines(fdef) or flagged:
         # the generic path runs fn compiled from this def, with the flag
-        # folded to False, so no body ever loads it
+        # folded to False and no NOP for a while True:, as the bodies do
         fn.__code__ = _def_code(tree, fdef, fn)
     call_lines = _call_lines(src, code.co_firstlineno)
     if _inline_calls(fdef, call_lines) == (0, 0):
@@ -358,10 +322,10 @@ def _def_code(tree, fdef, fn) -> CodeType:
 def _fold_flag(root, value: bool) -> int:
     """Fold every test of the flag under ``root`` to ``value``, in place,
     and return how many were folded.  The test of an ``if`` may be
-    ``FLAG``, ``not FLAG`` or either of them first in an ``and``: a test
-    found true is replaced by the rest of the ``and``, or with none left
-    the ``if`` by its body, and a test found false by its ``else``.  Any
-    other use of the flag is an error, so no body loads it."""
+    ``FLAG`` alone or first in an ``and``: a test found true is replaced
+    by the rest of the ``and``, or with none left the ``if`` by its body,
+    and a test found false by its ``else``.  Any other use of the flag is
+    an error, so no body loads it."""
     folded = 0
 
     def block(stmts):
@@ -398,8 +362,8 @@ def _fold_flag(root, value: bool) -> int:
     nested(root)
     for node in ast.walk(root):
         if node.__class__ is ast.Name and node.id == _FLAG:
-            raise ValueError(f"{_FLAG} is used outside an if test on line "
-                             f"{node.lineno}")
+            raise ValueError(f"{_FLAG} is used outside an if test, alone "
+                             f"or first in an and, on line {node.lineno}")
     return folded
 
 
@@ -410,8 +374,6 @@ def _flag_test(test, value: bool):
     rest = None
     if test.__class__ is ast.BoolOp and test.op.__class__ is ast.And:
         test, rest = test.values[0], test.values[1:]
-    if test.__class__ is ast.UnaryOp and test.op.__class__ is ast.Not:
-        test, value = test.operand, not value
     if test.__class__ is not ast.Name or test.id != _FLAG:
         return None
     if not value or rest is None:
@@ -421,12 +383,13 @@ def _flag_test(test, value: bool):
     return ast.BoolOp(ast.And(), rest, **_loc(rest[0]))
 
 
-def _loop_lines(root) -> None:
+def _loop_lines(root) -> int:
     """Put each ``while True:`` under ``root`` on the line of its first
-    statement.  The loop's header line holds no instruction of its own,
-    so CPython would keep a ``NOP`` there for its line event, run at each
-    entry into the loop.  Inner loops go first, so an outer loop whose
-    first statement is one takes that loop's new line."""
+    statement, and return how many there are.  The loop's header line
+    holds no instruction of its own, so CPython would keep a ``NOP``
+    there for its line event, run at each entry into the loop.  Inner
+    loops go first, so an outer loop whose first statement is one takes
+    that loop's new line."""
     loops = []
     stack = [root]
     while stack:
@@ -441,6 +404,7 @@ def _loop_lines(root) -> None:
     for loop in reversed(loops):
         line = loop.body[0].lineno
         loop.lineno = loop.test.lineno = loop.test.end_lineno = line
+    return len(loops)
 
 
 def _dispatch(fdef: ast.FunctionDef, param: str, total: list) -> list:
@@ -528,11 +492,9 @@ def _inline_calls(root, call_lines: list, held=None,
     (:func:`_call_lines`); a statement spanning none of them is not
     walked.  ``held`` is :func:`_held_constants` of the whole def, which
     is taken as ``root`` when it is None.  ``total`` compiles the fused
-    tests of the total-order body (:func:`_branches`), where a ``while
-    True:`` that opens with one may become a bare scan loop
-    (:func:`_fuse_loop`).  An
-    explicit-stack walk: ``ast.NodeTransformer`` costs about five times
-    as much, which shows in the import time."""
+    tests of the total-order body (:func:`_branches`).  An explicit-stack
+    walk: ``ast.NodeTransformer`` costs about five times as much, which
+    shows in the import time."""
     if held is None:
         held = _held_constants(root)
     inlined = fused = 0
@@ -547,22 +509,13 @@ def _inline_calls(root, call_lines: list, held=None,
                         if not _holds_call(c, call_lines):
                             continue
                         test = _fusable_test(c)
-                        tail = None
-                        if test is not None:
-                            v[i], n_inl, n_fus = _fuse(c, test, call_lines,
-                                                       held, total)
-                        elif total and (test := _opening_test(c)):
-                            n_inl, n_fus, tail = _fuse_loop(
-                                c, test, call_lines, held, v[i + 1:])
-                        else:
+                        if test is None:
                             stack.append(c)
                             continue
+                        v[i], n_inl, n_fus = _fuse(c, test, call_lines, held,
+                                                   total)
                         inlined += n_inl
                         fused += n_fus + 1
-                        if tail is not None:
-                            # the loop and the rest of its block, compiled
-                            v[i:] = tail
-                            break
                     elif (isinstance(c, ast.AST)
                           and not isinstance(c, _LEAVES)):
                         if _is_cmp3_call(c):
@@ -585,13 +538,9 @@ _OUTCOMES = {ast.Lt: (True, False, False), ast.LtE: (True, False, True),
 
 
 def _fusable_test(stmt):
-    """(name or None, call, outcomes) when ``stmt`` is an ``if`` or a
-    ``while`` whose test is ``[(name :=)] cmp3(x, y) OP 0``, else
-    None.  A ``while`` whose ``else`` holds a ``break`` or ``continue``
-    is not fused: inside the ``while True:`` it would bind to the wrong
-    loop."""
-    kind = stmt.__class__
-    if kind is not ast.If and kind is not ast.While:
+    """(name or None, call, outcomes) when ``stmt`` is an ``if`` whose
+    test is ``[(name :=)] cmp3(x, y) OP 0``, else None."""
+    if stmt.__class__ is not ast.If:
         return None
     left, op = _against_zero(stmt.test)
     if left is None:
@@ -602,82 +551,7 @@ def _fusable_test(stmt):
         left = left.value
     if not _is_cmp3_call(left):
         return None
-    if kind is ast.While and any(
-            isinstance(n, (ast.Break, ast.Continue))
-            for s in stmt.orelse for n in ast.walk(s)):
-        return None
     return name, left, _OUTCOMES[op]
-
-
-def _opening_test(stmt):
-    """:func:`_fusable_test` of the ``if`` that opens ``stmt`` when
-    ``stmt`` is a ``while True:`` with no ``else``, else None."""
-    if (stmt.__class__ is not ast.While or stmt.orelse
-            or stmt.test.__class__ is not ast.Constant
-            or stmt.test.value is not True
-            or stmt.body[0].__class__ is not ast.If):
-        return None
-    return _fusable_test(stmt.body[0])
-
-
-def _fuse_loop(loop, test, call_lines: list, held: dict, after: list):
-    """Compile, in the total-order body, a ``while True:`` whose
-    opening ``if`` :func:`_opening_test` accepted: the rest of its body
-    first, then the test, which may take that rest into a bare scan loop
-    (:func:`_branches`).  Returns (calls inlined, tests fused) besides
-    the opening test, and None or, when :func:`_exit_fold` folds
-    ``after``, the statements of the loop's block from the loop on,
-    with ``after`` compiled."""
-    rest = loop.body[1:]
-    inlined, fused = _inline_calls(ast.Module(rest, []), call_lines, held,
-                                   True)
-    loop.body, n_inl, n_fus = _fuse(loop.body[0], test, call_lines, held,
-                                    True, rest)
-    inlined += n_inl
-    fused += n_fus
-    name = test[0]
-    if not _exit_folds(loop, name, after):
-        return inlined, fused, None
-    n_inl, n_fus = _inline_calls(ast.Module(after, []), call_lines, held,
-                                 True)
-    return inlined + n_inl, fused + n_fus, _exit_fold(loop, name, after)
-
-
-def _exit_folds(loop, name, after) -> bool:
-    """Whether :func:`_exit_fold` applies: ``loop`` ran through
-    :func:`_branches` into ``while x PICK y: ...`` followed by ``name =
-    A if T else B`` and ``break`` (the outcomes that stop the scan share
-    a bare ``break``), and ``after``, the rest of the loop's block,
-    opens with a test of ``name`` against 0."""
-    body = loop.body
-    if (name is None or len(body) != 3 or body[0].__class__ is not ast.While
-            or body[2].__class__ is not ast.Break
-            or body[1].__class__ is not ast.Assign
-            or body[1].value.__class__ is not ast.IfExp
-            or not after or after[0].__class__ is not ast.If):
-        return False
-    left, _ = _against_zero(after[0].test)
-    return left.__class__ is ast.Name and left.id == name
-
-
-def _exit_fold(loop, name, after) -> list:
-    """``while x PICK y: ...`` and then ``if T: name = A; AFTER(A) else:
-    name = B; AFTER(B)`` in place of the loop :func:`_exit_folds`
-    accepted and the rest of its block, each AFTER folded
-    (:func:`_fold`) on the value its branch assigns.  The ``while True:``
-    ran its body once, to its ``break``, and each branch goes on with the
-    statements that followed the loop, so the value is tested where it
-    is assigned, not stored and tested again."""
-    scan, store, _ = loop.body
-    choose = store.value
-    loc = _loc(store)
-    branches = []
-    for value in (choose.body, choose.orelse):
-        block = copy.deepcopy(after) if branches else after
-        block, _ = _fold(block, name, _VALUES.index(value.value))
-        branches.append([ast.Assign([ast.Name(name, ast.Store(), **loc)],
-                                    value, **loc)] + block)
-    return [scan, ast.If(choose.test, branches[0], branches[1], **loc)]
 
 
 def _against_zero(test):
@@ -693,14 +567,10 @@ def _against_zero(test):
     return test.left, test.ops[0].__class__
 
 
-def _fuse(stmt, test, call_lines: list, held: dict, total: bool,
-          rest=None):
-    """(fused statement, calls inlined, tests fused) for an ``if`` or
-    ``while`` that :func:`_fusable_test` accepted; its operands and arms
-    are compiled first, so a copied arm needs no second walk.  ``rest``,
-    for an ``if`` that opens a ``while True:``, is the compiled rest of
-    that loop's body, and the result is then the loop's new body
-    (:func:`_branches`)."""
+def _fuse(stmt, test, call_lines: list, held: dict, total: bool):
+    """(fused statement, calls inlined, tests fused) for an ``if`` that
+    :func:`_fusable_test` accepted; its operands and arms are compiled
+    first, so a copied arm needs no second walk."""
     name, call, outcomes = test
     inlined, fused = _inline_calls(call, call_lines, held, total)
     for arm in (stmt.body, stmt.orelse):
@@ -708,17 +578,9 @@ def _fuse(stmt, test, call_lines: list, held: dict, total: bool,
                                      total)
         inlined += n_inl
         fused += n_fus
-    loc = _loc(call)
-    value = held.get(id(stmt))
-    if stmt.__class__ is ast.If:
-        return (_branches(name, call, outcomes, stmt.body, stmt.orelse, loc,
-                          value, total, rest), inlined, fused)
-    # while TEST: BODY else: ORELSE
-    #   -> while True: <if TEST: pass else: ORELSE; break>; BODY
-    leave = stmt.orelse + [ast.Break(**loc)]
-    loop = _branches(name, call, outcomes, [], leave, loc, value, total,
-                     stmt.body)
-    return ast.While(ast.Constant(True, **loc), loop, [], **loc), inlined, fused
+    return (_branches(name, call, outcomes, stmt.body, stmt.orelse,
+                      _loc(call), held.get(id(stmt)), total),
+            inlined, fused)
 
 
 # the value a fused test's name takes on outcome k (x < y, x > y, else)
@@ -729,11 +591,11 @@ _LEAVE = (ast.Break, ast.Return, ast.Raise)
 
 def _held_constants(root) -> dict:
     """{id of a fusable test: the int its walrus name holds whenever the
-    test runs}.  The test is a ``while`` loop's, or an ``if`` directly
-    in a loop's body; the loop directly follows ``name = C`` in its
-    block, with C an int literal of -1, 0 or 1; and nothing in the loop
-    but the test binds or deletes ``name``, which no ``global`` or
-    ``nonlocal`` under ``root`` names.  The name then holds C at every
+    test runs}.  The test is an ``if`` directly in a loop's body; the
+    loop directly follows ``name = C`` in its block, with C an int
+    literal of -1, 0 or 1; and nothing in the loop but the test binds or
+    deletes ``name``, which no ``global`` or ``nonlocal`` under ``root``
+    names.  The name then holds C at every
     test that one of the test's own arms did not leave the loop after.
     Only statement blocks are walked, and every node of a loop only when
     it is a candidate, which keeps the pass cheap at import.
@@ -757,7 +619,7 @@ def _held_constants(root) -> dict:
                         found.append((loop, name, value))
     held = {}
     for loop, name, value in found:
-        for stmt in [loop] + loop.body:
+        for stmt in loop.body:
             test = _fusable_test(stmt)
             if test is not None and test[0] == name:
                 if name not in shared and _binds(loop, name) == 1:
@@ -841,7 +703,7 @@ def _first_outcome(name, outcomes, folds, skip) -> int:
 
 
 def _branches(name, call, outcomes, true_arm, false_arm, loc,
-              held=None, total=False, rest=None):
+              held=None, total=False):
     """``if x < y: [name = -1] ARM(-1)`` followed by, when 1 and 0 share
     an arm, ``else: [name = 1 if x > y else 0] ARM(1)``, and otherwise
     ``elif x > y: [name = 1] ARM(1) else: [name = 0] ARM(0)``.  Each arm
@@ -860,14 +722,7 @@ def _branches(name, call, outcomes, true_arm, false_arm, loc,
     y`` or ``x == y``, and the other two follow in the order above, the
     first of them picked by its own comparison.  Two outcomes that share
     an arm and assign no name are not told apart, so a test with no
-    name makes one comparison.
-
-    ``rest``, when given, is the rest of the body of the ``while True:``
-    this test opens, and the result is that loop's new body: the ``if``
-    followed by ``rest``, or, in the total-order body when
-    :func:`_bare_scan` allows it, ``while x PICK y: ARM REST`` for the
-    first outcome and then the other two outcomes' branches, whose
-    comparison reads the operands once more."""
+    name makes one comparison."""
     x, xs = _operand(call.args[0], _TMP_X, loc)
     y, ys = _operand(call.args[1], _TMP_Y, loc)
     arms = [true_arm if t else false_arm for t in outcomes]
@@ -876,8 +731,6 @@ def _branches(name, call, outcomes, true_arm, false_arm, loc,
     first = _first_outcome(name, outcomes, folds, skip) if total else 0
     g, h = [k for k in range(3) if k != first]
     shared = arms[g] is arms[h] and folds[g][1] == folds[h][1]
-    scan = (total and rest is not None
-            and _bare_scan(name, call, folds, first, rest))
     taken = []
 
     def arm(k):
@@ -890,8 +743,7 @@ def _branches(name, call, outcomes, true_arm, false_arm, loc,
     def set_name(value, k):
         # k is the outcome that stores value; None for a shared arm,
         # whose store picks either value and so always stays
-        if name is None or (k is not None and (
-                k == skip or total and _binds_first(folds[k][0], name))):
+        if name is None or (k is not None and k == skip):
             return []
         return [ast.Assign([ast.Name(name, ast.Store(), **loc)], value,
                            **loc)]
@@ -899,14 +751,7 @@ def _branches(name, call, outcomes, true_arm, false_arm, loc,
     def const(k):
         return ast.Constant(_VALUES[k], **loc)
 
-    if scan:
-        step = arm(first) + rest or [ast.Pass(**loc)]
-        loop = ast.While(ast.Compare(call.args[0], [_PICKS[first]()],
-                                     [call.args[1]], **loc), step, [], **loc)
-        # the exit's one comparison reads the operands once more
-        x, y = copy.deepcopy(call.args)
-    else:
-        head = set_name(const(first), first) + arm(first) or [ast.Pass(**loc)]
+    head = set_name(const(first), first) + arm(first) or [ast.Pass(**loc)]
     pick = ast.Compare(x, [_PICKS[g]()], [y], **loc)
     if shared and name is not None:
         others = set_name(ast.IfExp(pick, const(g), const(h), **loc), None)
@@ -924,95 +769,8 @@ def _branches(name, call, outcomes, true_arm, false_arm, loc,
         others = [ast.If(pick, set_name(const(g), g) + arm(g) or
                          [ast.Pass(**loc)],
                          set_name(const(h), h) + arm(h), **loc)]
-    if scan:
-        if others and others[-1].__class__ is ast.Break:
-            # the loop's last statement compiles to no jump, so on a line
-            # of its own it would run a NOP for its line event
-            others[-1] = ast.Break(**loc)
-        return [loop] + others
-    test = ast.If(ast.Compare(xs, [_PICKS[first]()], [ys], **loc), head,
+    return ast.If(ast.Compare(xs, [_PICKS[first]()], [ys], **loc), head,
                   others, **loc)
-    return test if rest is None else [test] + rest
-
-
-def _binds_first(stmts, name) -> bool:
-    """Whether every way through ``stmts`` assigns ``name`` by ``name =
-    ...`` before anything reads it or leaves them, so a value stored
-    into it just before is dead.  Straight-line statements, ``if``s and
-    ``while`` loops that neither mention ``name`` nor hold a ``break``,
-    ``continue``, ``return`` or ``raise`` are passed over; an ``if``
-    whose branches both assign it first, or a ``while True:`` whose body
-    does, assigns it.  The total-order body, the only one that drops
-    such a store, runs on an exact list of exact ints or strs that no
-    Python code can change, so no statement passed over raises and no
-    handler can see the value that was not stored."""
-    for stmt in stmts:
-        kind = stmt.__class__
-        if kind is ast.Assign and len(stmt.targets) == 1 and \
-                stmt.targets[0].__class__ is ast.Name and \
-                stmt.targets[0].id == name:
-            return not _mentions(stmt.value, name)
-        if kind is ast.If and not _mentions(stmt.test, name) and \
-                _binds_first(stmt.body, name) and \
-                _binds_first(stmt.orelse, name):
-            return True
-        if kind is ast.While and stmt.test.__class__ is ast.Constant and \
-                stmt.test.value is True and _binds_first(stmt.body, name):
-            return True
-        if _mentions(stmt, name) or any(n.__class__ in _TERMINAL
-                                        for n in ast.walk(stmt)):
-            return False
-    return False
-
-
-def _mentions(node, name) -> bool:
-    """Whether ``name`` is read or bound anywhere under ``node``."""
-    return any(n.__class__ is ast.Name and n.id == name
-               for n in ast.walk(node)) or _binds(node, name) > 0
-
-
-def _bare_scan(name, call, folds, first, rest) -> bool:
-    """Whether a ``while True:`` that opens with this fused test and goes
-    on with ``rest`` may run as ``while x PICK y: ARM REST``, with ARM
-    the folded arm of outcome ``first``.  ARM and REST must hold no
-    ``break``, ``continue``, ``return`` or ``raise`` and neither read
-    nor bind ``name``, so the store of ``name`` on that outcome is dead:
-    the only way back to a read of it runs through the test, which binds
-    it again.  With REST, every other outcome's arm must leave the loop,
-    or REST would be skipped after it.  Each operand is a plain name or
-    ``a[i]``, ``a[i + c]`` or ``a[i - c]`` of plain names and an int
-    literal, not ``name``: in the total-order body every subscripted
-    sequence is an exact list of exact ints or strs, so reading an
-    operand once more at the exit, and comparing it once more, runs no
-    Python code and gives what the test read."""
-    if not all(_plain_operand(a, name) for a in call.args):
-        return False
-    step = folds[first][0] + rest
-    for node in ast.walk(ast.Module(step, [])):
-        if node.__class__ in _TERMINAL or (
-                node.__class__ is ast.Name and node.id == name):
-            return False
-    if name is not None and _binds(ast.Module(step, []), name):
-        return False
-    return not rest or all(_leaves(arm) for k, (arm, _) in enumerate(folds)
-                           if k != first)
-
-
-def _plain_operand(node, name) -> bool:
-    """Whether ``node`` is a name other than ``name``, or ``a[i]``,
-    ``a[i + c]`` or ``a[i - c]`` of such names and an int literal."""
-    if node.__class__ is ast.Name:
-        return node.id != name
-    if (node.__class__ is not ast.Subscript
-            or node.value.__class__ is not ast.Name or node.value.id == name):
-        return False
-    index = node.slice
-    if (index.__class__ is ast.BinOp
-            and index.op.__class__ in (ast.Add, ast.Sub)
-            and index.right.__class__ is ast.Constant
-            and index.right.value.__class__ is int):
-        index = index.left
-    return index.__class__ is ast.Name and index.id != name
 
 
 # statements after which the rest of their block never runs

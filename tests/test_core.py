@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 import sys
@@ -14,6 +15,7 @@ from tsqsort.core import (CT_CMP, CT_LEN, CT_S2L, CT_S2R, CT_S3L, CT_S3R,
                           CT_TI_HW, CT_WA, CT_WS, _MLEFT_NOSCAN,
                           _MRIGHT_NOSCAN, _PRESCAN, _run_machine)
 from tsqsort.datagen import DISTRIBUTIONS
+from tsqsort.inline import _source_def
 from tsqsort.stats import (EXIT2, EXIT3L, EXIT3R, S1, S2L, S2R, S3L, S3R)
 
 from conftest import assert_stage_law, cmp3, reference_sort
@@ -586,6 +588,56 @@ def test_sorts_reach_every_machine_line():
     finally:
         sys.settrace(old)
     assert sorted(want - reached) == []
+
+
+def _total_body_lines():
+    """The lines of the statements in the machine's ``if TOTAL_BODY:``
+    block, but for a ``while True:``, which the compiled body puts on its
+    first statement's line."""
+    _, fdef, _ = _source_def(_run_machine.__wrapped__)
+    block = next(node for node in ast.walk(fdef)
+                 if isinstance(node, ast.If)
+                 and isinstance(node.test, ast.Name)
+                 and node.test.id == "TOTAL_BODY")
+    return {node.lineno for stmt in block.body for node in ast.walk(stmt)
+            if isinstance(node, ast.stmt)
+            and not (isinstance(node, ast.While)
+                     and isinstance(node.test, ast.Constant))}
+
+
+def test_int_sorts_reach_every_line_of_the_total_order_cycle():
+    # cmp=None on lists of exact ints runs the total-order body, whose
+    # state-1 cycle is written under `if TOTAL_BODY:`: random inputs
+    # with few and many distinct values, also sorted and reversed, at
+    # insertion thresholds 16 and 3, run each of its lines
+    code = _run_machine.__code__
+    want = _total_body_lines()
+    rnd = random.Random(43)
+    inputs = []
+    for trial in range(200):
+        n = rnd.randint(2, 300)
+        data = [rnd.randint(0, rnd.choice([3, 30, 10**6])) for _ in range(n)]
+        if trial % 3:
+            data.sort(reverse=trial % 3 == 2)
+        inputs.append(data)
+    reached = set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        reached.add(frame.f_lineno)
+        return tracer
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        for threshold in (16, 3):
+            sorter = Sorter(SortConfig(insertion_threshold=threshold), seed=5)
+            for data in inputs:
+                sorter.sort(data.copy())
+    finally:
+        sys.settrace(old)
+    assert want and sorted(want - reached) == []
 
 
 def test_all_equal_single_stage():

@@ -1,13 +1,13 @@
 """The compile-time flag ``TOTAL_BODY`` and the loop lines of the
 compiled bodies.
 
-``compare_inline`` folds each ``if`` test that starts with
-``TOTAL_BODY`` (or ``not TOTAL_BODY``, alone or first in an ``and``) to
-True in the total-order body and to False in the inline body, and runs a
-flagged function's generic path on its own source compiled with the
-flag folded to False, so no body ever loads the flag.  A sourceless
-install keeps the function as written, which reads the module global of
-False.  Every compiled body puts a ``while True:`` on its first
+``compare_inline`` folds each ``if`` test that is ``TOTAL_BODY``, alone
+or first in an ``and``, to True in the total-order body and to False in
+the inline body, and runs a flagged function's generic path on its own
+source compiled with the flag folded to False, so no body ever loads
+the flag.  A sourceless install keeps the function as written, which
+reads the module global of False.  Every compiled body, and the generic
+path of every decorated function, puts a ``while True:`` on its first
 statement's line, so it runs no ``NOP`` at each entry into the loop.
 """
 
@@ -36,8 +36,8 @@ def flagged(cmp3, xs, y):
             body = "total"
         else:
             body = "other"
-        if not TOTAL_BODY and x == y:
-            body += "="
+            if x == y:
+                body += "="
         if TOTAL_BODY and x == y and y == x:
             body += "=="
         out.append((body, cmp3(x, y)))
@@ -50,6 +50,12 @@ AS_WRITTEN = flagged.__code__
 
 def misused(cmp3, x, y):
     return TOTAL_BODY or cmp3(x, y)
+
+
+def negated(cmp3, x, y):
+    if not TOTAL_BODY:
+        return cmp3(x, y)
+    return 0
 
 
 XS = [1, 2, 3]
@@ -100,6 +106,13 @@ def test_the_flag_outside_an_if_test_is_refused():
         compare_inline()(misused)
 
 
+def test_a_negated_flag_is_refused():
+    # `if TOTAL_BODY: ... else: ...` says the same, so only the flag
+    # itself, alone or first in an `and`, is folded
+    with pytest.raises(ValueError, match="TOTAL_BODY is used outside"):
+        compare_inline()(negated)
+
+
 @pytest.mark.parametrize("fn", FLAGGED, ids=lambda fn: fn.__name__)
 def test_no_body_of_the_sort_loads_the_flag(fn):
     assert not loads_flag(fn.__code__)
@@ -136,15 +149,19 @@ def nop_lines(code):
 @pytest.mark.parametrize("fn", sorted(PINNED, key=lambda f: f.__name__),
                          ids=lambda fn: fn.__name__)
 def test_compiled_bodies_run_no_nop_for_while_true(fn):
+    # the compiled bodies and the generic path alike
     lines = while_true_lines(fn)
     assert nop_lines(fn.__code__) & lines == set()
-    if fn in FLAGGED:
-        assert nop_lines(fn.__wrapped__.__code__) & lines == set()
+    assert nop_lines(fn.__wrapped__.__code__) & lines == set()
 
 
 def test_a_function_as_written_keeps_its_while_true_nops():
-    # what the compiled bodies leave out: the reversed handler, which
-    # has no flag, runs as written on the generic path
-    fn = core._reversed_handler
-    lines = while_true_lines(fn)
-    assert lines and nop_lines(fn.__wrapped__.__code__) & lines == lines
+    # what the compile leaves out: the reversed handler's def compiled
+    # as written, with no flag to fold, runs a NOP on every while True:
+    # line, which its generic path does not
+    fn = core._reversed_handler.__wrapped__
+    tree, fdef, _ = _source_def(fn)
+    fdef.decorator_list = []
+    lines = while_true_lines(core._reversed_handler)
+    assert lines and nop_lines(_def_code(tree, fdef, fn)) & lines == lines
+    assert nop_lines(fn.__code__) & lines == set()

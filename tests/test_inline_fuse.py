@@ -1,20 +1,21 @@
-"""Fused tests: an ``if``/``while`` on ``cmp3(x, y) OP 0`` branches on
-the rich comparisons themselves.
+"""Fused tests: an ``if`` on ``cmp3(x, y) OP 0`` branches on the rich
+comparisons themselves.
 
 ``compare_inline`` compiles such a test into ``if x < y:`` and, only
 when that is false, a branch on ``x > y``, assigning a walrus name -1,
 1 or 0 in the matching branch.  These tests check, for every OP, with
-and without the walrus, in ``if``, ``elif`` and ``while`` with an
-``else`` arm, that the compiled function returns what the original
-does and makes the same ``<``, ``>`` and truth-test calls in the same
-order, and that a comparison raising at any point is reported at the
-``cmp3(`` line on both paths.  The same checks run on arms that open
-with tests of the walrus name, which the compiled variant folds into
-its branches; separate tests check that the folded tests are gone and
-that tests of another name, against another constant or further into
-an arm are left.  The number of fused tests in each
-decorated function of the package is pinned, so that a source edit
-which falls back to the value form fails here.
+and without the walrus, in an ``if``, an ``elif`` and an ``if`` that
+leads a ``while True:`` loop, that the compiled function returns what
+the original does and makes the same ``<``, ``>`` and truth-test calls
+in the same order, and that a comparison raising at any point is
+reported at the ``cmp3(`` line on both paths.  The same checks run on
+arms that open with tests of the walrus name, which the compiled
+variant folds into its branches; separate tests check that the folded
+tests are gone and that tests of another name, against another
+constant or further into an arm are left, and that a ``while`` test
+keeps the value form.  The number of fused tests in each decorated
+function of the package is pinned, so that a source edit which falls
+back to the value form fails here.
 """
 
 import ast
@@ -39,9 +40,10 @@ def generic(x, y):
 
 # Template bodies; TEST is the fused test, VALUE what the arms record
 # of it.  The `if` test starts below the `if` line, so a node given the
-# statement's line instead of the call's shows in a traceback.  The
-# `while` loop is also left by a `break` in its body, and its body
-# `continue`s now and then, so both reach the loop test.
+# statement's line instead of the call's shows in a traceback.  In the
+# `while` form the test leads a `while True:` loop, as a scan is
+# written: its `else` arm ends the loop, and its other arm also leaves
+# it by a `break` and now and then `continue`s, so both reach the test.
 TEMPLATES = {
     "if": """
 def {name}(cmp3, xs, y):
@@ -72,25 +74,27 @@ def {name}(cmp3, xs, y):
     out = []
     i = 0
     x = xs[0]
-    while {test}:
-        out.append(("body", i, {value}))
-        i += 1
-        if i == len(xs):
+    while True:
+        if {test}:
+            out.append(("body", i, {value}))
+            i += 1
+            if i == len(xs):
+                break
+            x = xs[i]
+            if i % 3 == 1:
+                continue
+            out.append("step")
+        else:
+            out.append(("else", i, {value}))
             break
-        x = xs[i]
-        if i % 3 == 1:
-            continue
-        out.append("step")
-    else:
-        out.append(("else", i, {value}))
     return out
 """,
 }
 
 # Arms that open with tests of the walrus name, which the compiled
-# variant folds into the fused branches: OP2 opens both arms of the
-# `if` and the `else` of the `while`, and OP3 opens the branches OP2
-# selects, so a fold repeats on what a folded test leaves first.
+# variant folds into the fused branches: OP2 opens both arms, and OP3
+# opens the branches OP2 selects, so a fold repeats on what a folded
+# test leaves first.
 FOLD_TEMPLATES = {
     "if_fold": """
 def {name}(cmp3, xs, y):
@@ -117,21 +121,23 @@ def {name}(cmp3, xs, y):
     out = []
     i = 0
     x = xs[0]
-    while (r := cmp3(x, y)) {op} 0:
-        if r {op2} 0:
-            out.append(("body", 1, i, r))
-        out.append(("body", i, r))
-        i += 1
-        if i == len(xs):
+    while True:
+        if (r := cmp3(x, y)) {op} 0:
+            if r {op2} 0:
+                out.append(("body", 1, i, r))
+            out.append(("body", i, r))
+            i += 1
+            if i == len(xs):
+                break
+            x = xs[i]
+        else:
+            if r {op2} 0:
+                if r {op3} 0:
+                    out.append(("else", 1, i, r))
+                else:
+                    out.append(("else", 2, i, r))
+            out.append(("else", i, r))
             break
-        x = xs[i]
-    else:
-        if r {op2} 0:
-            if r {op3} 0:
-                out.append(("else", 1, i, r))
-            else:
-                out.append(("else", 2, i, r))
-        out.append(("else", i, r))
     return out
 """,
 }
@@ -306,10 +312,7 @@ def test_folded_arms_no_longer_test_the_name(form):
         if name.startswith(form):
             _, fdef, _ = _source_def(original)
             assert len(zero_tests(fdef, "r")) == 4 - (form == "while_fold")
-            # the `while` body's test follows the fused test; it opens
-            # no arm of it
-            left = zero_tests(compiled_def(original), "r")
-            assert len(left) == (form == "while_fold"), name
+            assert zero_tests(compiled_def(original), "r") == [], name
 
 
 def assigned_then_tested(tree):
@@ -446,11 +449,11 @@ def _not_fused(cmp3, xs, y):
             out.append(cmp3(x, y))
         if cmp3(x, y) < False:
             out.append(x)
+    # a `while` test is not fused
     while cmp3(xs[0], y) == 0:
         out.append(y)
         break
     else:
-        # a `while` whose else would bind a `continue` to the fused loop
         for x in xs:
             while cmp3(x, y) > 0:
                 break
@@ -461,8 +464,7 @@ def _not_fused(cmp3, xs, y):
 
 def test_other_tests_keep_the_value_form():
     # `cmp3(...) + 1 > 0`, the call in the body, `< False` and both
-    # `while` tests stay values: the inner loop's else continues the
-    # `for`, and the outer loop's else holds that `continue`
+    # `while` tests stay values
     assert fuse_counts(_not_fused) == (5, 0)
     compiled = compare_inline()(_not_fused)
     for vs in ([0, 1, 2], [1, 1], [2, 0]):
@@ -477,8 +479,9 @@ def test_other_tests_keep_the_value_form():
 # the one outcome that stays in the loop; ``drops`` says whether the
 # compiled loop still stores C.
 
-# OP per C for an ``if`` in the loop body (C goes on, the rest leave),
-# and for a fused ``while`` test (C stays, the rest run the else)
+# OP per C for an ``if`` whose C arm goes on past it and whose other
+# arm leaves, and for one whose C arm holds the step and whose other
+# arm (the ``else``) leaves
 IF_OPS = {-1: ">=", 1: "<=", 0: "!="}
 WHILE_OPS = {-1: "<", 1: ">", 0: "=="}
 
@@ -512,21 +515,23 @@ def {name}(cmp3, xs, y):
         out.append(("step", i, r))
         i += 1
 """),
-    # dropped: a fused `while` test, whose else leaves the loop
+    # dropped: a `while True` led by the test, whose else leaves it
     "while_test": (True, WHILE_OPS, """
 def {name}(cmp3, xs, y):
     out = []
     i = 0
     x = xs[0] if xs else y
     r = {c}
-    while (r := cmp3(x, y)) {op} 0:
-        out.append(("step", i, r))
-        i += 1
-        if i >= len(xs):
+    while True:
+        if (r := cmp3(x, y)) {op} 0:
+            out.append(("step", i, r))
+            i += 1
+            if i >= len(xs):
+                break
+            x = xs[i]
+        else:
+            out.append(("end", i, r))
             break
-        x = xs[i]
-    else:
-        out.append(("end", i, r))
     return out, r
 """),
     # kept: another statement between the constant and the loop

@@ -1,21 +1,18 @@
-"""Bare scan loops in the total-order body, and branches with no ``pass``.
+"""Scan loops keep the fused test in every body; branches with no
+``pass``.
 
-A ``while True:`` whose body opens with a fused test on ``[(name :=)]
-cmp3(E, Y)`` compiles, in the total-order body, to ``while E PICK Y:
-ARM REST`` for the outcome the body tests first, followed by the other
-two outcomes' branches, when that outcome's arm and the rest of the loop
-body leave the loop by no statement and neither read nor bind ``name``,
-every other arm leaves the loop when there is a rest, and E and Y are
-plain names or subscripts ``a[i]``, ``a[i ± c]``.  When both other
-outcomes only break and the loop's block goes on with a test of
-``name``, that test is folded into the exit; a branch whose arm assigns
-``name`` before anything reads it stores no value first.  These tests
-check the compiled text of small functions, the cases that must keep
-today's form, that all three bodies of each function return the same
-values and stores on random inputs, that the state-1 scans of the
-machine's total-order body store neither ``lc`` nor an operand
-temporary, and that the inline body's branches on ``x > y`` run no
-``pass`` and truth-test as the comparator does.
+A ``while True:`` led by a fused test on ``[(name :=)] cmp3(E, Y)``
+compiles to that fused ``if`` in the inline body and in the total-order
+body alike, and a ``while`` test keeps the value form.  The machine's
+state-1 scans that test one comparison a step and store nothing but the
+cursor, ``while ar[l] < p: l += 1``, are written as such in
+``core._run_machine``'s source, under ``if TOTAL_BODY:``.  These tests
+check the compiled text of small scan loops, that all three bodies of
+each function return the same values and stores on random inputs, that
+a fused test's store of its name stays wherever the arm may read it,
+that the state-1 scans of the machine's total-order body store neither
+``lc`` nor an operand temporary, and that the inline body's branches on
+``x > y`` run no ``pass`` and truth-test as the comparator does.
 """
 
 import ast
@@ -41,13 +38,12 @@ def compiled(src: str, total: bool = True) -> str:
     return ast.unparse(fdef)
 
 
-def text(src: str) -> str:
-    return ast.unparse(ast.parse(textwrap.dedent(src)))
-
-
-# (source, its total-order body)
-BARE = {
-    "left": ("""
+# Scan loops on plain operands, with and without a rest of the body or a
+# test of the name after the loop, a `while` test, and a store of the
+# name before an arm that assigns it again: every body keeps the fused
+# `if` (a `while` test the value form) and the store.
+SCANS = {
+    "left": """
         def f(cmp3, ar, p, l):
             while True:
                 if (lc := cmp3(ar[l], p)) < 0:
@@ -55,32 +51,16 @@ BARE = {
                 else:
                     break
             return l, lc
-        """, """
-        def f(cmp3, ar, p, l):
-            while True:
-                while ar[l] < p:
-                    l += 1
-                lc = 1 if ar[l] > p else 0
-                break
-            return l, lc
-        """),
-    "right_with_rest": ("""
+        """,
+    "right_with_rest": """
         def f(cmp3, ar, p, r):
             while True:
                 if (lc := cmp3(ar[r - 1], p)) <= 0:
                     break
                 r -= 1
             return r, lc
-        """, """
-        def f(cmp3, ar, p, r):
-            while True:
-                while ar[r - 1] > p:
-                    r -= 1
-                lc = -1 if ar[r - 1] < p else 0
-                break
-            return r, lc
-        """),
-    "three_arms": ("""
+        """,
+    "three_arms": """
         def f(cmp3, ar, p, i):
             n = 0
             while True:
@@ -92,50 +72,22 @@ BARE = {
                 else:
                     n = -n
                     i += 1
-        """, """
-        def f(cmp3, ar, p, i):
-            n = 0
-            while True:
-                while ar[i + 1] < p:
-                    n += ar[i + 1]
-                    i += 1
-                if ar[i + 1] > p:
-                    c = 1
-                    return (i, n, c)
-                else:
-                    c = 0
-                    n = -n
-                    i += 1
-        """),
-    "no_name": ("""
+        """,
+    "no_name": """
         def f(cmp3, ar, p, i):
             while True:
                 if cmp3(p, ar[i]) > 0:
                     i += 1
                 else:
                     return i
-        """, """
-        def f(cmp3, ar, p, i):
-            while True:
-                while p > ar[i]:
-                    i += 1
-                return i
-        """),
-    "while_test": ("""
+        """,
+    "while_test": """
         def f(cmp3, ar, p, i):
             while (c := cmp3(ar[i], p)) < 0:
                 i += 1
             return i, c
-        """, """
-        def f(cmp3, ar, p, i):
-            while True:
-                while ar[i] < p:
-                    i += 1
-                c = 1 if ar[i] > p else 0
-                break
-            return (i, c)
-        """),
-    "exit_fold": ("""
+        """,
+    "exit_fold": """
         def f(cmp3, ar, p, r):
             n = 0
             while True:
@@ -145,20 +97,8 @@ BARE = {
             if lc < 0:
                 n = ar[r - 1]
             return r, lc, n
-        """, """
-        def f(cmp3, ar, p, r):
-            n = 0
-            while ar[r - 1] > p:
-                r -= 1
-            if ar[r - 1] < p:
-                lc = -1
-                n = ar[r - 1]
-                return (r, lc, n)
-            else:
-                lc = 0
-                return (r, lc, n)
-        """),
-    "no_fold_of_another_name": ("""
+        """,
+    "no_fold_of_another_name": """
         def f(cmp3, ar, p, r):
             n = 0
             while True:
@@ -168,19 +108,8 @@ BARE = {
             if n < 0:
                 n = lc
             return r, lc, n
-        """, """
-        def f(cmp3, ar, p, r):
-            n = 0
-            while True:
-                while ar[r - 1] > p:
-                    r -= 1
-                lc = -1 if ar[r - 1] < p else 0
-                break
-            if n < 0:
-                n = lc
-            return (r, lc, n)
-        """),
-    "dead_store": ("""
+        """,
+    "dead_store": """
         def f(cmp3, ar, p, i):
             if (c := cmp3(ar[i], p)) > 0:
                 i += 1
@@ -191,43 +120,32 @@ BARE = {
             elif c < 0:
                 i -= c
             return i, c
-        """, """
-        def f(cmp3, ar, p, i):
-            if (_cmp3_x := ar[i]) < p:
-                c = -1
-                i -= c
-            elif _cmp3_x > p:
-                i += 1
-                if i < 3:
-                    c = i
-                else:
-                    c = -i
-            else:
-                c = 0
-            return (i, c)
-        """),
+        """,
 }
 
 
-@pytest.mark.parametrize("case", sorted(BARE))
-def test_total_order_body_runs_a_bare_scan_loop(case):
-    src, want = BARE[case]
-    assert compiled(src) == text(want)
-
-
-@pytest.mark.parametrize("case", sorted(BARE))
-def test_inline_body_keeps_the_fused_test(case):
-    # only the total-order body compares an operand once more or drops
-    # a store
-    inline = compiled(BARE[case][0], total=False)
+def assert_keeps_the_fused_test(case, body):
     if case == "dead_store":
-        assert "c = 1\n" in inline
+        assert "c = 1\n" in body
+    elif case == "while_test":
+        assert "while (c := (-1 if " in body
     else:
-        assert "while True:\n        if " in inline
+        assert "while True:\n        if " in body
 
 
-# Loops the rule must leave in today's form: the loop body still opens
-# with the fused `if`.
+@pytest.mark.parametrize("case", sorted(SCANS))
+def test_inline_body_keeps_the_fused_test(case):
+    assert_keeps_the_fused_test(case, compiled(SCANS[case], total=False))
+
+
+@pytest.mark.parametrize("case", sorted(SCANS))
+def test_total_order_body_keeps_the_fused_test(case):
+    assert_keeps_the_fused_test(case, compiled(SCANS[case]))
+
+
+# Scan loops whose step or rest reads, binds or leaves by the name, or
+# whose operand is not a plain name or subscript: the loop body still
+# opens with the fused `if`.
 KEPT = {
     "step_reads_name": """
         def f(cmp3, ar, p, l):
@@ -393,15 +311,15 @@ def test_a_store_that_may_be_read_stays(case):
     assert "c = 1\n" in compiled(LIVE_STORES[case])
 
 
-FILENAME = "<bare scans>"
+FILENAME = "<scan loops>"
 
 
 def _build():
-    """Each BARE, KEPT and LIVE_STORES function, as written and compiled
+    """Each SCANS, KEPT and LIVE_STORES function, as written and compiled
     with ``compare_inline``, from one generated module whose source
     linecache serves, as a source file would."""
     src = []
-    cases = ([(c, s) for c, (s, _) in BARE.items()] + list(KEPT.items())
+    cases = (list(SCANS.items()) + list(KEPT.items())
              + [("live_" + c, s) for c, s in LIVE_STORES.items()])
     for case, code in cases:
         src.append(textwrap.dedent(code).replace("def f(", f"def {case}("))
@@ -437,21 +355,18 @@ def test_all_three_bodies_return_the_same(case):
         assert fn(_total_cmp3, *args) == want
 
 
-def _scan_lines():
-    """The lines of the state-1 cycle's left scan test and of its nested
-    right scan test in ``core._run_machine``."""
+def _lines(*texts):
+    """The line of each of ``texts``, in turn, in ``core._run_machine``'s
+    source: the first at or after the line of the one before."""
     fn = core._run_machine.__wrapped__
-    first = fn.__code__.co_firstlineno
+    k = fn.__code__.co_firstlineno
     lines = linecache.getlines(fn.__code__.co_filename)
-    left = right = None
-    for k, line in enumerate(lines[first - 1:], first):
-        if line.strip() == "if (lc := cmp3(ar[l], p)) < 0:":
-            left = k
-        elif left and line.strip() == "if (lc := cmp3(ar[r], p)) <= 0:":
-            right = k
-            break
-    assert left and right
-    return left, right
+    found = []
+    for want in texts:
+        while lines[k - 1].strip() != want:
+            k += 1
+        found.append(k)
+    return found
 
 
 def _loops(code, line):
@@ -470,14 +385,19 @@ def _loops(code, line):
 
 def test_machine_state1_scans_store_neither_lc_nor_a_temporary():
     code = core._run_machine.__code__
-    for line, cursor in zip(_scan_lines(), ("l", "r")):
+    bare = _lines("while ar[l] < p:", "while ar[r] > p:")
+    # the total-order body's scans, bottom-tested loops that store only
+    # their cursor; the cycle's while True: shares the left scan's line
+    for line, cursor in zip(bare, ("l", "r")):
         loops = _loops(code, line)
-        # the total-order body's bare loop, a bottom-tested while, comes
-        # first in the code; the inline body's scan follows
-        jump, stores = loops[0]
-        assert jump == "POP_JUMP_BACKWARD_IF_TRUE", loops
-        assert stores == [cursor], loops
-        assert any("_cmp3_x" in stores for _, stores in loops[1:]), loops
+        assert loops[0] == ("POP_JUMP_BACKWARD_IF_TRUE", [cursor]), loops
+    # the inline body's guarded scans keep the operand temporary
+    guarded = _lines("if (lc := cmp3(ar[l], p)) < 0:",
+                     "if (lc := cmp3(ar[r], p)) <= 0:")
+    assert guarded[0] > bare[1]
+    for line in guarded:
+        loops = _loops(code, line)
+        assert any("_cmp3_x" in stores for _, stores in loops), loops
 
 
 # A test with no name whose outcomes 1 and 0 share an arm branches on

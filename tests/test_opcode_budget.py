@@ -12,8 +12,8 @@ generic path.  Unlike wall time, the count is exact and
 the same on every run, so a change that adds per-stage or per-step work
 shows here even when the host's timing noise would hide it.  Each count
 must stay at or below its pinned budget; lower it when a change saves
-instructions.  The random ints and the floats also run no ``NOP`` but
-one per ``try`` of the sort's set-up.  Bytecode differs between
+instructions.  The random ints, the floats and the ``cmp`` sort also run
+no ``NOP`` but one per ``try`` of the sort's set-up.  Bytecode differs between
 interpreter versions, so the test runs on CPython 3.11 only.
 """
 
@@ -37,12 +37,12 @@ N = 2000
 # the inline body for floats and the generic path for ``cmp``.
 BUDGETS = {
     "sorted": ("sorted", None, 177417),
-    "reversed": ("reversed", None, 257135),
-    "fronthalfreversed": ("fronthalfreversed", None, 328596),
-    "backhalfreversed": ("backhalfreversed", None, 249628),
-    "random": ("random", None, 618978),
-    "arange100": ("arange100", None, 396579),
-    "strings": ("strings", None, 618982),
+    "reversed": ("reversed", None, 257133),
+    "fronthalfreversed": ("fronthalfreversed", None, 327805),
+    "backhalfreversed": ("backhalfreversed", None, 248631),
+    "random": ("random", None, 613745),
+    "arange100": ("arange100", None, 393878),
+    "strings": ("strings", None, 613749),
     "floats": ("floats", None, 744063),
     "cmp": ("random", cheap_cmp, 979875),
 }
@@ -65,12 +65,12 @@ def test_sort_stays_within_its_opcode_budget(shape):
     assert count <= budget, (shape, count, budget)
 
 
-@pytest.mark.parametrize("shape", ("random", "floats"))
+@pytest.mark.parametrize("shape", ("random", "floats", "cmp"))
 def test_sort_runs_no_nop_but_once_per_try(shape):
     # A NOP is an instruction CPython keeps for a line event alone.  The
-    # total-order body (ints) and the inline body (floats) run none, and
-    # neither does the driver's loop; only the try statements of the
-    # sort's set-up run one, once per sort.
+    # total-order body (ints), the inline body (floats) and the generic
+    # path (cmp) run none, and neither does the driver's loop; only the
+    # try statements of the sort's set-up run one, once per sort.
     ar, comparator = shape_input(shape)
     census = count_opcodes(Sorter(seed=1).sort_with_stats, ar, comparator,
                            by_line=True)
