@@ -102,7 +102,9 @@ equal to the pivot at both edges of the equals block: an edge is an
 equal unless the middle hole sits there, so after each placement of the
 prologue the machine stores the pivot into that hole.  The left and
 right scans and the cycle's placements then test no bound; a scan that
-stops on an equal asks whether it reached the block.  ``Sorter._range``
+stops on an equal asks whether it reached the block.  States 3L/3R
+store the pivot into the side hole at l (r) before a run scan, which
+then runs bare down to it (up to it).  ``Sorter._range``
 tells the insertion sort that a leaf other than the leftmost has a left
 neighbour at most its every element, on which the scan of a displaced
 element stops.  The source keeps both forms behind the compile-time
@@ -116,19 +118,34 @@ as in Sedgewick's "Implementing Quicksort Programs".  Neither the
 uncounted store nor the extra comparison changes a count: the store
 goes into a hole a later write of the stage fills, and the machine and
 the insertion sort count comparisons by law from their cursors.
+
+The same body of the sorted fast path skips work whose counts are
+fixed.  On a strictly increasing range of n elements the stage tree is
+fixed by n and ``insertion_threshold``: every stage's samples are in
+order, its pivot is the center, the fast path ends it with n - 1
+comparisons and one write, each leaf compares n - 1 times and writes
+nothing, and the array is left as it was.  So where the fast path ends
+a stage, it tests each side for strict increase in one C pass and, for
+a side that passes, adds ``_sorted_run``'s closed form to the counters
+and collapses the side's bound, so the driver drops it; every count is
+the one the stages and leaves would have made.  The driver passes the
+handler its insertion threshold, or 0, which turns the test off, when a
+stage hook is set, since the hook sees every stage.
 """
 
 from __future__ import annotations
 
 import threading
 from itertools import islice
+from operator import lt
 
 from .bigelem import LATE_SWAP_BYTES, sort_large_elements
 from .config import DEFAULT_CONFIG, SortConfig
 from .inline import (TOTAL_BODY, _default_cmp3, _total_cmp3, _total_order,
                      compare_inline)
 from .instrument import StageRecord
-from .pivot import MitigationRng, select_pivot
+from .pivot import (MEDOF3_MAX_N, MEDOF5_MAX_N, NINTHER_MAX_N, MitigationRng,
+                    select_pivot)
 from .smallsort import insertion_sort
 from .stats import (EXIT2, EXIT3L, EXIT3R, S1, S2L, S2R, S3L, S3R, SortStats)
 
@@ -294,7 +311,11 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
     write of the stage fills that hole as it fills every hole, and the
     array after the stage is the one the other bodies leave.  The
     inline body and the generic path run the ``elif``'s guarded cycle,
-    which keeps the bound tests and never stores it.
+    which keeps the bound tests and never stores it.  The run scans of
+    states 3L/3R are written the same way: the side hole at l (r) takes
+    ``p``, the scan is a bare ``while ar[m] > p:`` (``<``) loop that
+    stops there at the latest, and its stop sets lc as the guarded scan
+    would, keeping it at m == l (r).
 
     ``mid`` is the stage's center and ``p`` its extracted pivot.  The
     cursors, ``lc`` (the last comparison) and the holdover ``temp`` are
@@ -623,12 +644,22 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
                 if lc > 0:
                     # collect the run of > pivot elements below m
                     k = m
-                    while True:
+                    if TOTAL_BODY:
+                        # the sentinel: the side hole at l takes the
+                        # pivot's value and stops the scan
+                        ar[l] = p
                         m -= 1
-                        if m == l:
-                            break
-                        if (lc := cmp3(ar[m], p)) <= 0:
-                            break
+                        while ar[m] > p:
+                            m -= 1
+                        if m != l:
+                            lc = -1 if ar[m] < p else 0
+                    else:
+                        while True:
+                            m -= 1
+                            if m == l:
+                                break
+                            if (lc := cmp3(ar[m], p)) <= 0:
+                                break
                     k2 = m + 1
                     # copy the run [k2..k] into the gap descending
                     # from r, buffering block elements it consumes
@@ -755,12 +786,20 @@ def _run_machine(ar, cmp3, mid, p, label, l, r, ml, mr, m, lc, temp, tar,
             while True:
                 if lc < 0:
                     k = m
-                    while True:
+                    if TOTAL_BODY:
+                        ar[r] = p
                         m += 1
-                        if m == r:
-                            break
-                        if (lc := cmp3(ar[m], p)) >= 0:
-                            break
+                        while ar[m] < p:
+                            m += 1
+                        if m != r:
+                            lc = 1 if ar[m] > p else 0
+                    else:
+                        while True:
+                            m += 1
+                            if m == r:
+                                break
+                            if (lc := cmp3(ar[m], p)) >= 0:
+                                break
                     k2 = m - 1
                     if m - k < k - l:
                         while True:
@@ -964,8 +1003,77 @@ def _scannable(ar):
     return _SeqView(ar)
 
 
+def _sorted_run(n, thr, memo=None):
+    """``(stages, comparisons, writes, height)`` of what ``Sorter._range``
+    does to a strictly increasing range of n >= 2 elements with
+    ``insertion_threshold`` thr.
+
+    A range of at most thr elements is a leaf: n - 1 comparisons and no
+    write.  A longer one is a stage: its samples are in order, so pivot
+    selection compares 3, 6, 12 or 21 times, along the ladder of
+    ``pivot``, writes nothing and flags +1 with the pivot at mid; the
+    sorted fast path compares n - 1 times, writes the pivot back, its
+    one write, and ends the stage with the sides [a..mid-1] and
+    [mid+1..b], both strictly increasing, and the driver drops a side
+    of one element.  The array is left as it was.  ``height`` is how
+    much deeper than the range its deepest range lies.  The sizes of
+    one level take at most two adjacent values, so a call memoises at
+    most two a level in ``memo``, a dict of its own: no cache outlives
+    the call, and the call costs the same whatever ran before it.
+    """
+    if n <= thr:
+        return 0, n - 1, 0, 0
+    if memo is None:
+        memo = {}
+    elif n in memo:
+        return memo[n]
+    if n <= MEDOF3_MAX_N:
+        ncmp = 3
+    elif n <= MEDOF5_MAX_N:
+        ncmp = 6
+    elif n <= NINTHER_MAX_N:
+        ncmp = 12
+    else:
+        ncmp = 21
+    ncmp += n - 1
+    stages = 1
+    height = 0
+    half = (n - 1) >> 1
+    for side in (half, n - 1 - half):
+        if side > 1:
+            s, c, _, h = _sorted_run(side, thr, memo)
+            stages += s
+            ncmp += c
+            if h >= height:
+                height = h + 1
+    memo[n] = run = (stages, ncmp, stages, height)
+    return run
+
+
+def _sorted_side(ar, lo, hi, thr, depth, ct) -> bool:
+    """Whether the side ar[lo..hi] of a stage at ``depth`` is strictly
+    increasing, tested in one C pass; if it is, its subtree's counts,
+    ``_sorted_run``'s, are added to ``ct`` as the driver would add them,
+    its deepest range at ``depth + 1 + height``."""
+    it = iter(ar)
+    it.__setstate__(lo)
+    it2 = iter(ar)
+    it2.__setstate__(lo + 1)
+    if not all(map(lt, islice(it, hi - lo), it2)):
+        return False
+    stages, ncmp, nwa, height = _sorted_run(hi - lo + 1, thr)
+    ct[CT_CMP] += ncmp
+    ct[CT_WA] += nwa
+    ct[CT_STAGES] += stages
+    ct[CT_HSORT] += stages
+    depth += 1 + height
+    if depth > ct[CT_DEPTH]:
+        ct[CT_DEPTH] = depth
+    return True
+
+
 @compare_inline()
-def _sorted_handler(ar, cmp3, a, b, p, ct):
+def _sorted_handler(ar, cmp3, a, b, mid, p, ct, depth, thr):
     """Verify left-below/right-above around the extracted pivot.
 
     Two verify scans run first: from a for the first element not below
@@ -998,12 +1106,24 @@ def _sorted_handler(ar, cmp3, a, b, p, ct):
     ``inline``); the cursor read-back sits in the leaving arm and keeps
     that so.  The scan for equals above keeps its store: after a left
     scan that reached mid, lc is -1, and a ``lc = 0`` before a scan that
-    runs zero times would change the lc returned.  Returns
-    ``(label, l, r, ml, mr, m, lc, holdover)``: the resume label and the
-    machine's entry state, or _DONE with the stage's new bounds in l
-    and r.
+    runs zero times would change the lc returned.
+
+    ``mid`` is the stage's center, ``(a + b) >> 1``, and ``depth`` the
+    stage's depth.  In the total-order body, a stage the handler ends
+    with ``thr`` nonzero (the driver's insertion threshold) has each of
+    its sides [a..l] and [r..b] of two or more elements tested for
+    strict increase (:func:`_sorted_side`).  A side that passes has its
+    whole subtree counted by law, ``_sorted_run(n, thr)``'s stages,
+    comparisons, writes and a depth of ``depth + 1 + height``, inside
+    this call, and its bound collapsed to ``a - 1`` (``b + 1``), so the
+    driver drops it.  With ``thr`` 0, as the public ``handlers`` API and
+    a driver with a stage hook pass it, and on the other bodies, no side
+    is tested.
+
+    Returns ``(label, l, r, ml, mr, m, lc, holdover)``: the resume label
+    and the machine's entry state, or _DONE with the stage's new bounds
+    in l and r.
     """
-    mid = (a + b) >> 1
     it = iter(ar)
     it.__setstate__(a)
     lc = -1
@@ -1057,6 +1177,12 @@ def _sorted_handler(ar, cmp3, a, b, p, ct):
         l -= 1
         r += 1
         out = _DONE
+        if TOTAL_BODY and thr:
+            # a strictly increasing side is counted by law and dropped
+            if l > a and _sorted_side(ar, a, l, thr, depth, ct):
+                l = a - 1
+            if r < b and _sorted_side(ar, r, b, thr, depth, ct):
+                r = b + 1
     else:
         if l == mid:
             # left half below the pivot, ar[r] not above it
@@ -1096,7 +1222,7 @@ def _sorted_handler(ar, cmp3, a, b, p, ct):
 
 
 @compare_inline()
-def _reversed_handler(ar, cmp3, a, b, p, ct, tol):
+def _reversed_handler(ar, cmp3, a, b, mid, p, ct, tol):
     """Swap outermost pairs inward while both sides look reversed.
 
     Misplaced elements that already sit on their final side are skipped
@@ -1131,7 +1257,6 @@ def _reversed_handler(ar, cmp3, a, b, p, ct, tol):
     label, no later phase runs: each one's test fails on the cursors
     left.
     """
-    mid = (a + b) >> 1
     ncmp = 0
     nwa = 0
     nws = 0
@@ -1443,7 +1568,8 @@ class Sorter:
         ar[a..b], and the inner loop runs its stages.  After a stage the
         inner loop goes on with the smaller side and pushes the larger
         one, ``(a, b, depth)``, on ``pending``; a side of at most one
-        element is dropped, and a range of at most
+        element is dropped, as is one the sorted fast path has counted by
+        law and collapsed (see ``_sorted_handler``), and a range of at most
         ``insertion_threshold`` elements is a leaf, sorted in place.  The
         smaller side of a range holds at most half of it, so ``pending``
         never holds more than floor(log2 n) ranges, and the stages run in
@@ -1457,6 +1583,9 @@ class Sorter:
         tol = cfg.reverse_tolerance
         rng = self.rng
         hook = self.stage_hook
+        # a hook sees every stage, so with one set the sorted fast path
+        # counts no strictly increasing side by law
+        sthr = thr if hook is None else 0
         sar = _scannable(ar)
         # every leaf but the leftmost has a left neighbour at most its
         # every element, which the insertion sort may scan onto
@@ -1483,11 +1612,11 @@ class Sorter:
                     if flag > 0:
                         nsort += 1
                         label, l, r, ml, mr, m, lc, hold = _sorted_handler(
-                            sar, cmp3, a, b, p, ct)
+                            sar, cmp3, a, b, mid, p, ct, depth, sthr)
                     else:
                         nrev += 1
                         label, l, r, ml, mr, m, lc, hold = _reversed_handler(
-                            ar, cmp3, a, b, p, ct, tol)
+                            ar, cmp3, a, b, mid, p, ct, tol)
                     if label == _DONE:
                         new_l = l
                         new_r = r

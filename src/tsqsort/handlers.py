@@ -68,8 +68,9 @@ def handle_possibly_sorted(ar, a: int, b: int, pivot, cmp=None, ct=None,
     cmp3 = cmp if cmp is not None else _core._default_cmp3
     if ct is None:
         ct = [0] * _core.CT_LEN
-    resume = _core._sorted_handler(_core._scannable(ar), cmp3, a, b, pivot,
-                                   ct)
+    # a threshold of 0: no side is counted by law and dropped
+    resume = _core._sorted_handler(_core._scannable(ar), cmp3, a, b,
+                                   (a + b) >> 1, pivot, ct, 0, 0)
     return _outcome(ar, a, b, pivot, resume, cmp3, ct, finish)
 
 
@@ -93,10 +94,11 @@ def handle_possibly_reversed(ar, a: int, b: int, pivot, cmp=None,
         ct = [0] * _core.CT_LEN
     if tolerance is None:
         tolerance = DEFAULT_CONFIG.reverse_tolerance
+    mid = (a + b) >> 1
     if b - a < 2:
-        resume = _core._sorted_handler(_core._scannable(ar), cmp3, a, b,
-                                       pivot, ct)
+        resume = _core._sorted_handler(_core._scannable(ar), cmp3, a, b, mid,
+                                       pivot, ct, 0, 0)
     else:
-        resume = _core._reversed_handler(ar, cmp3, a, b, pivot, ct,
+        resume = _core._reversed_handler(ar, cmp3, a, b, mid, pivot, ct,
                                          tolerance)
     return _outcome(ar, a, b, pivot, resume, cmp3, ct, finish)

@@ -97,9 +97,11 @@ the ``if``'s body alone, and one found false leaves the ``if``'s
 ``else``, before any call is inlined.  Work that only a total order
 allows, such as a scan that stops on a sentinel and makes a comparison
 the guarded scan would not, goes behind the flag: ``core._run_machine``
-writes its state-1 cycle for a total order as bare ``while ar[l] < p:``
-scans under ``if TOTAL_BODY:``, and ``smallsort.insertion_sort`` its
-unguarded scan.  Any other use of the name is refused.
+writes its state-1 cycle and its state-3 run scans for a total order
+as bare ``while ar[l] < p:`` scans under ``if TOTAL_BODY:``,
+``core._sorted_handler`` its test of a stage's sides for strict
+increase, and ``smallsort.insertion_sort`` its unguarded scan.  Any
+other use of the name is refused.
 
 A ``while True:`` has no test, so CPython keeps a ``NOP`` on its line
 for the line event and runs it at each entry into the loop.  Every

@@ -78,11 +78,11 @@ class Recursive(Sorter):
             elif flag > 0:
                 ct[CT_HSORT] += 1
                 label, l, r, ml, mr, m, lc, hold = core._sorted_handler(
-                    ar, cmp3, a, b, p, ct)
+                    ar, cmp3, a, b, mid, p, ct, depth, 0)
             else:
                 ct[CT_HREV] += 1
                 label, l, r, ml, mr, m, lc, hold = core._reversed_handler(
-                    ar, cmp3, a, b, p, ct, cfg.reverse_tolerance)
+                    ar, cmp3, a, b, mid, p, ct, cfg.reverse_tolerance)
             if label == _DONE:
                 new_l, new_r, last_exit = l, r, None
             else:

@@ -25,7 +25,7 @@ from tsqsort.inline import (TOTAL_BODY, _def_code, _default_cmp3,
 import conftest
 from test_inline_fuse import PINNED
 
-FLAGGED = (core._run_machine, smallsort.insertion_sort)
+FLAGGED = (core._run_machine, core._sorted_handler, smallsort.insertion_sort)
 
 
 def flagged(cmp3, xs, y):

@@ -711,7 +711,7 @@ def test_sorted_handler_scans_store_no_lc_or_rc_per_step(shape):
     ar = list(range(n))
     if shape == "equals_below":
         ar[1:mid] = [mid] * (mid - 1)
-    args = (ar, _default_cmp3, 0, n - 1, mid, [0] * core.CT_LEN)
+    args = (ar, _default_cmp3, 0, n - 1, mid, mid, [0] * core.CT_LEN, 0, 0)
     assert executed_stores(core._sorted_handler, args, ("lc", "rc")) <= 4
     assert executed_stores(core._sorted_handler.__wrapped__,
                            args[:1] + (generic,) + args[2:],

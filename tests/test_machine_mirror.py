@@ -16,7 +16,9 @@ The mirror map:
   a constant c, flip their sign (positions: l r ml mr m k k2);
 * ``pos - pos``, a length, swaps its operands;
 * a ``<``/``<=``/``>``/``>=`` comparison of two positions flips;
-* a test of ``lc`` (or of ``(lc := ...)``) against 0 flips.
+* a test of ``lc`` (or of ``(lc := ...)``) against 0 flips;
+* a comparison of an element ``ar[...]`` with the pivot ``p`` flips;
+* an int literal assigned to ``lc`` is negated.
 """
 
 import ast
@@ -62,6 +64,29 @@ def is_lc(node):
     return isinstance(node, ast.Name) and node.id == "lc"
 
 
+def is_element(node):
+    return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "ar")
+
+
+def is_pivot(node):
+    return isinstance(node, ast.Name) and node.id == "p"
+
+
+def negated(node):
+    """An int literal negated: ``c`` -> ``-c``, ``-c`` -> ``c``; a
+    conditional expression has both its values negated."""
+    if isinstance(node, ast.IfExp):
+        node.body = negated(node.body)
+        node.orelse = negated(node.orelse)
+        return node
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return node.operand
+    if is_const(node) and node.value:
+        return ast.UnaryOp(op=ast.USub(), operand=node)
+    return node
+
+
 class Mirror(ast.NodeTransformer):
     """The L -> R map; it is its own inverse."""
 
@@ -88,11 +113,18 @@ class Mirror(ast.NodeTransformer):
             node.op = FLIP_SIGN[type(node.op)]()
         return node
 
+    def visit_Assign(self, node):
+        self.generic_visit(node)
+        if len(node.targets) == 1 and is_lc(node.targets[0]):
+            node.value = negated(node.value)
+        return node
+
     def visit_Compare(self, node):
         assert len(node.ops) == 1, ast.unparse(node)
         left, right = node.left, node.comparators[0]
         flip = ((is_place(left) and is_place(right))
-                or (is_lc(left) and is_const(right) and right.value == 0))
+                or (is_lc(left) and is_const(right) and right.value == 0)
+                or (is_element(left) and is_pivot(right)))
         self.generic_visit(node)
         if flip:
             node.ops = [FLIP_ORDER[type(node.ops[0])]()]
@@ -150,8 +182,12 @@ def test_r_half_mirrors_l_half(block):
 def test_mirror_flips_what_it_names():
     src = ("ml += 1\nk2 = m + 1\nif r >= ml:\n    x = mr - ml <= (ml - l) // 4"
            "\nif (lc := cmp3(ar[l], p)) >= 0:\n    ct[CT_S3L] += 1"
-           "\nif k - m < r - k:\n    label = _MLEFT_NOSCAN\nnwa += 1")
+           "\nif k - m < r - k:\n    label = _MLEFT_NOSCAN\nnwa += 1"
+           "\nwhile ar[m] > p:\n    lc = -1 if ar[m] < p else 0\nlc = 1"
+           "\nlc = 0\nx = -1")
     want = ("mr -= 1\nk2 = m - 1\nif l <= mr:\n    x = mr - ml <= (r - mr) // 4"
             "\nif (lc := cmp3(ar[r], p)) <= 0:\n    ct[CT_S3R] += 1"
-            "\nif m - k < k - l:\n    label = _MRIGHT_NOSCAN\nnwa += 1")
+            "\nif m - k < k - l:\n    label = _MRIGHT_NOSCAN\nnwa += 1"
+            "\nwhile ar[m] < p:\n    lc = 1 if ar[m] > p else 0\nlc = -1"
+            "\nlc = 0\nx = -1")
     assert mirrored(ast.parse(src).body) == want

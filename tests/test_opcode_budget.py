@@ -36,13 +36,13 @@ N = 2000
 # is the measured count, with the total-order body for ints and strs,
 # the inline body for floats and the generic path for ``cmp``.
 BUDGETS = {
-    "sorted": ("sorted", None, 177417),
-    "reversed": ("reversed", None, 257133),
-    "fronthalfreversed": ("fronthalfreversed", None, 327805),
-    "backhalfreversed": ("backhalfreversed", None, 248631),
-    "random": ("random", None, 613745),
-    "arange100": ("arange100", None, 393878),
-    "strings": ("strings", None, 613749),
+    "sorted": ("sorted", None, 17985),
+    "reversed": ("reversed", None, 163192),
+    "fronthalfreversed": ("fronthalfreversed", None, 240435),
+    "backhalfreversed": ("backhalfreversed", None, 151718),
+    "random": ("random", None, 603725),
+    "arange100": ("arange100", None, 388175),
+    "strings": ("strings", None, 603729),
     "floats": ("floats", None, 744063),
     "cmp": ("random", cheap_cmp, 979875),
 }

@@ -36,8 +36,7 @@ from tsqsort.inline import _default_cmp3, compare_inline
 
 
 @compare_inline()
-def index_loop_handler(ar, cmp3, a, b, p, ct):
-    mid = (a + b) >> 1
+def index_loop_handler(ar, cmp3, a, b, mid, p, ct, depth, thr):
     nwa = 0
     lc = -1
     for l in range(a, mid):
@@ -144,7 +143,7 @@ def run(handler, values, a, b, cmp3):
     ar[mid] = None
     ct = [0] * CT_LEN
     Logged.log = []
-    out = handler(ar, cmp3, a, b, p, ct)
+    out = handler(ar, cmp3, a, b, mid, p, ct, 0, 0)
     log = Logged.log
     Logged.log = []
     hold = out[-1]
@@ -214,10 +213,11 @@ def test_the_n4_bypass_keeps_the_left_scans_lc():
     # the equal at mid + 1 and the scan for equals above runs zero
     # times; the stage bypasses with lc still -1
     ar = [0, None, 5, 9]
-    out = core._sorted_handler(ar, _default_cmp3, 0, 3, 5, [0] * CT_LEN)
+    out = core._sorted_handler(ar, _default_cmp3, 0, 3, 1, 5, [0] * CT_LEN,
+                               0, 0)
     assert out == (_DONE, 0, 3, 1, 2, 1, -1, None)
     assert out == index_loop_handler([0, None, 5, 9], _default_cmp3, 0, 3,
-                                     5, [0] * CT_LEN)
+                                     1, 5, [0] * CT_LEN, 0, 0)
 
 
 class Mutating:
@@ -258,9 +258,9 @@ def first_stage_scan_calls(n):
     scans."""
     calls = []
 
-    def spy(ar, cmp3, a, b, p, ct):
+    def spy(*args):
         calls.append(Mutating.calls)
-        out = handler(ar, cmp3, a, b, p, ct)
+        out = handler(*args)
         calls.append(Mutating.calls)
         return out
 
