@@ -20,7 +20,8 @@ import pytest
 
 from tsqsort import core, smallsort
 from tsqsort.inline import (TOTAL_BODY, _def_code, _default_cmp3,
-                            _source_def, _total_cmp3, compare_inline)
+                            _fold_flag, _source_def, _total_cmp3,
+                            compare_inline)
 
 import conftest
 from test_inline_fuse import PINNED
@@ -125,16 +126,18 @@ def while_true_lines(fn):
             and isinstance(n.test, ast.Constant) and n.test.value is True}
 
 
-@pytest.mark.parametrize("fn", [f for f in PINNED if f not in FLAGGED
-                                and not while_true_lines(f)],
+@pytest.mark.parametrize("fn", [f for f in PINNED
+                                if not while_true_lines(f)],
                          ids=lambda fn: fn.__name__)
 def test_a_def_compiled_again_is_the_original(fn):
-    # with neither the flag nor a while True: loop, the compile of the
-    # def that a flagged function's generic path runs is, bytecode and
-    # line for line, the function as written
+    # with no while True: loop, the compile of the def that a flagged
+    # function's generic path runs, with the flag folded to False, is,
+    # bytecode and line for line, the function as written, or for a
+    # flagged function its generic path: the def with no call inlined
     original = fn.__wrapped__
     tree, fdef, _ = _source_def(original)
     fdef.decorator_list = []
+    assert bool(_fold_flag(fdef, False)) == (fn in FLAGGED)
     code = _def_code(tree, fdef, original)
     want = original.__code__
     assert (code.co_firstlineno, code.co_code, list(code.co_lines())) == \
