@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .baselines import REGISTRY, get_algorithm
 from .datagen import DISTRIBUTIONS, GenSpec, generate
+from .inline import compile_all
 
 CSV_HEADER = ("algorithm,distribution,reorder,n,arange,seed,comparisons,"
               "element_writes,virtual_swaps,temp_high_water,max_depth,"
@@ -90,7 +91,9 @@ class GridSpec:
 
 def run_grid(grid: GridSpec, *, budget: int | None = DEFAULT_BUDGET,
              check_sorted: bool = False):
-    """Yield one BenchRecord per (cell x algorithm), grid order."""
+    """Yield one BenchRecord per (cell x algorithm), grid order.  Every
+    inline body is compiled before the first timed call, so no
+    ``wall_ns`` includes the compiler."""
     for name in grid.algos:
         get_algorithm(name)  # validate names before any work
     if budget is not None and grid.work() > budget:
@@ -99,6 +102,7 @@ def run_grid(grid: GridSpec, *, budget: int | None = DEFAULT_BUDGET,
             "pass --full to run it anyway")
     from .config import SortConfig
     cfg = SortConfig(mitigation_enabled=grid.mitigation)
+    compile_all()
     for dist, kind, n, arange, seed in grid.cells():
         spec = GenSpec(distribution=dist, reorder=kind, n=n, arange=arange,
                        seed=seed)

@@ -76,8 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--n", type=int, default=2000)
     o.add_argument("--seed", type=int, default=31,
                    help="GenSpec seed of the input")
-    o.add_argument("--cmp", choices=("none", "cheap"), default="none",
-                   help="the default comparator, or (x > y) - (x < y)")
+    o.add_argument("--cmp", choices=("none", "cheap", "costly"),
+                   default="none",
+                   help="the default comparator, (x > y) - (x < y), or "
+                        "that on case-folded strings (--shape strings)")
     o.add_argument("--algo", default="tristate", choices=sorted(REGISTRY))
     o.add_argument("--by", choices=("line", "function"), default="line")
     o.add_argument("--top", type=int, default=20)
@@ -154,10 +156,13 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .profile import cheap_cmp, profile_sort, report
+    from .profile import COMPARATORS, profile_sort, report
+    if args.cmp == "costly" and args.shape != "strings":
+        print("error: --cmp costly compares strings: use --shape strings",
+              file=sys.stderr)
+        return 2
     census, ar = profile_sort(args.shape, args.n, args.seed,
-                              cheap_cmp if args.cmp == "cheap" else None,
-                              args.algo, by_line=True)
+                              COMPARATORS[args.cmp], args.algo, by_line=True)
     if ar != sorted(ar):
         print("error: the sort's output is not sorted", file=sys.stderr)
         return 1

@@ -87,10 +87,11 @@ after the partition and before the driver goes on to its sides, with an
 The machine, both fast-path handlers, the pivot medians and the
 insertion sort are decorated with ``inline.compare_inline``: an ``ast``
 transformer compiles them once more from their own source with every
-``cmp3(x, y)`` call inlined, and that variant runs whenever the
-comparator is the default one.  A scan's test, written as
-``if (lc := cmp3(ar[l], p)) >= 0: break``, compiles to branches on
-``<`` and ``>`` themselves, with no three-way value built or re-tested.
+``cmp3(x, y)`` call inlined, on the first call that needs it, and that
+variant runs whenever the comparator is the default one.  A scan's
+test, written as ``if (lc := cmp3(ar[l], p)) >= 0: break``, compiles to
+branches on ``<`` and ``>`` themselves, with no three-way value built or
+re-tested.
 When the default comparator sorts a list of exact ints or of exact
 strs, ``Sorter.sort_with_stats`` passes ``inline._total_cmp3`` down
 instead, and each of them runs its total-order body, whose scans make
@@ -1018,8 +1019,9 @@ def _sorted_run(n, thr, memo=None):
     of one element.  The array is left as it was.  ``height`` is how
     much deeper than the range its deepest range lies.  The sizes of
     one level take at most two adjacent values, so a call memoises at
-    most two a level in ``memo``, a dict of its own: no cache outlives
-    the call, and the call costs the same whatever ran before it.
+    most two a level in ``memo``: a dict of its own, or one the two
+    sides of a stage share.  No cache outlives the stage, and the call
+    costs the same whatever ran before it.
     """
     if n <= thr:
         return 0, n - 1, 0, 0
@@ -1050,18 +1052,18 @@ def _sorted_run(n, thr, memo=None):
     return run
 
 
-def _sorted_side(ar, lo, hi, thr, depth, ct) -> bool:
+def _sorted_side(ar, lo, hi, thr, depth, ct, memo=None) -> bool:
     """Whether the side ar[lo..hi] of a stage at ``depth`` is strictly
     increasing, tested in one C pass; if it is, its subtree's counts,
-    ``_sorted_run``'s, are added to ``ct`` as the driver would add them,
-    its deepest range at ``depth + 1 + height``."""
+    ``_sorted_run``'s with ``memo``, are added to ``ct`` as the driver
+    would add them, its deepest range at ``depth + 1 + height``."""
     it = iter(ar)
     it.__setstate__(lo)
     it2 = iter(ar)
     it2.__setstate__(lo + 1)
     if not all(map(lt, islice(it, hi - lo), it2)):
         return False
-    stages, ncmp, nwa, height = _sorted_run(hi - lo + 1, thr)
+    stages, ncmp, nwa, height = _sorted_run(hi - lo + 1, thr, memo)
     ct[CT_CMP] += ncmp
     ct[CT_WA] += nwa
     ct[CT_STAGES] += stages
@@ -1178,10 +1180,14 @@ def _sorted_handler(ar, cmp3, a, b, mid, p, ct, depth, thr):
         r += 1
         out = _DONE
         if TOTAL_BODY and thr:
-            # a strictly increasing side is counted by law and dropped
-            if l > a and _sorted_side(ar, a, l, thr, depth, ct):
+            # a strictly increasing side is counted by law and dropped;
+            # when the left one is, the right one reads the levels of
+            # its memo, which on a sorted range it has nearly all
+            if l > a and _sorted_side(ar, a, l, thr, depth, ct, memo := {}):
                 l = a - 1
-            if r < b and _sorted_side(ar, r, b, thr, depth, ct):
+                if r < b and _sorted_side(ar, r, b, thr, depth, ct, memo):
+                    r = b + 1
+            elif r < b and _sorted_side(ar, r, b, thr, depth, ct):
                 r = b + 1
     else:
         if l == mid:

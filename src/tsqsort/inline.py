@@ -2,9 +2,9 @@
 
 ``_default_cmp3`` is the three-way comparator every entry point uses
 when none is given.  Calling it costs a Python call per comparison, so
-the hot functions are decorated with :func:`compare_inline`.  At import
-the decorator compiles, from the function's own source lines, a variant
-in which each ``cmp3(x, y)`` compares inline.  Both forms below run
+the hot functions are decorated with :func:`compare_inline`, which
+compiles, from the function's own source lines, a variant in which each
+``cmp3(x, y)`` compares inline.  Both forms below run
 ``<`` and then, only when that is false, ``>`` on the same operands,
 each result truth-tested once, as ``_default_cmp3`` does, so every rich
 comparison, count and result is the same on either path:
@@ -58,8 +58,25 @@ calls the comparator as given.  Where the source lines cannot be had (a
 sourceless install) or do not hold the function's def, the decorator
 returns the original function, which is correct with any comparator.
 
+Nothing is parsed or compiled at import.  The decorator reads the
+function's source lines and returns a new function, which stays the
+module global for good, whose code is a trampoline.  Its first call
+compiles the dispatch with a stub in place of each body, and each stub,
+on the first call that reaches it, compiles its body into the same
+function's code and calls it again; so the code holds the bodies
+called so far, and a later call runs the dispatch with no extra step.
+A code object's free variables must match the function's closure, so
+every code the function takes, trampoline included, closes over one
+cell, the original function; the compile hook, the default and
+total-order comparators and :func:`_total_order` are globals that the
+decorator binds in the function's module under reserved names.  A
+compile holds a lock, so threads that race a first call compile each
+body once; the calls after it take no lock.
+:func:`compile_all` compiles every body now, and :func:`compiled` tells
+which each function holds.
+
 The compiled function holds a second inline body, the total-order
-body, compiled from a second parse of the same lines.  It runs when the
+body, compiled from a parse of its own.  It runs when the
 comparator is ``_total_cmp3`` (or, under the ``cmp`` convention, when
 the comparator is the default one and the sequence passes
 :func:`_total_order`): every element is an exact ``int`` or every one
@@ -111,8 +128,10 @@ flag or holds such a loop gets, as its own ``__code__``, its source
 compiled once more the same way, with the flag folded to False, so the
 generic path tests the flag no more and runs no more ``NOP``s than the
 compiled bodies do; any other function runs as written on the generic
-path.  A sourceless install keeps the function as written, which reads
-the module global ``TOTAL_BODY = False``.
+path.  That compile, too, waits for the first call of the generic path.
+A sourceless install keeps the function as written, which reads the
+module global ``TOTAL_BODY = False``, and so does a function whose
+lines do not parse at its first call.
 """
 
 from __future__ import annotations
@@ -120,10 +139,12 @@ from __future__ import annotations
 import __future__
 import ast
 import copy
+import gc
 import linecache
 import re
+import threading
 from bisect import bisect_left
-from types import CodeType, FunctionType
+from types import CellType, CodeType, FunctionType
 
 # the comparator name the transformer inlines
 CALLEE = "cmp3"
@@ -134,7 +155,12 @@ _GENERIC = "_cmp3_generic"
 _DEFAULT = "_cmp3_default"
 _TOTAL = "_cmp3_total"
 _TOTAL_ORDER = "_cmp3_total_order"
-_RESERVED = (_TMP_X, _TMP_Y, _GENERIC, _DEFAULT, _TOTAL, _TOTAL_ORDER)
+_COMPILE = "_cmp3_compile"
+_RESERVED = (_TMP_X, _TMP_Y, _GENERIC, _DEFAULT, _TOTAL, _TOTAL_ORDER,
+             _COMPILE)
+# the bodies a decorated function's code may hold
+TOTAL, INLINE, GENERIC = "total", "inline", "generic"
+BODIES = frozenset((TOTAL, INLINE, GENERIC))
 # where a call of the comparator may start in the source text
 _CALL_TEXT = re.compile(rf"\b{CALLEE}\s*\(")
 # the compile-time flag: True in the total-order body, False elsewhere
@@ -173,8 +199,8 @@ def _total_order(seq) -> bool:
 
 
 def compare_inline(param: str = CALLEE):
-    """Decorator: compile a variant of a top-level function in which
-    every ``cmp3(x, y)`` call compares inline.
+    """Decorator: compile, on first use, variants of a top-level function
+    in which every ``cmp3(x, y)`` call compares inline.
 
     ``param`` names the parameter that carries the comparator.  When it
     is ``cmp3`` itself, the inline body runs iff it is ``_default_cmp3``
@@ -185,10 +211,148 @@ def compare_inline(param: str = CALLEE):
     body runs when :func:`_total_order` accepts that sequence, with the
     parameter bound to ``_total_cmp3``, so what the body passes the
     comparator on to runs its own total-order body.
+
+    The decorator parses and compiles nothing.  It refuses a function
+    that is not top-level, takes ``*args``, keyword-only or ``**kwargs``
+    parameters, uses a reserved name or has no ``cmp3(`` in its text;
+    what only the parse shows is refused by the first call.  Decorating
+    a function twice returns the same compiled function.
     """
     def decorate(fn):
-        return _compile_variant(fn, param)
+        return _register(fn, param)
     return decorate
+
+
+# co_flags of a code that takes *args or **kwargs
+_CO_STAR_ARGS = 0x04 | 0x08
+# how each line after a def's first one may start
+_BODY_START = (" ", "\t", "\r", "\n", "#", ")", "]", "}")
+
+
+class _Lazy:
+    """A decorated function: its original ``fn``, the function ``new``
+    that stands for it, fn's code and source lines as the decorator found
+    them, and the bodies new's code holds.  ``failed`` is set once a
+    compile of it raised or its lines did not parse."""
+
+    __slots__ = ("fn", "param", "new", "code", "lines", "bodies", "failed")
+
+    def __init__(self, fn, param, new, lines):
+        self.fn = fn
+        self.param = param
+        self.new = new
+        self.code = fn.__code__
+        self.lines = lines
+        self.bodies = frozenset()
+        self.failed = False
+
+
+# original function -> its record, in the order of decoration
+_REGISTRY = {}
+# held while a compile reads and sets a record's bodies
+_COMPILING = threading.Lock()
+
+
+def _trampoline(_cmp3_generic):
+    def first_call(*args, **kwargs):
+        return _cmp3_compile(_cmp3_generic, None)(*args, **kwargs)
+    return first_call
+
+
+# a decorated function's code until its first call
+_TRAMPOLINE = _trampoline(None).__code__
+
+
+def _register(fn, param: str):
+    if fn.__qualname__ != fn.__name__:
+        raise ValueError(f"{fn.__qualname__} is not a top-level def")
+    code = fn.__code__
+    if code.co_flags & _CO_STAR_ARGS or code.co_kwonlyargcount:
+        raise ValueError(f"{fn.__name__} takes *args, keyword-only or "
+                         "**kwargs parameters")
+    lines = linecache.getlines(code.co_filename, fn.__globals__)
+    src = _def_text(lines, code.co_firstlineno, _last_code_line(code),
+                    fn.__name__)
+    if src is None:
+        return fn
+    for name in _RESERVED:
+        if name in src:
+            raise ValueError(f"{fn.__qualname__} uses reserved name {name}")
+    if _CALL_TEXT.search(src) is None:
+        raise ValueError(f"{fn.__qualname__} has no {CALLEE}(x, y) call")
+    rec = _REGISTRY.get(fn)
+    if rec is not None:
+        if rec.param != param:
+            raise ValueError(f"{fn.__qualname__} is compiled already for "
+                             f"{rec.param}")
+        return rec.new
+    fn.__globals__.update(_HOOKS)
+    new = FunctionType(_TRAMPOLINE, fn.__globals__, fn.__name__,
+                       fn.__defaults__, (CellType(fn),))
+    new.__qualname__ = fn.__qualname__
+    new.__doc__ = fn.__doc__
+    new.__annotations__ = dict(fn.__annotations__)
+    new.__wrapped__ = fn
+    _REGISTRY[fn] = _Lazy(fn, param, new, lines)
+    return new
+
+
+def _def_text(lines: list, first: int, last: int, name: str):
+    """Lines ``first..last`` (1-based) of the top-level def ``name`` as
+    one text, or None when they do not look like its lines: past its
+    decorators a line opens ``def name``, and every line after it is
+    blank, indented, a comment or a closing bracket."""
+    span = lines[first - 1:last]
+    if len(span) != last - first + 1:
+        return None
+    i = 0
+    while i < len(span) and span[i][:1] in ("@", " ", "\t"):
+        i += 1
+    if i == len(span) or not re.match(rf"(async\s+)?def\s+{name}\b",
+                                      span[i]):
+        return None
+    if any(line[:1] not in _BODY_START for line in span[i + 1:]):
+        return None
+    return "".join(span)
+
+
+def _cmp3_compile(fn, body):
+    """Compile ``body``, one of :data:`BODIES`, into the code of the
+    function decorated from ``fn``, and return that function; ``body``
+    is None on its first call, which compiles the dispatch alone.  Its
+    code calls this on the first call of each kind, and runs its
+    dispatch with no extra step on every later one."""
+    rec = _REGISTRY[fn]
+    with _COMPILING:
+        # a thread that waited here may find the work done
+        if body in rec.bodies or (body is None
+                                  and rec.new.__code__ is not _TRAMPOLINE):
+            return rec.new
+        _install(rec, rec.bodies | {body} if body else rec.bodies)
+    return rec.new
+
+
+# the names a compiled dispatch reads from its module's globals
+_HOOKS = {_COMPILE: _cmp3_compile, _DEFAULT: _default_cmp3,
+          _TOTAL: _total_cmp3, _TOTAL_ORDER: _total_order}
+
+
+def compile_all() -> None:
+    """Compile every body of every decorated function now, so that no
+    later call compiles anything: before a count of executed opcodes,
+    say, or a timed first call.  A function whose compile raised is left
+    as it is."""
+    with _COMPILING:
+        for rec in list(_REGISTRY.values()):
+            if rec.bodies != BODIES and not rec.failed:
+                _install(rec, BODIES)
+
+
+def compiled() -> dict:
+    """``module.name`` of each decorated function -> the bodies its code
+    holds so far, a frozenset of :data:`BODIES`."""
+    return {f"{rec.fn.__module__}.{rec.fn.__qualname__}": rec.bodies
+            for rec in list(_REGISTRY.values())}
 
 
 def _last_code_line(code: CodeType) -> int:
@@ -229,68 +393,129 @@ def _source_def(fn):
     if fn.__qualname__ != fn.__name__:
         raise ValueError(f"{fn.__qualname__} is not a top-level def")
     code = fn.__code__
-    lines = linecache.getlines(code.co_filename, fn.__globals__)
+    return _read_def(linecache.getlines(code.co_filename, fn.__globals__),
+                     code, fn.__name__)
+
+
+def _read_def(lines: list, code: CodeType, name: str):
+    """:func:`_source_def` of the def ``name`` of ``code`` in ``lines``."""
     tree, src = _parse_def(lines, code.co_firstlineno, _last_code_line(code))
     if tree is None or len(tree.body) != 1:
         return None, None, src
     fdef = tree.body[0]
-    if not isinstance(fdef, ast.FunctionDef) or fdef.name != fn.__name__:
+    if fdef.__class__ is not ast.FunctionDef or fdef.name != name:
         return None, None, src
     return tree, fdef, src
 
 
-def _compile_variant(fn, param: str):
-    tree, fdef, src = _source_def(fn)
-    if fdef is None:
-        return fn
-    code = fn.__code__
-    for name in _RESERVED:
-        if name in src:
-            raise ValueError(f"{fn.__qualname__} uses reserved name {name}")
-    fdef.decorator_list = []
-    flagged = _FLAG in src and _fold_flag(fdef, False)
-    if _loop_lines(fdef) or flagged:
-        # the generic path runs fn compiled from this def, with the flag
-        # folded to False and no NOP for a while True:, as the bodies do
-        fn.__code__ = _def_code(tree, fdef, fn)
-    call_lines = _call_lines(src, code.co_firstlineno)
-    if _inline_calls(fdef, call_lines) == (0, 0):
-        raise ValueError(f"{fn.__qualname__} has no {CALLEE}(x, y) call")
-    # the total-order body from a second parse of the same text, which
-    # costs a quarter of a deep copy of the def
-    total = ast.parse("\n" * (code.co_firstlineno - 1) + src).body[0]
-    if flagged:
-        _fold_flag(total, True)
-    _loop_lines(total)
-    _inline_calls(total, call_lines, total=True)
-    if ast.get_docstring(fdef) is not None:
-        # behind the dispatch the docstring would run as a NOP on every
-        # call; the variant takes fn.__doc__ below
-        del fdef.body[0]
-        del total.body[0]
-    fdef.body[:0] = _dispatch(fdef, param, total.body)
+def _install(rec: _Lazy, bodies: frozenset) -> None:
+    """Compile the dispatch of ``rec``'s function with ``bodies`` and a
+    stub for each other body into its code, and record them as held.
 
-    # def _make(generic, default, total, total_order): <fdef>
-    #     return <fdef.name>
-    loc = _loc(fdef)
-    make = ast.FunctionDef(
-        name="_make",
-        args=ast.arguments(
-            posonlyargs=[],
-            args=[ast.arg(n, **loc)
-                  for n in (_GENERIC, _DEFAULT, _TOTAL, _TOTAL_ORDER)],
-            kwonlyargs=[], kw_defaults=[], defaults=[]),
-        body=[fdef, ast.Return(ast.Name(fdef.name, ast.Load(), **loc),
-                               **loc)],
-        decorator_list=[], **loc)
-    tree.body = [make]
-    new = _exec(tree, fn)["_make"](fn, _default_cmp3, _total_cmp3,
-                                   _total_order)
-    new.__defaults__ = fn.__defaults__
-    new.__qualname__ = fn.__qualname__
-    new.__doc__ = fn.__doc__
-    new.__wrapped__ = fn
-    return new
+    The inline body and the generic path come from one parse of the
+    source lines, with the flag folded to False, and the total-order
+    body from another, with it folded to True.  The generic path runs
+    fn, whose own code is replaced by that def compiled alone when it
+    tests the flag or holds a ``while True:``.  Where the lines do not
+    parse into fn's def, the code only calls fn, as written."""
+    fn = rec.fn
+    code = rec.code
+    first = code.co_firstlineno
+    params = code.co_varnames[:code.co_argcount]
+    loc = {"lineno": first, "col_offset": 0, "end_lineno": first,
+           "end_col_offset": 0}
+    # The parse and the compile make many short-lived objects, none in a
+    # cycle; a collection they set off would only walk the caller's heap,
+    # which at a first call may hold the data it sorts.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        if not bodies:
+            body = _dispatch(params, rec.param, None, None, False, loc)
+        else:
+            tree, fdef, src = _read_def(rec.lines, code, fn.__name__)
+            if fdef is None:
+                rec.failed = True
+                bodies = frozenset()
+                body = [ast.Return(_call(_GENERIC, params, loc), **loc)]
+            else:
+                body = _bodies(rec, bodies, tree, fdef, src, params, loc)
+        # def _make(generic):
+        #     def <name>(<parameters>): <body>
+        #     return <name>
+        posonly = code.co_posonlyargcount
+        inner = ast.FunctionDef(
+            name=fn.__name__,
+            args=ast.arguments(
+                posonlyargs=[ast.arg(n, **loc) for n in params[:posonly]],
+                args=[ast.arg(n, **loc) for n in params[posonly:]],
+                kwonlyargs=[], kw_defaults=[], defaults=[]),
+            body=body, decorator_list=[], **loc)
+        make = ast.FunctionDef(
+            name="_make",
+            args=ast.arguments(posonlyargs=[],
+                               args=[ast.arg(_GENERIC, **loc)],
+                               kwonlyargs=[], kw_defaults=[], defaults=[]),
+            body=[inner, ast.Return(ast.Name(fn.__name__, ast.Load(),
+                                             **loc), **loc)],
+            decorator_list=[], **loc)
+        rec.new.__code__ = _exec(ast.Module([make], []), fn)["_make"](
+            fn).__code__
+        rec.bodies = bodies
+    except ValueError:
+        rec.failed = True
+        raise
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _bodies(rec, bodies, tree, fdef, src, params, loc) -> list:
+    """The statements of a compiled function that holds ``bodies``,
+    from ``fdef``, the def of ``rec``'s function parsed as module
+    ``tree`` from the text ``src``."""
+    fn = rec.fn
+    first = rec.code.co_firstlineno
+    call_lines = _call_lines(src, first)
+    inline = total = None
+    if bodies - {TOTAL}:
+        fdef.decorator_list = []
+        flagged = _FLAG in src and _fold_flag(fdef, False)
+        if (_loop_lines(fdef) or flagged) and GENERIC in bodies \
+                and fn.__code__ is rec.code:
+            # the generic path runs fn compiled from this def, with the
+            # flag folded to False and no NOP for a while True:, as the
+            # bodies do
+            fn.__code__ = _def_code(tree, fdef, fn)
+        if INLINE in bodies:
+            _inline_calls_of(fdef, call_lines, False)
+            inline = _statements(fdef)
+        if TOTAL in bodies:
+            # the total-order body from a second parse of the same text,
+            # which costs a quarter of a deep copy of the def
+            fdef = ast.parse("\n" * (first - 1) + src).body[0]
+    if TOTAL in bodies:
+        if _FLAG in src:
+            _fold_flag(fdef, True)
+        _loop_lines(fdef)
+        _inline_calls_of(fdef, call_lines, True)
+        total = _statements(fdef)
+    return _dispatch(params, rec.param, total, inline, GENERIC in bodies,
+                     loc)
+
+
+def _statements(fdef) -> list:
+    """The statements of ``fdef`` but its docstring, which behind the
+    dispatch would run as a ``NOP`` on every call; the compiled function
+    takes fn.__doc__ instead."""
+    if ast.get_docstring(fdef) is not None:
+        return fdef.body[1:]
+    return fdef.body
+
+
+def _inline_calls_of(fdef, call_lines: list, total: bool) -> None:
+    if _inline_calls(fdef, call_lines, total=total) == (0, 0):
+        raise ValueError(f"{fdef.name} has no {CALLEE}(x, y) call")
 
 
 def _loc(node) -> dict:
@@ -301,11 +526,23 @@ def _loc(node) -> dict:
 
 def _exec(tree, fn) -> dict:
     """The names ``tree`` defines, run as code of ``fn``'s file in fn's
-    globals."""
+    globals.  A use of the flag that :func:`_fold_flag` left is refused:
+    the compiled code's names show one at once, and only then is the
+    tree walked for its line."""
+    code = compile(tree, fn.__code__.co_filename, "exec", dont_inherit=True,
+                   flags=__future__.annotations.compiler_flag)
+    stack = [code]
+    while stack:
+        c = stack.pop()
+        if _FLAG in c.co_names or _FLAG in c.co_varnames:
+            for node in ast.walk(tree):
+                if node.__class__ is ast.Name and node.id == _FLAG:
+                    raise ValueError(
+                        f"{_FLAG} is used outside an if test, alone or "
+                        f"first in an and, on line {node.lineno}")
+        stack.extend(k for k in c.co_consts if isinstance(k, CodeType))
     ns = {}
-    exec(compile(tree, fn.__code__.co_filename, "exec", dont_inherit=True,
-                 flags=__future__.annotations.compiler_flag),
-         fn.__globals__, ns)
+    exec(code, fn.__globals__, ns)
     return ns
 
 
@@ -326,8 +563,8 @@ def _fold_flag(root, value: bool) -> int:
     and return how many were folded.  The test of an ``if`` may be
     ``FLAG`` alone or first in an ``and``: a test found true is replaced
     by the rest of the ``and``, or with none left the ``if`` by its body,
-    and a test found false by its ``else``.  Any other use of the flag is
-    an error, so no body loads it."""
+    and a test found false by its ``else``.  Any other use of the flag
+    stays, and :func:`_exec` refuses it, so no body loads it."""
     folded = 0
 
     def block(stmts):
@@ -362,10 +599,6 @@ def _fold_flag(root, value: bool) -> int:
                     nested(sub)
 
     nested(root)
-    for node in ast.walk(root):
-        if node.__class__ is ast.Name and node.id == _FLAG:
-            raise ValueError(f"{_FLAG} is used outside an if test, alone "
-                             f"or first in an and, on line {node.lineno}")
     return folded
 
 
@@ -409,13 +642,15 @@ def _loop_lines(root) -> int:
     return len(loops)
 
 
-def _dispatch(fdef: ast.FunctionDef, param: str, total: list) -> list:
-    """The statements that lead the compiled body.  For ``cmp3``::
+def _dispatch(params, param: str, total, inline, generic: bool,
+              loc: dict) -> list:
+    """The statements of the compiled function.  For ``cmp3``::
 
         if cmp3 is not default:
             if cmp3 is total:
                 <total>
             return generic(<all parameters>)
+        <inline>
 
     and for the ``cmp`` convention, ``seq`` the first parameter::
 
@@ -424,36 +659,55 @@ def _dispatch(fdef: ast.FunctionDef, param: str, total: list) -> list:
         if total_order(seq):
             cmp = total
             <total>
+        <inline>
 
-    ``total`` is the total-order body, which is ended by a ``return`` so
-    that it never runs on into the next body."""
-    a = fdef.args
-    if a.vararg or a.kwonlyargs or a.kwarg:
-        raise ValueError(f"{fdef.name} takes *args, keyword-only or "
-                         "**kwargs parameters")
-    loc = _loc(fdef)
+    ``total`` and ``inline`` are the bodies' statements, the total-order
+    body ended by a ``return`` so that it never runs on into the inline
+    one.  A body that is None, and the generic call while ``generic`` is
+    false, is a stub that compiles it and calls the function again::
 
+        return compile(generic, "<body>")(<all parameters>)
+
+    so the stub of the total-order body comes before ``cmp = total``."""
     def name(n):
         return ast.Name(n, ast.Load(), **loc)
 
-    params = [x.arg for x in a.posonlyargs + a.args]
-    total = total + [ast.Return(None, **_loc(total[-1]))]
-    generic = ast.Return(ast.Call(name(_GENERIC), [name(x) for x in params],
-                                  [], **loc), **loc)
+    def stub(body):
+        hook = ast.Call(name(_COMPILE),
+                        [name(_GENERIC), ast.Constant(body, **loc)], [],
+                        **loc)
+        return [ast.Return(ast.Call(hook, [name(x) for x in params], [],
+                                    **loc), **loc)]
+
+    if total is None:
+        total = stub(TOTAL)
+    else:
+        total = total + [ast.Return(None, **_loc(total[-1]))]
+        if param != CALLEE:
+            total = [ast.Assign([ast.Name(param, ast.Store(), **loc)],
+                                name(_TOTAL), **loc)] + total
+    inline = stub(INLINE) if inline is None else inline
+    call = (ast.Return(_call(_GENERIC, params, loc), **loc) if generic else
+            stub(GENERIC)[0])
     other = ast.Compare(name(param), [ast.IsNot()], [name(_DEFAULT)], **loc)
     if param == CALLEE:
         chosen = ast.Compare(name(param), [ast.Is()], [name(_TOTAL)], **loc)
-        return [ast.If(other, [ast.If(chosen, total, [], **loc), generic],
-                       [], **loc)]
+        return [ast.If(other, [ast.If(chosen, total, [], **loc), call],
+                       [], **loc)] + inline
     other = ast.BoolOp(ast.And(), [
         ast.Compare(name(param), [ast.IsNot()], [ast.Constant(None, **loc)],
                     **loc),
         other], **loc)
     chosen = ast.Call(name(_TOTAL_ORDER), [name(params[0])], [], **loc)
-    bind = ast.Assign([ast.Name(param, ast.Store(), **loc)], name(_TOTAL),
-                      **loc)
-    return [ast.If(other, [generic], [], **loc),
-            ast.If(chosen, [bind] + total, [], **loc)]
+    return [ast.If(other, [call], [], **loc),
+            ast.If(chosen, total, [], **loc)] + inline
+
+
+def _call(fn: str, params, loc: dict) -> ast.Call:
+    """``fn(<all parameters>)``."""
+    return ast.Call(ast.Name(fn, ast.Load(), **loc),
+                    [ast.Name(x, ast.Load(), **loc) for x in params], [],
+                    **loc)
 
 
 # nodes that hold no call: the walk does not descend into them
@@ -496,7 +750,7 @@ def _inline_calls(root, call_lines: list, held=None,
     is taken as ``root`` when it is None.  ``total`` compiles the fused
     tests of the total-order body (:func:`_branches`).  An explicit-stack
     walk: ``ast.NodeTransformer`` costs about five times as much, which
-    shows in the import time."""
+    shows in a first call's compile."""
     if held is None:
         held = _held_constants(root)
     inlined = fused = 0
@@ -600,7 +854,7 @@ def _held_constants(root) -> dict:
     names.  The name then holds C at every
     test that one of the test's own arms did not leave the loop after.
     Only statement blocks are walked, and every node of a loop only when
-    it is a candidate, which keeps the pass cheap at import.
+    it is a candidate, which keeps the pass cheap at a compile.
     """
     shared = set()
     found = []

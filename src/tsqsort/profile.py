@@ -38,8 +38,9 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
-__all__ = ["OpcodeCensus", "SHAPES", "cheap_cmp", "count_opcodes",
-           "profile_sort", "report", "shape_input", "top_lines"]
+__all__ = ["COMPARATORS", "OpcodeCensus", "SHAPES", "cheap_cmp",
+           "costly_cmp", "count_opcodes", "profile_sort", "report",
+           "shape_input", "top_lines"]
 
 _NOP = dis.opmap["NOP"]
 
@@ -65,9 +66,13 @@ class OpcodeCensus:
 def count_opcodes(fn, *args, by_line: bool = False, **kwargs) -> OpcodeCensus:
     """Run ``fn(*args, **kwargs)`` under an opcode tracer and return its
     census.  The tracer in place before the call is restored after it,
-    also when the call raises.  The garbage collector is paused during
-    the call, so no callback in ``gc.callbacks`` runs inside it and
-    counts its own opcodes."""
+    also when the call raises.  Every body of every function decorated
+    with ``inline.compare_inline`` is compiled first, so no count
+    includes the compiler, whatever ran before.  The garbage collector
+    is paused during the call, so no callback in ``gc.callbacks`` runs
+    inside it and counts its own opcodes."""
+    from .inline import compile_all
+    compile_all()
     census = OpcodeCensus()
     lines = census.lines
     nops = census.nops
@@ -119,6 +124,19 @@ def top_lines(census: Counter, n: int = 20) -> list:
 def cheap_cmp(x, y) -> int:
     """The cheap Python comparator of ``--cmp cheap``."""
     return (x > y) - (x < y)
+
+
+def costly_cmp(x: str, y: str) -> int:
+    """The costly Python comparator of ``--cmp costly``: strings compared
+    case-folded, two new strings a comparison, as a locale-free stand-in
+    for a collating comparator."""
+    x = x.casefold()
+    y = y.casefold()
+    return (x > y) - (x < y)
+
+
+#: ``--cmp`` choice -> comparator; ``costly`` compares strings only
+COMPARATORS = {"none": None, "cheap": cheap_cmp, "costly": costly_cmp}
 
 
 def _hex8(v) -> str:

@@ -6,6 +6,16 @@ import pytest
 ACCEPTANCE_LINES = []
 
 
+@pytest.fixture(scope="session", autouse=True)
+def compile_every_body():
+    """Compile every body of every decorated function before the first
+    test.  A decorated function compiles a body on its first call of
+    that kind, and several tests read the compiled code, or trace it,
+    before making any call."""
+    from tsqsort import inline
+    inline.compile_all()
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

@@ -296,11 +296,14 @@ def test_compare_inline_without_the_source_keeps_the_function(monkeypatch,
 
 
 def test_sorts_compile_nothing():
-    # every variant is compiled at import, so a timed first call of any
-    # algorithm pays for no parse or compile
+    # after inline.compile_all() every body is compiled, so a timed
+    # first call of any algorithm pays for no parse or compile
     script = textwrap.dedent("""
         import ast, builtins, random
+        from tsqsort import inline
         from tsqsort.baselines import REGISTRY
+
+        inline.compile_all()
 
         def refuse(*args, **kwargs):
             raise AssertionError("compiled during a sort")

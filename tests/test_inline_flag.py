@@ -103,15 +103,19 @@ def test_a_sourceless_install_reads_the_global_flag(monkeypatch):
 
 
 def test_the_flag_outside_an_if_test_is_refused():
+    # only the parse shows how the flag is used, so the first call, which
+    # compiles a body, refuses it
+    compiled = compare_inline()(misused)
     with pytest.raises(ValueError, match="TOTAL_BODY is used outside"):
-        compare_inline()(misused)
+        compiled(_default_cmp3, 1, 2)
 
 
 def test_a_negated_flag_is_refused():
     # `if TOTAL_BODY: ... else: ...` says the same, so only the flag
     # itself, alone or first in an `and`, is folded
+    compiled = compare_inline()(negated)
     with pytest.raises(ValueError, match="TOTAL_BODY is used outside"):
-        compare_inline()(negated)
+        compiled(_total_cmp3, 1, 2)
 
 
 @pytest.mark.parametrize("fn", FLAGGED, ids=lambda fn: fn.__name__)

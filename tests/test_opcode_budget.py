@@ -36,10 +36,10 @@ N = 2000
 # is the measured count, with the total-order body for ints and strs,
 # the inline body for floats and the generic path for ``cmp``.
 BUDGETS = {
-    "sorted": ("sorted", None, 17985),
-    "reversed": ("reversed", None, 163192),
-    "fronthalfreversed": ("fronthalfreversed", None, 240435),
-    "backhalfreversed": ("backhalfreversed", None, 151718),
+    "sorted": ("sorted", None, 17065),
+    "reversed": ("reversed", None, 160306),
+    "fronthalfreversed": ("fronthalfreversed", None, 239189),
+    "backhalfreversed": ("backhalfreversed", None, 150450),
     "random": ("random", None, 603725),
     "arange100": ("arange100", None, 388175),
     "strings": ("strings", None, 603729),

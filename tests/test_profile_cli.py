@@ -17,7 +17,8 @@ from test_opcode_budget import shape_input as budget_input
 
 from tsqsort import Sorter, dual_pivot_qsort
 from tsqsort.cli import PROFILE_SHAPES, main
-from tsqsort.profile import SHAPES, cheap_cmp, count_opcodes, shape_input
+from tsqsort.profile import (SHAPES, cheap_cmp, costly_cmp, count_opcodes,
+                             shape_input)
 
 
 def run(capsys, *argv):
@@ -85,6 +86,30 @@ def test_baseline_total(capsys):
     census = count_opcodes(dual_pivot_qsort, ar, None, 1)
     assert value(lines, "opcodes") == census.total
     assert value(lines, "comparisons") == census.result.comparisons
+
+
+def test_costly_comparator_sorts_strings_case_folded(capsys):
+    lines = run(capsys, "--shape", "strings", "--cmp", "costly", "--n",
+                "500", "--top", "3")
+    assert lines[0].startswith("# profile: algo tristate, shape strings, "
+                               "n 500, seed 31, cmp costly")
+    ar = shape_input("strings", 500, 31)
+    census = count_opcodes(Sorter(seed=1).sort_with_stats, list(ar),
+                           costly_cmp)
+    assert value(lines, "opcodes") == census.total
+    assert value(lines, "comparisons") == census.result.comparisons
+    # the hex strings hold no capitals, so the folded order is theirs and
+    # the comparisons are those of the cheap comparator, at a higher cost
+    cheap = count_opcodes(Sorter(seed=1).sort_with_stats, list(ar),
+                          cheap_cmp)
+    assert census.result.comparisons == cheap.result.comparisons
+    assert census.total > cheap.total
+    assert costly_cmp("B", "a") == 1 and costly_cmp("A", "a") == 0
+
+
+def test_costly_comparator_needs_the_strings_shape(capsys):
+    assert main(["profile", "--shape", "random", "--cmp", "costly"]) == 2
+    assert "use --shape strings" in capsys.readouterr().err
 
 
 def test_sorting_does_not_import_the_profiler():
